@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _h_prime_arr, _h_theta_arr
-from .numerics import (Bracket, Tolerance, _polished_descent,
+from .numerics import (Bracket, Tolerance, _mode_nodes, _polished_descent,
                        eigenvalues_symmetric, minimize_multistart,
                        solve_increasing)
 
@@ -152,11 +152,22 @@ def chain_energy_zero(cfg: HoppingConfig, mu: float,
     return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - float(np.sum(np.abs(eps)))
 
 
+def _dimer_band(W: float, delta: float, theta: float):
+    """h_theta of the squared levels 4 W^2 cos^2 s + 4 delta^2 sin^2 s, vectorized.
+
+    A function of t = s - pi/2, so that |cos s| = |sin t| keeps full
+    precision at the band center t = 0. Its mean over a period is the band
+    part of the energy per atom: the L ring modes give it on the L/2 mode
+    nodes (cos^2 has period pi, so the modes pair up), and the infinite ring
+    in the limit.
+    """
+    w2, d2 = 4.0 * W * W, 4.0 * delta * delta
+    return lambda t: _h_theta_arr(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
+
+
 def _g_finite_raw(W: float, delta: float, mu: float, theta: float, L: int) -> float:
-    ang = 2.0 * np.pi * np.arange(1, L + 1) / L
-    args = 4.0 * W * W * np.cos(ang) ** 2 + 4.0 * delta * delta * np.sin(ang) ** 2
-    return (0.5 * mu * ((W - 1.0) ** 2 + delta * delta)
-            - float(np.mean(_h_theta_arr(args, theta))))
+    band = _dimer_band(W, delta, theta)(_mode_nodes(L // 2))
+    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - float(np.mean(band))
 
 
 def g_finite(s: DimerState, p: ModelParams) -> float:

@@ -1,11 +1,24 @@
-"""The infinite-ring limit: quadrature free energy, theta_c(mu), bifurcation.
+"""The infinite-ring limit: mode-mean free energy, theta_c(mu), bifurcation.
 
-The mode sum of the finite ring becomes an integral over [0, 2pi]; by
-symmetry every integral here is taken over [0, pi/2]. The critical
-temperature solves the same two-equation system as the finite case, with
-the strictly increasing J(x) obtained by subtracting the equations. Around
-theta_c the dimerization amplitude bifurcates like sqrt(theta_c - theta),
-with a coefficient assembled from three h'' moments.
+The mode sum of the finite ring becomes an integral over the band angle s.
+Every integrand here is a smooth pi-periodic function of s, so each
+integral is a mean over a period, computed by one of two rules:
+
+- the mode mean (``numerics.mode_mean``), the finite ring's own trapezoid
+  rule with the mode count N doubling to convergence. Its error falls like
+  e^(-2 eta N), eta being the distance of the integrand's nearest complex
+  singularity from the real axis, so it starts at the power of two
+  N0 >= 15/eta (predicted error ~1e-13) and doubles once to verify;
+- adaptive GK15 panels over a quarter period, split at the tanh layer,
+  where N0 would pass _MODE_N0_MAX: for x = W/theta past ~430 the layer at
+  the band center is so sharp that the scalar panels are cheaper.
+
+Both rules work in t = s - pi/2, where |cos s| = |sin t| keeps its full
+relative precision at the band center. The critical temperature solves the
+same two-equation system as the finite case, with the strictly increasing
+J(x) obtained by subtracting the equations. Around theta_c the
+dimerization amplitude bifurcates like sqrt(theta_c - theta), with a
+coefficient assembled from three h'' moments.
 """
 
 from __future__ import annotations
@@ -13,9 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .finite_chain import CriticalPoint, DimerState, ModelParams, _minimize_dimer
-from .kernels import h_eval, h_theta
-from .numerics import Bracket, Tolerance, integrate_adaptive, solve_increasing
+import numpy as np
+
+from .finite_chain import (CriticalPoint, DimerState, ModelParams, _dimer_band,
+                           _minimize_dimer)
+from .kernels import _h_prime_arr, _h_second_arr, h_eval, h_theta
+from .numerics import (Bracket, Tolerance, integrate_adaptive, mode_mean,
+                       solve_increasing)
 
 __all__ = [
     "BifurcationData",
@@ -30,10 +47,13 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2
-# quadrature accuracy for all integrals in this module
-_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
-# c1 tail: (tanh u - 1)/u ~ -2 e^{-2u}, below 1e-30 beyond u = 40
-_C1_CUTOFF = 40.0
+# largest starting mode count of the mode mean; past it GK15 is cheaper. On
+# J_thermo (Xeon, numpy 2.4) the mode mean took 0.41 ms at N0 = 4096 against
+# 0.64 ms for GK15, and 0.53-0.73 ms at N0 = 8192 against 0.42-0.46 ms
+_MODE_N0_MAX = 4096
+# accuracy of all integrals in this module; max_iter caps the GK15 panels
+# and the mode-mean nodes, which reach 2 * _MODE_N0_MAX on verification
+_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2 * _MODE_N0_MAX)
 
 
 def _tanh_ratio(x: float, c: float) -> float:
@@ -46,18 +66,42 @@ def _tanh_ratio(x: float, c: float) -> float:
     return math.tanh(u) / c
 
 
-def _tanh_integral(f, x: float, tol) -> float:
-    """Integrate f over [0, pi/2] with a split at the tanh crossover.
+def _tanh_eta(x: float) -> float:
+    # tanh(x cos s) and h''(x^2 cos^2 s) have their singularities nearest
+    # the real axis at s = pi/2 +- i asinh(pi / (2x))
+    return math.asinh(_HALF_PI / x)
 
-    tanh(x cos s) bends within ~1/x of s = pi/2; for large x that layer
-    hides between the outermost quadrature node and the endpoint where the
-    error estimator cannot see it, so the interval is split just outside.
+
+def _tanh_integral(f, x: float, tol) -> float:
+    """Integrate f(t) over [0, pi/2] with a split at the tanh crossover.
+
+    tanh(x |sin t|) bends within ~1/x of the band center t = 0; for large x
+    that layer hides between the outermost quadrature node and the endpoint
+    where the error estimator cannot see it, so the interval is split just
+    outside. Near t = 0 the nodes and sin t keep full relative precision,
+    which cos s near s = pi/2 does not. The integrands are even in t, so
+    [0, pi/2] covers half a period.
     """
     if x > 16.0:
-        cut = _HALF_PI - 8.0 / x
+        cut = 8.0 / x
         return (integrate_adaptive(f, 0.0, cut, tol)
                 + integrate_adaptive(f, cut, _HALF_PI, tol))
     return integrate_adaptive(f, 0.0, _HALF_PI, tol)
+
+
+def _band_mean(eta: float, f_arr, f_scalar, x: float, tol) -> float:
+    """Mean over a period of an integrand even in t = s - pi/2, by the cheaper rule.
+
+    f_arr is its vectorized form for the mode mean, f_scalar its scalar
+    form for GK15 panels over [0, pi/2]; eta is the half-width of its strip
+    of analyticity and x places the panel split.
+    """
+    n0 = 8
+    while n0 * eta < 15.0 and n0 <= _MODE_N0_MAX:
+        n0 *= 2
+    if n0 <= _MODE_N0_MAX:
+        return mode_mean(f_arr, n0, tol)
+    return _tanh_integral(f_scalar, x, tol) / _HALF_PI
 
 
 def g_thermo(s: DimerState, p: ModelParams, tol: Tolerance | None = None) -> float:
@@ -68,13 +112,20 @@ def g_thermo(s: DimerState, p: ModelParams, tol: Tolerance | None = None) -> flo
 
 
 def _g_thermo_raw(W, delta, mu, theta, tol):
+    # h_theta's singularities sit where the squared level reaches
+    # -(pi theta)^2; with M = max(W, delta) and m = min(W, delta) that is
+    # eta = asinh(sqrt((m^2 + (pi theta/2)^2) / (M^2 - m^2))), and at M = m
+    # the integrand is constant
+    big, small = max(W, delta), min(W, delta)
+    spread = big * big - small * small
+    eta = (math.asinh(math.sqrt((small * small + (_HALF_PI * theta) ** 2) / spread))
+           if spread > 0.0 else math.inf)
     w2, d2 = 4.0 * W * W, 4.0 * delta * delta
-    # the kernel bends where the band argument crosses theta^2, within
-    # ~theta/W of s = pi/2; same endpoint blind spot as the tanh integrals
-    integral = _tanh_integral(
-        lambda u: h_theta(w2 * math.cos(u) ** 2 + d2 * math.sin(u) ** 2, theta),
-        W / theta if W > 0 else 0.0, tol)
-    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - (2.0 / math.pi) * integral
+    band = _band_mean(
+        eta, _dimer_band(W, delta, theta),
+        lambda t: h_theta(w2 * math.sin(t) ** 2 + d2 * math.cos(t) ** 2, theta),
+        W / theta, tol)
+    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - band
 
 
 def minimize_dimer_thermo(p: ModelParams, init=None,
@@ -95,27 +146,37 @@ def J_thermo(x: float, tol: Tolerance | None = None) -> float:
     """-(4/pi) int_0^{pi/2} tanh(x cos s) cos(2s)/cos(s) ds.
 
     Strictly increasing from 0 to infinity; the apparent s = pi/2 blowup
-    cancels against tanh and is evaluated through the series form.
+    cancels against tanh and is evaluated through the series form. As a
+    mean in t = s - pi/2, with tanh(x c)/c = x h'(x^2 c^2) and
+    cos 2s = -cos 2t, this is 2 <x h'(x^2 sin^2 t) cos 2t>.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0:
         return 0.0
-    val = _tanh_integral(
-        lambda s: _tanh_ratio(x, math.cos(s)) * math.cos(2.0 * s), x, tol or _QUAD_TOL)
-    return -4.0 / math.pi * val
+    return 2.0 * _band_mean(
+        _tanh_eta(x),
+        lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
+        lambda t: _tanh_ratio(x, math.sin(t)) * math.cos(2.0 * t),
+        x, tol or _QUAD_TOL)
 
 
 def _first_integral(x: float, tol) -> float:
-    # (4/pi) int tanh(x cos s) cos s ds
-    return 4.0 / math.pi * _tanh_integral(
-        lambda s: math.tanh(x * math.cos(s)) * math.cos(s), x, tol)
+    # (4/pi) int tanh(x cos s) cos s ds, with tanh(x c) c = x h'(x^2 c^2) c^2
+    def f_arr(t):
+        sn2 = np.sin(t) ** 2
+        return x * _h_prime_arr(x * x * sn2) * sn2
+    return 2.0 * _band_mean(_tanh_eta(x), f_arr,
+                            lambda t: math.tanh(x * math.sin(t)) * math.sin(t), x, tol)
 
 
 def _second_integral(x: float, tol) -> float:
     # (4/pi) int tanh(x cos s) sin^2 s / cos s ds
-    return 4.0 / math.pi * _tanh_integral(
-        lambda s: _tanh_ratio(x, math.cos(s)) * math.sin(s) ** 2, x, tol)
+    return 2.0 * _band_mean(
+        _tanh_eta(x),
+        lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(t) ** 2,
+        lambda t: _tanh_ratio(x, math.sin(t)) * math.cos(t) ** 2,
+        x, tol)
 
 
 def theta_critical_thermo(mu: float, tol: Tolerance | None = None) -> CriticalPoint:
@@ -155,13 +216,13 @@ class AsymptoticConstants:
     C_prefactor: float
 
 
-def asymptotic_constants(tol: Tolerance | None = None) -> AsymptoticConstants:
-    """Constants of the large-stiffness law theta_c ~ C e^{-pi mu / 4}."""
-    qtol = tol or _QUAD_TOL
-    c1 = (integrate_adaptive(lambda u: math.tanh(u) / u if u > 0 else 1.0,
-                             0.0, 1.0, qtol)
-          + integrate_adaptive(lambda u: (math.tanh(u) - 1.0) / u,
-                               1.0, _C1_CUTOFF, qtol))
+def asymptotic_constants() -> AsymptoticConstants:
+    """Constants of the large-stiffness law theta_c ~ C e^{-pi mu / 4}.
+
+    c1 = int_0^1 tanh(u)/u du + int_1^inf (tanh(u) - 1)/u du has the closed
+    form gamma + ln(4/pi), the constant of the BCS gap equation.
+    """
+    c1 = np.euler_gamma + math.log(4.0 / math.pi)
     c2 = c1 + math.log(2.0) - 1.0
     return AsymptoticConstants(c1=c1, c2=c2, C_prefactor=math.exp(c2 - 1.0))
 
@@ -214,15 +275,19 @@ def bifurcation_data(mu: float, tol: Tolerance | None = None) -> BifurcationData
     cp = theta_critical_thermo(mu, tol)
     ratio = cp.W_star / cp.theta_c
 
-    def moment(weight):
-        # h'' transitions on the same cos s ~ 1/x layer as the tanh kernels
-        return 4.0 / math.pi * _tanh_integral(
-            lambda s: h_eval((ratio * math.cos(s)) ** 2).h_second * weight(s),
-            ratio, qtol)
+    def moment(p):
+        # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds, in t; h''
+        # transitions on the same cos s ~ 1/x layer as the tanh kernels
+        def f_arr(t):
+            sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
+            return _h_second_arr(ratio * ratio * sn2) * sn2 ** (2 - p) * cs2 ** p
 
-    A = moment(lambda s: math.cos(s) ** 4)
-    B = moment(lambda s: (math.sin(s) * math.cos(s)) ** 2)
-    C_int = moment(lambda s: math.sin(s) ** 4)
+        def f_scalar(t):
+            sn2, cs2 = math.sin(t) ** 2, math.cos(t) ** 2
+            return h_eval(ratio * ratio * sn2).h_second * sn2 ** (2 - p) * cs2 ** p
+        return 2.0 * _band_mean(_tanh_eta(ratio), f_arr, f_scalar, ratio, qtol)
+
+    A, B, C_int = moment(0), moment(1), moment(2)
 
     W, th = cp.W_star, cp.theta_c
     det_J = -mu / (W * W * th) * C_int + 2.0 * W / th ** 4 * (A * C_int - B * B)

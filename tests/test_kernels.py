@@ -78,6 +78,13 @@ class TestHEval:
         assert below.h_prime == pytest.approx(above.h_prime, abs=1e-12)
         assert below.h_second == pytest.approx(above.h_second, abs=1e-9)
 
+    def test_vectorized_forms_match_scalar(self):
+        from peierls.kernels import _h_prime_arr, _h_second_arr
+        y = np.array([0.0, 1e-8, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 0.3, 2.0, 50.0, 1e6])
+        want = [h_eval(float(v)) for v in y]
+        assert _h_prime_arr(y) == pytest.approx([w.h_prime for w in want], rel=1e-14, abs=0)
+        assert _h_second_arr(y) == pytest.approx([w.h_second for w in want], rel=1e-14, abs=0)
+
 
 class TestHTheta:
     def test_zero_argument(self):
@@ -167,6 +174,12 @@ class TestEllipticSide:
         for a in (0.01, 0.1, 0.4, 0.75, 0.99):
             assert elliptic_side(a) == pytest.approx(float(scipy.special.ellipe(1 - a)),
                                                      abs=1e-10)
+
+    def test_matches_scipy_to_machine_precision(self):
+        # the arithmetic-geometric mean, including a near the E(1) = 1 endpoint
+        for a in (1e-300, 1e-16, 1e-8, 1e-4, 0.3, 0.5, 0.9, 1 - 1e-12):
+            want = float(scipy.special.ellipe(1 - a))
+            assert elliptic_side(a) == pytest.approx(want, rel=2e-15, abs=0)
 
     def test_domain(self):
         for bad in (-0.01, 1.01):

@@ -8,7 +8,8 @@ import pytest
 from peierls.numerics import (Bracket, ConvergenceError, Tolerance,
                               eigenvalues_symmetric, integrate_adaptive,
                               lattice_points, minimize_box,
-                              minimize_multistart, solve_increasing)
+                              minimize_multistart, mode_mean,
+                              solve_increasing)
 
 TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
 
@@ -62,6 +63,56 @@ class TestIntegrate:
             integrate_adaptive(hard, 0.0, 1.0, Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3))
         assert err.value.best is not None
         assert err.value.bound > 0
+
+
+class TestModeMean:
+    @staticmethod
+    def _recording(f):
+        # f plus the node-array sizes it was called with
+        sizes = []
+
+        def g(s):
+            sizes.append(s.size)
+            return f(s)
+        return g, sizes
+
+    def test_trig_polynomial_exact_at_start(self):
+        # N nodes integrate e^(2iks) exactly for |k| < N: the first estimate
+        # is exact, so one doubling confirms it
+        f, sizes = self._recording(
+            lambda s: 1.5 + 0.3 * np.cos(2 * s) - 0.7 * np.sin(6 * s) + 0.2 * np.cos(14 * s))
+        val = mode_mean(f, 8, TOL)
+        assert val == pytest.approx(1.5, abs=1e-15)
+        assert sizes == [8, 8]
+
+    def test_doublings_predicted_by_strip_width(self):
+        # mean 1/(a - cos 2s) = 1/sqrt(a^2 - 1); the poles at cos 2s = a lie
+        # eta = acosh(a)/2 off the real axis, and the error on N nodes is
+        # 2 e^(-2 eta N) / (sqrt(a^2 - 1) (1 - e^(-2 eta N)))
+        a, n0 = 1.25, 4
+        exact = 1.0 / math.sqrt(a * a - 1.0)
+        eta = 0.5 * math.acosh(a)
+        err = lambda n: 2.0 * exact * math.exp(-2 * eta * n) / (1 - math.exp(-2 * eta * n))
+        n = n0
+        while err(n) > TOL.abs_tol + TOL.rel_tol * exact:
+            n *= 2
+        f, sizes = self._recording(lambda s: 1.0 / (a - np.cos(2 * s)))
+        val = mode_mean(f, n0, Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1024))
+        assert val == pytest.approx(exact, rel=1e-15)
+        # the estimate at n is the first to pass; the finer one is returned
+        assert sizes == [n0] + [n0 * 2 ** k for k in range(int(math.log2(n // n0)) + 1)]
+        assert n == 64
+
+    def test_node_cap_raises(self):
+        a = 1.25
+        with pytest.raises(ConvergenceError) as err:
+            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 4,
+                      Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=32))
+        assert err.value.best == pytest.approx(1.0 / math.sqrt(a * a - 1.0), rel=1e-6)
+
+    def test_nan_never_converges(self):
+        with pytest.raises(ConvergenceError):
+            mode_mean(lambda s: np.full_like(s, np.nan), 8, TOL)
 
 
 class TestSolveIncreasing:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import peierls.thermodynamic as thermo
 from peierls.finite_chain import DimerState, ModelParams, g_finite
+from peierls.numerics import Tolerance
 from peierls.thermodynamic import (J_thermo, asymptotic_constants,
                                    bifurcation_data, g_thermo,
                                    minimize_dimer_thermo, phase_diagram,
@@ -18,9 +20,25 @@ W_STAR_MU2 = 1.63220047639
 X_STAR_MU2 = 7.75612977425
 # 30-digit quadrature of the energy integrand at (W, delta) = (1, 0.2)
 G_THERMO_REF = -1.29786587712935485592
-# 30-digit quadrature of J at the x of theta_c near mu = 17 and mu = 20
-J_THERMO_LARGE_X = {1e6: 16.9690209371581518224045690222,
+# 30-digit quadrature of J at large x; 1e6 and 1.08e7 are the x of theta_c
+# near mu = 17 and mu = 20
+J_THERMO_LARGE_X = {1e4: 11.1055361539759261877550664533,
+                    1e5: 14.0372785417181952770952694944,
+                    1e6: 16.9690209371581518224045690222,
                     1.08e7: 19.9987531736535922774146768837}
+# room for the forced mode mean past its usual starting-N cap
+WIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1 << 17)
+
+
+def _by_each_rule(monkeypatch, fn):
+    """fn() under the default rule, forced onto the mode mean, forced onto GK15."""
+    default = fn()
+    monkeypatch.setattr(thermo, "_MODE_N0_MAX", 1 << 16)
+    mode = fn()
+    monkeypatch.setattr(thermo, "_MODE_N0_MAX", 4)
+    gk15 = fn()
+    monkeypatch.undo()
+    return default, mode, gk15
 
 
 class TestGThermo:
@@ -62,6 +80,19 @@ class TestGThermo:
             val = g_finite(s, ModelParams(mu=2.0, theta=0.1, L=2 * N))
             assert abs(val - ref) <= 1e-9
 
+    def test_rules_agree_across_switch(self, monkeypatch):
+        # with delta = 0 the strip half-width is asinh(pi theta / (2 W)); the
+        # mode mean serves it while its starting N, >= 15/eta, is <= 4096,
+        # so GK15 takes the colder side of the switch
+        W = 1.2
+        switch = 2.0 * W * math.sinh(15.0 / 4096) / math.pi
+        for theta, delta, rule in ((0.97 * switch, 0.0, 2), (1.03 * switch, 0.0, 1),
+                                   (0.97 * switch, 1e-4, 2), (1.03 * switch, 1e-4, 1)):
+            s, p = DimerState(W=W, delta=delta), ModelParams(mu=2.0, theta=theta)
+            vals = _by_each_rule(monkeypatch, lambda: g_thermo(s, p, WIDE_TOL))
+            assert vals[0] == vals[rule]
+            assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
+
 
 class TestJThermo:
     def test_zero(self):
@@ -93,6 +124,20 @@ class TestJThermo:
         # at x = 1e7 a cos s below 1e-6 still means u up to 10
         for x, want in J_THERMO_LARGE_X.items():
             assert J_thermo(x) == pytest.approx(want, rel=1e-9)
+
+    def test_large_x_to_machine_precision(self):
+        # integrating in t = pi/2 - s, with sin t for cos s, keeps |cos s|
+        # precise near the band center, where the integrand is ~x
+        for x, want in J_THERMO_LARGE_X.items():
+            assert J_thermo(x) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_rules_agree_across_switch(self, monkeypatch):
+        # the mode mean serves x while its starting N, the power of two
+        # >= 15 / asinh(pi / (2x)), is <= 4096: up to x = 428.9
+        for x, rule in ((420.0, 1), (440.0, 2)):
+            vals = _by_each_rule(monkeypatch, lambda: J_thermo(x, WIDE_TOL))
+            assert vals[0] == vals[rule]
+            assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
 
 
 class TestThetaCritical:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import scipy.special
 
 from peierls.finite_chain import DimerState, ModelParams
 from peierls.kernels import elliptic_side
@@ -34,22 +35,35 @@ class TestGZero:
         assert g_zero(s, 2.0) == pytest.approx(cold, abs=1e-3)
 
     def test_swap_identity(self):
-        from peierls.zero_temperature import _QUAD_TOL, _g_zero_raw
+        from peierls.zero_temperature import _g_zero_raw
         mu, W, d = 1.5, 1.2, 0.4
-        lhs = _g_zero_raw(W, d, mu, _QUAD_TOL)
-        rhs = _g_zero_raw(d, W, mu, _QUAD_TOL) + mu / 2 * (
+        lhs = _g_zero_raw(W, d, mu)
+        rhs = _g_zero_raw(d, W, mu) + mu / 2 * (
             (W - 1) ** 2 - (d - 1) ** 2 + d * d - W * W)
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_elliptic_integral_consistency(self):
         # the band term is W E(1 - (delta/W)^2) in disguise
-        from peierls.zero_temperature import _QUAD_TOL, _g_zero_raw
+        from peierls.zero_temperature import _g_zero_raw
         mu = 2.0
         for W, d in ((1.0, 0.2), (1.5, 0.9), (0.9, 0.0)):
-            g = _g_zero_raw(W, d, mu, _QUAD_TOL)
+            g = _g_zero_raw(W, d, mu)
             band = mu / 2 * ((W - 1) ** 2 + d * d) - g
             want = 4 / math.pi * W * elliptic_side((d / W) ** 2)
             assert band == pytest.approx(want, abs=1e-8)
+
+    def test_against_scipy_ellipe(self):
+        # band term (4/pi) M E(1 - m^2/M^2) with M = max(W, delta), m = min:
+        # the simplex probes delta > W, and delta/W = 1e-8 sits next to the
+        # E(1) = 1 endpoint, where the arithmetic-geometric mean diverges
+        from peierls.zero_temperature import _g_zero_raw
+        mu = 2.0
+        for W, d in ((0.3, 1.1), (0.9, 1.0), (1.3, 1.3e-8), (1.3e-8, 1.3)):
+            band = mu / 2 * ((W - 1) ** 2 + d * d) - _g_zero_raw(W, d, mu)
+            big, small = max(W, d), min(W, d)
+            want = 4 / math.pi * big * float(scipy.special.ellipe(1 - (small / big) ** 2))
+            assert band == pytest.approx(want, rel=1e-14, abs=0)
+        assert _g_zero_raw(0.0, 0.0, mu) == mu / 2
 
     def test_domain(self):
         with pytest.raises(ValueError):
