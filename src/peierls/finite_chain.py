@@ -68,7 +68,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HoppingConfig:
-    """Positive hopping amplitudes around the ring (indices cyclic mod L)."""
+    """Positive finite hopping amplitudes around the ring (indices cyclic mod L)."""
 
     t: np.ndarray
 
@@ -76,8 +76,8 @@ class HoppingConfig:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         if self.t.ndim != 1 or self.t.size < 4:
             raise ValueError(f"need a vector of >= 4 hoppings, got shape {self.t.shape}")
-        if np.any(self.t <= 0):
-            raise ValueError("all hoppings must be positive")
+        if not np.all((self.t > 0) & np.isfinite(self.t)):
+            raise ValueError("all hoppings must be positive and finite")
 
     def __len__(self):
         return self.t.size
@@ -133,22 +133,20 @@ def build_hopping_matrix(cfg: HoppingConfig) -> np.ndarray:
     return T
 
 
-def chain_free_energy(cfg: HoppingConfig, p: ModelParams,
-                      tol: Tolerance | None = None) -> float:
+def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
     """(mu/2) sum (t_i - 1)^2 - sum_i h_theta(eps_i^2) over the T spectrum."""
     if p.theta <= 0:
         raise ValueError("use chain_energy_zero for theta = 0")
-    eps = eigenvalues_symmetric(build_hopping_matrix(cfg), tol)
+    eps = eigenvalues_symmetric(build_hopping_matrix(cfg))
     distortion = 0.5 * p.mu * float(np.sum((cfg.t - 1.0) ** 2))
     return distortion - float(np.sum(_h_theta_arr(eps * eps, p.theta)))
 
 
-def chain_energy_zero(cfg: HoppingConfig, mu: float,
-                      tol: Tolerance | None = None) -> float:
+def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
     """Zero-temperature energy: (mu/2) sum (t_i - 1)^2 - sum |eps_i|."""
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
-    eps = eigenvalues_symmetric(build_hopping_matrix(cfg), tol)
+    eps = eigenvalues_symmetric(build_hopping_matrix(cfg))
     return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - float(np.sum(np.abs(eps)))
 
 

@@ -3,9 +3,10 @@
 Two quadrature rules: the mode mean, a vectorized trapezoid rule for smooth
 periodic integrands whose error falls geometrically with the node count,
 and adaptive Gauss-Kronrod panels for the rest. Then monotone root solving,
-box-constrained derivative-free minimization with multistart, and a cyclic
-Jacobi eigensolver for small dense symmetric matrices. Everything here is a
-pure function of its inputs and safe to call from many workers at once.
+box-constrained derivative-free minimization with multistart, and checked
+spectra of dense symmetric matrices by LAPACK's eigvalsh through numpy.
+Everything here is a pure function of its inputs and safe to call from many
+workers at once.
 """
 
 from __future__ import annotations
@@ -380,57 +381,35 @@ def lattice_points(n: int, d: int, seed: int = 0) -> np.ndarray:
 def minimize_multistart(f: Callable[[np.ndarray], float],
                         box: Sequence[tuple[float, float]], n_starts: int,
                         tol: Tolerance | None = None, seed: int = 0):
-    """Global search: run the simplex minimizer from lattice start points.
+    """Global search: :func:`_polished_descent` from lattice start points.
 
-    Returns the best ``(point, value)``; the best point is re-polished with
-    restarted simplices until it stops improving. Deterministic for a given
-    seed. Errors from individual starts only propagate if every start fails.
+    The ``n_starts`` points of :func:`lattice_points` are mapped onto the
+    box, each with an initial simplex step of a fifth of the box. Returns
+    the best ``(point, value)``; deterministic for a given seed. Any
+    exception from the objective propagates at once; a run that exhausts
+    its iterations contributes its best point instead.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    lower = np.array([b[0] for b in box])
-    upper = np.array([b[1] for b in box])
-    d = len(box)
+    lower, upper = np.array(box, dtype=float).T
+    d = lower.size
     if tol is None:
         tol = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200 * d)
-
     starts = lower + (upper - lower) * lattice_points(n_starts, d, seed)
-    best = None
-    for x0 in starts:
-        try:
-            x, fx = minimize_box(f, x0, lower, tol, upper_bounds=upper,
-                                 initial_step=0.2 * (upper - lower))
-        except ConvergenceError as err:
-            if not (isinstance(err.best, tuple) and len(err.best) == 2):
-                raise  # not a budget exhaustion: the objective itself failed
-            x, fx = err.best
-        if best is None or fx < best[1]:
-            best = (x, fx)
-
-    # polish: restart a fresh small simplex at the incumbent until stable
-    x, fx = best
-    span = np.maximum(1e-6 * (upper - lower), 1e-7)
-    for _ in range(4):
-        try:
-            xp, fp = minimize_box(f, x, lower, tol, upper_bounds=upper,
-                                  initial_step=span)
-        except ConvergenceError as err:
-            xp, fp = err.best
-        if fp >= fx - max(tol.abs_tol * 1e-3, 1e-15):
-            if fp < fx:
-                x, fx = xp, fp
-            break
-        x, fx = xp, fp
-    return x, fx
+    return _polished_descent(f, list(starts), lower, upper, tol, 0.2 * (upper - lower))
 
 
 def _polished_descent(f, starts, lower, upper, tol, step):
     """Best simplex minimum over explicit starts, then restart-polished.
 
-    Shared engine for the dimer minimizers: near a phase boundary the
-    landscape is quartically flat, so a converged run is restarted with a
-    fresh tiny simplex until the value stops improving.
+    The engine behind :func:`minimize_multistart` and the dimer
+    minimizers. ``step`` is one initial simplex step for every start or a
+    list with one per start. The best point is restarted with a fresh
+    simplex of relative size 1e-6, at most 3 times, until the value stops
+    improving by 1e-15: near a phase boundary the landscape is quartically
+    flat and a first run can stall short of the minimum. A run that
+    exhausts its iterations contributes its best point; any other exception
+    from the objective propagates.
     """
     best = None
     for x0, st in zip(starts, step if isinstance(step, list) else [step] * len(starts)):
@@ -460,53 +439,20 @@ def _polished_descent(f, starts, lower, upper, tol, step):
     return x, fx
 
 
-def eigenvalues_symmetric(M: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix by cyclic Jacobi.
+def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix, by LAPACK's eigvalsh.
 
-    Sweeps rotate away off-diagonal entries until their Frobenius norm
-    falls below 1e-14 of the matrix norm; adequate for the dense matrices
-    used here (n <= 128).
+    Raises ValueError unless M is square, finite and symmetric to within
+    1e-12 * max(1, ||M||_F); the mean of M and its transpose is what gets
+    diagonalized.
     """
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has non-finite entries")
     norm = float(np.linalg.norm(A))
-    asym = float(np.max(np.abs(A - A.T))) if n > 1 else 0.0
+    asym = float(np.max(np.abs(A - A.T), initial=0.0))
     if asym > 1e-12 * max(norm, 1.0):
         raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    if n == 1:
-        return A[0, :1].copy()
-    A = 0.5 * (A + A.T)
-    if norm == 0.0:
-        return np.zeros(n)
-
-    target = 1e-14 * norm if tol is None else max(tol.abs_tol, 1e-15) * norm
-    max_sweeps = 40 if tol is None else max(1, tol.max_iter)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(A[off_mask]))
-        if off <= target:
-            return np.sort(np.diag(A))
-        skip = off / (n * n) * 1e-2
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-    raise ConvergenceError(
-        f"Jacobi sweeps did not converge for a {n}x{n} matrix",
-        best=np.sort(np.diag(A)))
+    return np.linalg.eigvalsh(0.5 * (A + A.T))

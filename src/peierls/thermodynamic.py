@@ -256,7 +256,7 @@ class BifurcationData:
         if self.B * self.B > self.A * self.C_int:
             raise ValueError("Cauchy-Schwarz violated: B^2 > A*C_int")
         if self.det_J <= 0:
-            raise ValueError(f"Jacobian determinant must be positive, got {self.det_J}")
+            raise ValueError(f"det_J must be positive, got {self.det_J}")
         if self.delta_prime >= 0:
             raise ValueError(f"d(delta^2)/d(theta) must be negative, got {self.delta_prime}")
 

@@ -41,6 +41,9 @@ class TestTypes:
             ring(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             ring(1.0, -1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ring(1.0, bad, 1.0, 1.0)
 
     def test_dimer_state(self):
         with pytest.raises(ValueError):
@@ -101,7 +104,7 @@ class TestChainEnergies:
 
     def test_matches_dimer_reduction_per_atom(self):
         rng = np.random.default_rng(23)
-        for L in (4, 6, 8, 12):
+        for L in (4, 6, 8, 12, 32, 64, 128):
             W = float(rng.uniform(0.8, 1.6))
             d = float(rng.uniform(0.0, 0.5 * W))
             s = DimerState(W=W, delta=d)

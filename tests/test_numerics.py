@@ -214,6 +214,16 @@ class TestMultistart:
         assert val / 4 == pytest.approx(per_atom, abs=1e-6)
         assert abs(x[0] - x[2]) < 1e-4 and abs(x[1] - x[3]) < 1e-4
 
+    @pytest.mark.parametrize("exc", [ValueError("objective failed"),
+                                     ConvergenceError("inner solve", best=0.5)])
+    def test_objective_errors_propagate(self, exc):
+        # only a simplex budget exhaustion (best = (x, fx)) is absorbed
+        def f(z):
+            raise exc
+        with pytest.raises(type(exc)) as err:
+            minimize_multistart(f, [(0.0, 2.0)], 3)
+        assert err.value is exc
+
     def test_seed_determinism(self):
         f = lambda z: (z[0] - 0.7) ** 2
         a = minimize_multistart(f, [(0.0, 2.0)], 5, seed=3)
@@ -235,13 +245,14 @@ class TestEigenvalues:
 
     def test_uniform_ring_circulant(self):
         from peierls.finite_chain import HoppingConfig, build_hopping_matrix
-        T = build_hopping_matrix(HoppingConfig(np.ones(4)))
-        want = np.sort(2 * np.cos(2 * np.pi * np.arange(4) / 4))
-        assert np.allclose(eigenvalues_symmetric(T), want, atol=1e-12)
+        for L in (4, 64, 128):
+            T = build_hopping_matrix(HoppingConfig(np.ones(L)))
+            want = np.sort(2 * np.cos(2 * np.pi * np.arange(L) / L))
+            assert np.allclose(eigenvalues_symmetric(T), want, atol=1e-12)
 
     def test_trace_and_frobenius_invariants(self):
         rng = np.random.default_rng(5)
-        for n in (2, 5, 8, 17, 32):
+        for n in (2, 5, 8, 17, 32, 64, 128):
             M = rng.standard_normal((n, n))
             M = M + M.T
             lam = eigenvalues_symmetric(M)
@@ -261,3 +272,18 @@ class TestEigenvalues:
         M = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             eigenvalues_symmetric(M)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # a symmetric NaN slips past the symmetry bound (nan > b is False)
+        M = np.eye(3)
+        M[0, 2] = M[2, 0] = bad
+        with pytest.raises(ValueError):
+            eigenvalues_symmetric(M)
+
+    def test_shape_check_and_trivial_matrices(self):
+        for M in (np.zeros((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError):
+                eigenvalues_symmetric(M)
+        assert eigenvalues_symmetric([[-2.5]]).tolist() == [-2.5]
+        assert eigenvalues_symmetric(np.zeros((5, 5))).tolist() == [0.0] * 5
