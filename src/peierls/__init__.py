@@ -14,9 +14,9 @@ from .finite_chain import (CriticalPoint, DimerState, HoppingConfig,
 from .kernels import (HKernelValue, electron_free_energy, elliptic_side,
                       entropy, h_eval, h_theta)
 from .numerics import (Bracket, ConvergenceError, Tolerance,
-                       eigenvalues_symmetric, integrate_adaptive,
-                       minimize_box, minimize_multistart, solve_increasing)
-from .sweep import ResultRow, SweepSpec, emit_csv, run_sweep
+                       eigenvalues_symmetric, minimize_box,
+                       minimize_multistart, mode_mean, solve_increasing)
+from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 from .thermodynamic import (AsymptoticConstants, BifurcationData, J_thermo,
                             asymptotic_constants, bifurcation_data, g_thermo,
                             minimize_dimer_thermo, phase_diagram,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tolerance", "Bracket", "ConvergenceError",
-    "integrate_adaptive", "solve_increasing", "minimize_box",
+    "mode_mean", "solve_increasing", "minimize_box",
     "minimize_multistart", "eigenvalues_symmetric",
     "entropy", "HKernelValue", "h_eval", "h_theta",
     "electron_free_energy", "elliptic_side",
@@ -41,5 +41,5 @@ __all__ = [
     "asymptotic_constants", "bifurcation_data", "phase_diagram",
     "GapResult", "g_zero", "periodic_optimum_zero", "dimer_optimum_zero",
     "gap_rate_fit",
-    "SweepSpec", "ResultRow", "run_sweep", "emit_csv",
+    "SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS",
 ]

@@ -2,21 +2,18 @@
 
 The mode sum of the finite ring becomes an integral over the band angle s.
 Every integrand here is a smooth pi-periodic function of s, so each
-integral is a mean over a period, computed by one of two rules:
+integral is a mean over a period, computed by the mode mean
+(``numerics.mode_mean``): the finite ring's own trapezoid rule with the
+mode count N doubling to convergence. Its error falls like e^(-2 eta N),
+eta being the distance of the integrand's nearest complex singularity from
+the real axis, and each integrand here hands it that eta. For x = W/theta
+past ~100 the tanh layer at the band center is so sharp that the mode mean
+maps its nodes towards it.
 
-- the mode mean (``numerics.mode_mean``), the finite ring's own trapezoid
-  rule with the mode count N doubling to convergence. Its error falls like
-  e^(-2 eta N), eta being the distance of the integrand's nearest complex
-  singularity from the real axis, so it starts at the power of two
-  N0 >= 15/eta (predicted error ~1e-13) and doubles once to verify;
-- adaptive GK15 panels over a quarter period, split at the tanh layer,
-  where N0 would pass _MODE_N0_MAX: for x = W/theta past ~430 the layer at
-  the band center is so sharp that the scalar panels are cheaper.
-
-Both rules work in t = s - pi/2, where |cos s| = |sin t| keeps its full
-relative precision at the band center. The critical temperature solves the
-same two-equation system as the finite case, with the strictly increasing
-J(x) obtained by subtracting the equations. Around theta_c the
+The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
+its full relative precision at the band center. The critical temperature
+solves the same two-equation system as the finite case, with the strictly
+increasing J(x) obtained by subtracting the equations. Around theta_c the
 dimerization amplitude bifurcates like sqrt(theta_c - theta), with a
 coefficient assembled from three h'' moments.
 """
@@ -30,9 +27,8 @@ import numpy as np
 
 from .finite_chain import (CriticalPoint, DimerState, ModelParams, _dimer_band,
                            _minimize_dimer)
-from .kernels import _h_prime_arr, _h_second_arr, h_eval, h_theta
-from .numerics import (Bracket, Tolerance, integrate_adaptive, mode_mean,
-                       solve_increasing)
+from .kernels import _h_prime_arr, _h_second_arr
+from .numerics import Bracket, Tolerance, mode_mean, solve_increasing
 
 __all__ = [
     "BifurcationData",
@@ -47,61 +43,20 @@ __all__ = [
 ]
 
 _HALF_PI = math.pi / 2
-# largest starting mode count of the mode mean; past it GK15 is cheaper. On
-# J_thermo (Xeon, numpy 2.4) the mode mean took 0.41 ms at N0 = 4096 against
-# 0.64 ms for GK15, and 0.53-0.73 ms at N0 = 8192 against 0.42-0.46 ms
-_MODE_N0_MAX = 4096
-# accuracy of all integrals in this module; max_iter caps the GK15 panels
-# and the mode-mean nodes, which reach 2 * _MODE_N0_MAX on verification
-_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2 * _MODE_N0_MAX)
-
-
-def _tanh_ratio(x: float, c: float) -> float:
-    # tanh(x c)/c; the series in u = x c dodges the 0/0 at the band center.
-    # It must branch on u, not on c: for x ~ 1e7 a cos of 1e-6 is u ~ 10.
-    u = x * c
-    if u < 1e-4:
-        u2 = u * u
-        return x * (1.0 - u2 / 3.0 + 2.0 * u2 * u2 / 15.0)
-    return math.tanh(u) / c
+# accuracy of all integrals in this module; max_iter caps the mode-mean
+# nodes, and leaves room for the start N0 = 4096 and its doubling that the
+# mapped nodes need near mu = _MU_MAX
+_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=8192)
+# largest stiffness theta_critical_thermo accepts: the tests validate it up
+# to here (x = W/theta_c ~ 3e68), and from mu ~ 205 on the mapped nodes
+# would start at N0 = 8192, whose doubling passes the cap
+_MU_MAX = 200.0
 
 
 def _tanh_eta(x: float) -> float:
     # tanh(x cos s) and h''(x^2 cos^2 s) have their singularities nearest
     # the real axis at s = pi/2 +- i asinh(pi / (2x))
     return math.asinh(_HALF_PI / x)
-
-
-def _tanh_integral(f, x: float, tol) -> float:
-    """Integrate f(t) over [0, pi/2] with a split at the tanh crossover.
-
-    tanh(x |sin t|) bends within ~1/x of the band center t = 0; for large x
-    that layer hides between the outermost quadrature node and the endpoint
-    where the error estimator cannot see it, so the interval is split just
-    outside. Near t = 0 the nodes and sin t keep full relative precision,
-    which cos s near s = pi/2 does not. The integrands are even in t, so
-    [0, pi/2] covers half a period.
-    """
-    if x > 16.0:
-        cut = 8.0 / x
-        return (integrate_adaptive(f, 0.0, cut, tol)
-                + integrate_adaptive(f, cut, _HALF_PI, tol))
-    return integrate_adaptive(f, 0.0, _HALF_PI, tol)
-
-
-def _band_mean(eta: float, f_arr, f_scalar, x: float, tol) -> float:
-    """Mean over a period of an integrand even in t = s - pi/2, by the cheaper rule.
-
-    f_arr is its vectorized form for the mode mean, f_scalar its scalar
-    form for GK15 panels over [0, pi/2]; eta is the half-width of its strip
-    of analyticity and x places the panel split.
-    """
-    n0 = 8
-    while n0 * eta < 15.0 and n0 <= _MODE_N0_MAX:
-        n0 *= 2
-    if n0 <= _MODE_N0_MAX:
-        return mode_mean(f_arr, n0, tol)
-    return _tanh_integral(f_scalar, x, tol) / _HALF_PI
 
 
 def g_thermo(s: DimerState, p: ModelParams, tol: Tolerance | None = None) -> float:
@@ -120,11 +75,7 @@ def _g_thermo_raw(W, delta, mu, theta, tol):
     spread = big * big - small * small
     eta = (math.asinh(math.sqrt((small * small + (_HALF_PI * theta) ** 2) / spread))
            if spread > 0.0 else math.inf)
-    w2, d2 = 4.0 * W * W, 4.0 * delta * delta
-    band = _band_mean(
-        eta, _dimer_band(W, delta, theta),
-        lambda t: h_theta(w2 * math.sin(t) ** 2 + d2 * math.cos(t) ** 2, theta),
-        W / theta, tol)
+    band = mode_mean(_dimer_band(W, delta, theta), eta, tol)
     return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - band
 
 
@@ -154,33 +105,28 @@ def J_thermo(x: float, tol: Tolerance | None = None) -> float:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0:
         return 0.0
-    return 2.0 * _band_mean(
-        _tanh_eta(x),
+    return 2.0 * mode_mean(
         lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
-        lambda t: _tanh_ratio(x, math.sin(t)) * math.cos(2.0 * t),
-        x, tol or _QUAD_TOL)
+        _tanh_eta(x), tol or _QUAD_TOL)
 
 
 def _first_integral(x: float, tol) -> float:
     # (4/pi) int tanh(x cos s) cos s ds, with tanh(x c) c = x h'(x^2 c^2) c^2
-    def f_arr(t):
+    def f(t):
         sn2 = np.sin(t) ** 2
         return x * _h_prime_arr(x * x * sn2) * sn2
-    return 2.0 * _band_mean(_tanh_eta(x), f_arr,
-                            lambda t: math.tanh(x * math.sin(t)) * math.sin(t), x, tol)
+    return 2.0 * mode_mean(f, _tanh_eta(x), tol)
 
 
 def _second_integral(x: float, tol) -> float:
     # (4/pi) int tanh(x cos s) sin^2 s / cos s ds
-    return 2.0 * _band_mean(
-        _tanh_eta(x),
+    return 2.0 * mode_mean(
         lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(t) ** 2,
-        lambda t: _tanh_ratio(x, math.sin(t)) * math.cos(t) ** 2,
-        x, tol)
+        _tanh_eta(x), tol)
 
 
 def theta_critical_thermo(mu: float, tol: Tolerance | None = None) -> CriticalPoint:
-    """Critical temperature of the infinite ring; positive for every mu.
+    """Critical temperature of the infinite ring, for 0 < mu <= 200.
 
     x inverts J_thermo at mu (the bracket doubles until it straddles,
     guaranteed to end since J is onto [0, inf)); the cos^2 equation yields
@@ -189,9 +135,9 @@ def theta_critical_thermo(mu: float, tol: Tolerance | None = None) -> CriticalPo
     """
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
-    if mu > 800:
-        # theta_c ~ e^{-pi mu/4} underflows double precision near mu ~ 900
-        raise ValueError(f"stiffness {mu} too large to resolve in double precision")
+    if mu > _MU_MAX:
+        raise ValueError(
+            f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
     qtol = _QUAD_TOL if tol is None else tol
     hi = max(1.0, mu)
     while J_thermo(hi, qtol) < mu:
@@ -266,33 +212,34 @@ def bifurcation_data(mu: float, tol: Tolerance | None = None) -> BifurcationData
 
     delta_prime = -(2 W* mu / theta_c^2) [(B - A) + mu theta_c^3 / (2 W*^3)]
     / det_J, where the bracket is -A by the identity
-    B = -mu theta_c^3 / (2 W*^3); so delta_prime < 0 rests on A < 0 and
-    det_J > 0 alone, whatever the order of A and B. det J <= 0 or
-    delta_prime >= 0 would contradict the structure of the problem and
-    raise as an internal-consistency failure.
+    B = -mu theta_c^3 / (2 W*^3), and is computed as -A; so delta_prime < 0
+    rests on A < 0 and det_J > 0 alone, whatever the order of A and B.
+    det J <= 0 or delta_prime >= 0 would contradict the structure of the
+    problem and raise as an internal-consistency failure.
     """
     qtol = tol or _QUAD_TOL
     cp = theta_critical_thermo(mu, tol)
     ratio = cp.W_star / cp.theta_c
 
+    # the moments scale like x^-3, so they converge relative to that size
+    mtol = Tolerance(abs_tol=qtol.abs_tol / ratio ** 3, rel_tol=qtol.rel_tol,
+                     max_iter=qtol.max_iter)
+
     def moment(p):
         # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds, in t; h''
         # transitions on the same cos s ~ 1/x layer as the tanh kernels
-        def f_arr(t):
+        def f(t):
             sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
             return _h_second_arr(ratio * ratio * sn2) * sn2 ** (2 - p) * cs2 ** p
-
-        def f_scalar(t):
-            sn2, cs2 = math.sin(t) ** 2, math.cos(t) ** 2
-            return h_eval(ratio * ratio * sn2).h_second * sn2 ** (2 - p) * cs2 ** p
-        return 2.0 * _band_mean(_tanh_eta(ratio), f_arr, f_scalar, ratio, qtol)
+        return 2.0 * mode_mean(f, _tanh_eta(ratio), mtol)
 
     A, B, C_int = moment(0), moment(1), moment(2)
 
     W, th = cp.W_star, cp.theta_c
     det_J = -mu / (W * W * th) * C_int + 2.0 * W / th ** 4 * (A * C_int - B * B)
-    delta_prime = (-1.0 / det_J) * (2.0 * W * mu / th ** 2) * (
-        (B - A) + mu * th ** 3 / (2.0 * W ** 3))
+    # the bracket (B - A) + mu th^3 / (2 W^3) is -A exactly; summed as it
+    # stands it cancels to the moments' rounding once they are ~1e-13 (mu ~ 12)
+    delta_prime = 2.0 * W * mu * A / (th ** 2 * det_J)
     return BifurcationData(A=A, B=B, C_int=C_int, det_J=det_J,
                            delta_prime=delta_prime,
                            coeff=math.sqrt(-delta_prime))

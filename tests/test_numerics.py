@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from peierls.numerics import (Bracket, ConvergenceError, Tolerance,
-                              eigenvalues_symmetric, integrate_adaptive,
-                              lattice_points, minimize_box,
-                              minimize_multistart, mode_mean,
+                              eigenvalues_symmetric, lattice_points,
+                              minimize_box, minimize_multistart, mode_mean,
                               solve_increasing)
 
 TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
@@ -28,43 +27,6 @@ class TestTolerance:
             Bracket(2.0, 2.0)
 
 
-class TestIntegrate:
-    def test_linear_exact(self):
-        assert integrate_adaptive(lambda s: s, 0.0, 1.0, TOL) == pytest.approx(0.5, abs=1e-13)
-
-    def test_cosine(self):
-        val = integrate_adaptive(math.cos, 0.0, math.pi / 2, TOL)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_near_singular_arcsin(self):
-        # antiderivative arcsin as the oracle
-        b = 1.0 - 1e-12
-        val = integrate_adaptive(lambda u: 1.0 / math.sqrt(1.0 - u * u), 0.0, b,
-                                 Tolerance(abs_tol=1e-9, rel_tol=1e-9, max_iter=4000))
-        assert val == pytest.approx(math.asin(b), abs=1e-7)
-        assert val == pytest.approx(math.pi / 2, abs=1e-5)
-
-    def test_split_additivity(self):
-        rng = np.random.default_rng(11)
-        f = lambda s: math.exp(-s) * math.sin(3 * s)
-        a, b = 0.0, 2.0
-        whole = integrate_adaptive(f, a, b, TOL)
-        for c in rng.uniform(a + 0.1, b - 0.1, size=5):
-            parts = integrate_adaptive(f, a, float(c), TOL) + integrate_adaptive(f, float(c), b, TOL)
-            assert abs(whole - parts) <= 2 * (TOL.abs_tol + TOL.rel_tol * abs(whole)) + 1e-14
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(math.cos, 1.0, 0.0, TOL)
-
-    def test_panel_budget_error_carries_estimate(self):
-        hard = lambda s: math.sin(1.0 / (s + 1e-6))
-        with pytest.raises(ConvergenceError) as err:
-            integrate_adaptive(hard, 0.0, 1.0, Tolerance(abs_tol=1e-14, rel_tol=0.0, max_iter=3))
-        assert err.value.best is not None
-        assert err.value.bound > 0
-
-
 class TestModeMean:
     @staticmethod
     def _recording(f):
@@ -78,10 +40,11 @@ class TestModeMean:
 
     def test_trig_polynomial_exact_at_start(self):
         # N nodes integrate e^(2iks) exactly for |k| < N: the first estimate
-        # is exact, so one doubling confirms it
+        # is exact, so one doubling confirms it. An entire f has eta = inf
+        # and starts at the smallest N, 8
         f, sizes = self._recording(
             lambda s: 1.5 + 0.3 * np.cos(2 * s) - 0.7 * np.sin(6 * s) + 0.2 * np.cos(14 * s))
-        val = mode_mean(f, 8, TOL)
+        val = mode_mean(f, math.inf, TOL)
         assert val == pytest.approx(1.5, abs=1e-15)
         assert sizes == [8, 8]
 
@@ -89,30 +52,57 @@ class TestModeMean:
         # mean 1/(a - cos 2s) = 1/sqrt(a^2 - 1); the poles at cos 2s = a lie
         # eta = acosh(a)/2 off the real axis, and the error on N nodes is
         # 2 e^(-2 eta N) / (sqrt(a^2 - 1) (1 - e^(-2 eta N)))
-        a, n0 = 1.25, 4
+        a = 1.25
         exact = 1.0 / math.sqrt(a * a - 1.0)
         eta = 0.5 * math.acosh(a)
         err = lambda n: 2.0 * exact * math.exp(-2 * eta * n) / (1 - math.exp(-2 * eta * n))
-        n = n0
+        f = lambda s: 1.0 / (a - np.cos(2 * s))
+        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1024)
+        # the true eta starts at the power of two >= 15/eta, verified by one doubling
+        g, sizes = self._recording(f)
+        assert mode_mean(g, eta, tol) == pytest.approx(exact, rel=1e-15)
+        assert sizes == [64, 64]
+        # an eta claimed too wide (15/8) starts at N = 8, and N doubles until
+        # the error the true eta predicts passes; the finer estimate is returned
+        n0, n = 8, 8
         while err(n) > TOL.abs_tol + TOL.rel_tol * exact:
             n *= 2
-        f, sizes = self._recording(lambda s: 1.0 / (a - np.cos(2 * s)))
-        val = mode_mean(f, n0, Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1024))
-        assert val == pytest.approx(exact, rel=1e-15)
-        # the estimate at n is the first to pass; the finer one is returned
+        g, sizes = self._recording(f)
+        assert mode_mean(g, 15.0 / n0, tol) == pytest.approx(exact, rel=1e-15)
         assert sizes == [n0] + [n0 * 2 ** k for k in range(int(math.log2(n // n0)) + 1)]
         assert n == 64
+
+    def test_band_centre_layer_closed_form(self):
+        # mean 1/(eps + 2 sin^2 t) = mean 1/(1 + eps - cos 2t) = 1/sqrt(eps (2 + eps)):
+        # a layer of width ~sqrt(eps) at t = 0, with eta = acosh(1 + eps)/2.
+        # Unmapped, N0 >= 15/eta would be 2^15 and 2^25 nodes; the mapped
+        # nodes start below 1024, and one doubling verifies the start
+        for eps in (1e-6, 1e-12):
+            f, sizes = self._recording(lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2))
+            val = mode_mean(f, 0.5 * math.acosh(1.0 + eps), TOL)
+            assert val == pytest.approx(1.0 / math.sqrt(eps * (2.0 + eps)), rel=1e-12)
+            assert sizes[0] <= 1024 and sizes == [sizes[0]] * 2
 
     def test_node_cap_raises(self):
         a = 1.25
         with pytest.raises(ConvergenceError) as err:
-            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 4,
+            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8,
                       Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=32))
         assert err.value.best == pytest.approx(1.0 / math.sqrt(a * a - 1.0), rel=1e-6)
+        # a start that leaves no room for a doubling raises before evaluating
+        f, sizes = self._recording(lambda s: 1.0 / (a - np.cos(2 * s)))
+        with pytest.raises(ConvergenceError) as err:
+            mode_mean(f, 0.5 * math.acosh(a), Tolerance(max_iter=64))
+        assert sizes == [] and err.value.best is None
+
+    def test_strip_width_must_be_positive(self):
+        for eta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                mode_mean(lambda s: s, eta, TOL)
 
     def test_nan_never_converges(self):
         with pytest.raises(ConvergenceError):
-            mode_mean(lambda s: np.full_like(s, np.nan), 8, TOL)
+            mode_mean(lambda s: np.full_like(s, np.nan), math.inf, TOL)
 
 
 class TestSolveIncreasing:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-import peierls.thermodynamic as thermo
+import peierls.numerics as numerics
 from peierls.finite_chain import DimerState, ModelParams, g_finite
 from peierls.numerics import Tolerance
 from peierls.thermodynamic import (J_thermo, asymptotic_constants,
@@ -20,25 +20,36 @@ W_STAR_MU2 = 1.63220047639
 X_STAR_MU2 = 7.75612977425
 # 30-digit quadrature of the energy integrand at (W, delta) = (1, 0.2)
 G_THERMO_REF = -1.29786587712935485592
-# 30-digit quadrature of J at large x; 1e6 and 1.08e7 are the x of theta_c
-# near mu = 17 and mu = 20
+# 30-digit quadrature of J at large x; 1e6, 1.08e7, 1e18 and 1e30 are the x
+# of theta_c near mu = 17, 20, 52 and 87
 J_THERMO_LARGE_X = {1e4: 11.1055361539759261877550664533,
                     1e5: 14.0372785417181952770952694944,
                     1e6: 16.9690209371581518224045690222,
-                    1.08e7: 19.9987531736535922774146768837}
-# room for the forced mode mean past its usual starting-N cap
+                    1.08e7: 19.9987531736535922774146768837,
+                    1e18: 52.1499296833698979861348187200,
+                    1e30: 87.3308384295824295480286152515}
+# 30-digit theta_c past mu = 20: roots of J(x) = mu and the cos^2 equation
+# (the sin^2 equation holds to 1e-43); x reaches 2.7e68 at mu = 200
+THETA_C_LARGE_MU = {30.0: 3.74336082908025573638905028009e-11,
+                    50.0: 5.54943870880153574017550531720e-18,
+                    100.0: 4.83190720317855022792691924055e-35,
+                    200.0: 3.73225301551879838718073436135e-69}
+# 30-digit bifurcation coefficients; the moment A is -9.6e-10 at mu = 8, -7.7e-14 at 12
+BIFURCATION_COEFF = {8.0: 0.0558301959974501144490521535808,
+                     12.0: 0.0113371274276400429433500650054}
+# room for the unmapped mode mean past its usual starting-N cap
 WIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1 << 17)
 
 
 def _by_each_rule(monkeypatch, fn):
-    """fn() under the default rule, forced onto the mode mean, forced onto GK15."""
+    """fn() by default, forced onto unmapped nodes, forced onto mapped nodes."""
     default = fn()
-    monkeypatch.setattr(thermo, "_MODE_N0_MAX", 1 << 16)
-    mode = fn()
-    monkeypatch.setattr(thermo, "_MODE_N0_MAX", 4)
-    gk15 = fn()
+    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 1 << 20)
+    unmapped = fn()
+    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 4)
+    mapped = fn()
     monkeypatch.undo()
-    return default, mode, gk15
+    return default, unmapped, mapped
 
 
 class TestGThermo:
@@ -82,10 +93,10 @@ class TestGThermo:
 
     def test_rules_agree_across_switch(self, monkeypatch):
         # with delta = 0 the strip half-width is asinh(pi theta / (2 W)); the
-        # mode mean serves it while its starting N, >= 15/eta, is <= 4096,
-        # so GK15 takes the colder side of the switch
+        # nodes stay unmapped while their starting N, >= 15/eta, is <= 1024,
+        # so the mapped nodes take the colder side of the switch
         W = 1.2
-        switch = 2.0 * W * math.sinh(15.0 / 4096) / math.pi
+        switch = 2.0 * W * math.sinh(15.0 / 1024) / math.pi
         for theta, delta, rule in ((0.97 * switch, 0.0, 2), (1.03 * switch, 0.0, 1),
                                    (0.97 * switch, 1e-4, 2), (1.03 * switch, 1e-4, 1)):
             s, p = DimerState(W=W, delta=delta), ModelParams(mu=2.0, theta=theta)
@@ -132,9 +143,9 @@ class TestJThermo:
             assert J_thermo(x) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_rules_agree_across_switch(self, monkeypatch):
-        # the mode mean serves x while its starting N, the power of two
-        # >= 15 / asinh(pi / (2x)), is <= 4096: up to x = 428.9
-        for x, rule in ((420.0, 1), (440.0, 2)):
+        # the nodes stay unmapped while their starting N, the power of two
+        # >= 15 / asinh(pi / (2x)), is <= 1024: up to x = 107.2
+        for x, rule in ((100.0, 1), (115.0, 2)):
             vals = _by_each_rule(monkeypatch, lambda: J_thermo(x, WIDE_TOL))
             assert vals[0] == vals[rule]
             assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
@@ -170,6 +181,11 @@ class TestThetaCritical:
             ratio = cp.theta_c * math.exp(math.pi * mu / 4)
             assert ratio / (cp.W_star * C) == pytest.approx(1.0, abs=1e-4)
 
+    def test_against_mpmath_past_mu_20(self):
+        # the root solve stops at |J - mu| <= 1e-12, i.e. x to ~8e-13 relative
+        for mu, want in THETA_C_LARGE_MU.items():
+            assert theta_critical_thermo(mu).theta_c == pytest.approx(want, rel=1e-11)
+
     def test_finite_rings_converge_here(self):
         # theta_c of rings with L = 0 mod 4 approaches the infinite-ring
         # value with a shrinking gap, already below 1e-3 by L = 256
@@ -185,6 +201,9 @@ class TestThetaCritical:
             theta_critical_thermo(0.0)
         with pytest.raises(ValueError):
             theta_critical_thermo(1e6)
+        # the largest mu of THETA_C_LARGE_MU bounds the domain
+        with pytest.raises(ValueError, match="validated up to mu = 200"):
+            theta_critical_thermo(200.5)
 
 
 class TestConstants:
@@ -251,6 +270,12 @@ class TestBifurcationData:
             want = 4 / math.pi * scipy.integrate.quad(f, 0, math.pi / 2,
                                                       epsabs=1e-13, limit=300)[0]
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_coeff_against_mpmath(self):
+        # at mu = 12 the moments are ~1e-13: they must converge relative to
+        # their size, and delta_prime's bracket must not be summed as B - A + ...
+        for mu, want in BIFURCATION_COEFF.items():
+            assert bifurcation_data(mu).coeff == pytest.approx(want, rel=1e-8)
 
     def test_reference_values_mu2(self):
         b = bifurcation_data(2.0)
