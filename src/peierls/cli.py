@@ -13,7 +13,6 @@ import os
 import sys
 
 from . import finite_chain, thermodynamic
-from .numerics import Tolerance
 from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep, write_rows
 
 __all__ = ["parse_config", "main"]
@@ -31,9 +30,6 @@ CSV columns per kind:
   solve          mu,theta[,L],W,delta,value,status
   constants      c1,c2,C,status
 """
-
-_CONFIG_KEYS = {"mu", "theta", "L", "out", "workers", "abs_tol", "rel_tol"}
-
 
 class UsageError(Exception):
     pass
@@ -76,7 +72,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
     return [one(tok) for tok in text.split(",") if tok != ""]
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, keys) -> dict:
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,7 +84,7 @@ def _read_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in keys:
                     raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = val.strip()
     except OSError as err:
@@ -111,17 +107,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--L", help="even ring length, list or range")
         p.add_argument("--out", help="output CSV path (default stdout for solve/constants)")
         p.add_argument("--workers", help="parallel workers (default: cpu count)")
-        p.add_argument("--abs-tol", dest="abs_tol", help="absolute tolerance (default 1e-10)")
-        p.add_argument("--rel-tol", dest="rel_tol", help="relative tolerance (default 1e-10)")
         p.add_argument("--config", help="key=value defaults file; flags override")
     return parser
 
 
 def _merged_options(args) -> dict:
-    opts = {k: getattr(args, k) for k in ("mu", "theta", "L", "out", "workers",
-                                          "abs_tol", "rel_tol")}
+    opts = {k: v for k, v in vars(args).items() if k not in ("kind", "config")}
     if args.config:
-        for key, val in _read_config(args.config).items():
+        for key, val in _read_config(args.config, opts).items():
             if opts.get(key) is None:
                 opts[key] = val
     return opts
@@ -134,16 +127,7 @@ def _number(opts, key, default=None, cast=float):
     try:
         return cast(raw)
     except ValueError:
-        raise UsageError(f"malformed value for --{key.replace('_', '-')}: {raw!r}") from None
-
-
-def _tolerances(opts) -> Tolerance:
-    abs_tol = _number(opts, "abs_tol", 1e-10)
-    rel_tol = _number(opts, "rel_tol", 1e-10)
-    try:
-        return Tolerance(abs_tol=abs_tol, rel_tol=rel_tol)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(f"malformed value for --{key}: {raw!r}") from None
 
 
 def parse_config(argv) -> SweepSpec:
@@ -177,7 +161,7 @@ def parse_config(argv) -> SweepSpec:
         raise UsageError(f"workers must be >= 1, got {workers}")
     try:
         return SweepSpec(kind=args.kind, grid=grid, output_path=opts["out"],
-                         workers=workers, tolerances=_tolerances(opts))
+                         workers=workers)
     except ValueError as err:
         raise UsageError(str(err)) from None
 

@@ -10,6 +10,7 @@ system with delta factored out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,38 @@ class CriticalPoint:
             raise ValueError("inconsistent critical point: W_star != x * theta_c")
 
 
+def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoint:
+    """Solve a ring's critical system, given its J and its band mean.
+
+    ``mean(f, x)`` averages a vectorized pi-periodic f of t = s - pi/2 over
+    the band: the L/2 mode nodes of a finite ring, the mode mean of the
+    infinite one. J(x) = target is solved in u = ln x, where J is nearly
+    linear, from a bracket that starts at the caller's estimate u of the
+    root and widens by ln 2 until it straddles. theta follows from the
+    cos^2 equation mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the
+    sin^2 equation mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
+    """
+    # cached, as the solve evaluates the bracket's ends again
+    f = functools.lru_cache(maxsize=None)(lambda v: J(math.exp(v)))
+    step = math.log(2.0) if f(u) < target else -math.log(2.0)
+    while (f(u + step) < target) == (step > 0):
+        u += step
+    # dJ/du tends to J at small x and to 4/pi at large x, so stopping at
+    # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
+    tol = Tolerance(abs_tol=1e-12 * min(1.0, target), rel_tol=0.0, max_iter=100)
+    x = math.exp(solve_increasing(f, target, Bracket(*sorted((u, u + step))), tol))
+    # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, with cos s = -sin t
+    xhp = lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2)
+    theta = (mu + 2.0 * mean(lambda t: xhp(t) * np.sin(t) ** 2, x)) / (mu * x)
+    W = x * theta
+    residual = mu * W - 2.0 * mean(lambda t: xhp(t) * np.cos(t) ** 2, x)
+    if abs(residual) > 1e-8:
+        raise RuntimeError(
+            f"critical-point equations inconsistent (residual {residual:.3e}); "
+            "root solve or kernel evaluation drifted")
+    return CriticalPoint(x=x, W_star=W, theta_c=theta)
+
+
 def build_hopping_matrix(cfg: HoppingConfig) -> np.ndarray:
     """The symmetric ring matrix: T[i, i+1] = t_i with the corner t_L."""
     t = cfg.t
@@ -183,15 +216,14 @@ def _dimer_starts(w_guess: float):
     return starts, steps
 
 
-def _minimize_dimer(g2, w_guess: float, init=None, tol: Tolerance | None = None):
+def _minimize_dimer(g2, w_guess: float, init=None):
     """Shared (W, delta) quadrant search with delta snapping. g2: (W, d) -> value.
 
     The 2D search always races the best 1-periodic state: near and above
     the transition the landscape is quartically flat in delta and a simplex
     can stall at a tiny spurious delta, so the winner is decided by value.
     """
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=2000)
+    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=2000)
     f = lambda z: g2(z[0], z[1])
     starts, steps = _dimer_starts(w_guess)
     if init is not None:
@@ -212,8 +244,7 @@ def _minimize_dimer(g2, w_guess: float, init=None, tol: Tolerance | None = None)
     return W, delta, float(fx)
 
 
-def minimize_dimer_finite(p: ModelParams, init=None,
-                          tol: Tolerance | None = None):
+def minimize_dimer_finite(p: ModelParams, init=None):
     """Minimize the per-atom energy over W, delta >= 0.
 
     Returns (DimerState, value); delta below 1e-8 is reported as exact 0.
@@ -222,12 +253,11 @@ def minimize_dimer_finite(p: ModelParams, init=None,
         raise ValueError("minimize_dimer_finite needs theta > 0")
     L = _check_even_length(p.L)
     g2 = lambda W, d: _g_finite_raw(W, d, p.mu, p.theta, L)
-    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init, tol)
+    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init)
     return DimerState(W=W, delta=delta), val
 
 
-def minimize_chain_full(p: ModelParams, n_starts: int = 6,
-                        tol: Tolerance | None = None) -> HoppingConfig:
+def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
     """Multistart search over full hopping vectors t in [0.05, 3]^L.
 
     Intended for small rings (L <= 16) to confirm that unconstrained
@@ -241,9 +271,8 @@ def minimize_chain_full(p: ModelParams, n_starts: int = 6,
         obj = lambda t: chain_free_energy(HoppingConfig(t), p)
     else:
         obj = lambda t: chain_energy_zero(HoppingConfig(t), p.mu)
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=400 * L)
-    x, _ = minimize_multistart(obj, [T_BOX] * L, n_starts, tol)
+    x, _ = minimize_multistart(obj, [T_BOX] * L, n_starts,
+                               Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=400 * L))
     return HoppingConfig(x)
 
 
@@ -292,17 +321,17 @@ def mu_critical(L: int) -> float:
     return float(-np.sum(np.cos(2 * k * np.pi / (2 * n + 1)) / np.abs(c)) / (2 * n + 1))
 
 
-def theta_critical_finite(mu: float, L: int,
-                          tol: Tolerance | None = None) -> CriticalPoint | None:
+def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     """Critical temperature of the even ring, or None when it is zero.
 
     The Euler-Lagrange difference of the ring is J_finite for L = 0 mod 4
     but 2 * J_finite for L = 2 mod 4 (the closed-form normalization of
     J_finite halves that parity), so the dimerized branch of a 2-mod-4
     ring dies at mu = 2 * mu_critical(L) and the root solve targets mu/2
-    there; brute-force minimization confirms both statements. theta then
-    follows from the sin^2 Euler-Lagrange equation and the cos^2 equation
-    is asserted to 1e-8 as a consistency check.
+    there; brute-force minimization confirms both statements. The band
+    mean is the plain mean over the L/2 mode nodes, as in g_finite; theta
+    follows from the cos^2 Euler-Lagrange equation and the sin^2 equation
+    is asserted to 1e-8 (see _critical_point).
     """
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
@@ -312,20 +341,8 @@ def theta_critical_finite(mu: float, L: int,
         if mu >= 2.0 * mu_critical(L):
             return None
         target = 0.5 * mu
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-12, rel_tol=0.0, max_iter=300)
-    hi = max(1.0, mu)
-    while J_finite(hi, L) < target:
-        hi *= 2.0
-    x = solve_increasing(lambda z: J_finite(z, L), target, Bracket(0.0, hi), tol)
-
-    ang = 2.0 * np.pi * np.arange(1, L + 1) / L
-    hp = _h_prime_arr(x * x * np.cos(ang) ** 2)
-    theta = (2.0 / mu) * float(np.mean(hp * np.sin(ang) ** 2))
-    W = x * theta
-    residual = mu * (W - 1.0) - (2.0 * W / theta) * float(np.mean(hp * np.cos(ang) ** 2))
-    if abs(residual) > 1e-8:
-        raise RuntimeError(
-            f"critical-point equations inconsistent (residual {residual:.3e}); "
-            "root solve or kernel evaluation drifted")
-    return CriticalPoint(x=x, W_star=W, theta_c=theta)
+    nodes = _mode_nodes(L // 2)
+    # x ~ e^(pi mu/4) until J turns linear, J ~ 4x/L, and then x ~ 1 + L mu/4
+    return _critical_point(mu, lambda x: J_finite(x, L), target,
+                           lambda f, x: float(np.mean(f(nodes))),
+                           min(0.25 * math.pi * mu, math.log1p(0.25 * L * mu)))

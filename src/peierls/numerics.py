@@ -179,9 +179,12 @@ def solve_increasing(f: Callable[[float], float], target: float,
                      bracket: Bracket, tol: Tolerance | None = None) -> float:
     """Solve f(x) = target for f strictly increasing on the bracket.
 
-    Bisection with secant acceleration; the bracket must straddle the
-    target. Stops when |f(x) - target| <= abs_tol or the bracket width
-    drops below rel_tol * |x|.
+    The secant through the last two iterates wherever it lands strictly
+    inside the bracket, else bisection; the bracket must straddle the
+    target. No margin keeps the secant off the ends: once it converges, it
+    lands next to the end it last moved. Stops when |f(x) - target| <=
+    abs_tol, at an end of the bracket too, or the bracket width drops below
+    rel_tol * |x|.
     """
     if tol is None:
         tol = Tolerance(max_iter=200)
@@ -192,23 +195,20 @@ def solve_increasing(f: Callable[[float], float], target: float,
         raise ValueError(
             f"bracket [{lo}, {hi}] does not straddle the target: "
             f"f(lo)-target={flo:.3e}, f(hi)-target={fhi:.3e}")
-    if flo == 0.0:
+    if abs(flo) <= tol.abs_tol:
         return lo
-    if fhi == 0.0:
+    if abs(fhi) <= tol.abs_tol:
         return hi
 
     x, fx = hi, fhi
     x_prev, fx_prev = lo, flo
     for _ in range(tol.max_iter):
         # secant proposal, safeguarded to land strictly inside the bracket
-        trial = None
+        trial = 0.5 * (lo + hi)
         if fx != fx_prev:
             s = x - fx * (x - x_prev) / (fx - fx_prev)
-            gap = hi - lo
-            if lo + 0.01 * gap < s < hi - 0.01 * gap:
+            if lo < s < hi:
                 trial = s
-        if trial is None:
-            trial = 0.5 * (lo + hi)
         ft = f(trial) - target
         x_prev, fx_prev = x, fx
         x, fx = trial, ft

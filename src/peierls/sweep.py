@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import finite_chain, thermodynamic, zero_temperature
-from .numerics import ConvergenceError, Tolerance
+from .numerics import ConvergenceError
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS"]
 
@@ -47,13 +47,12 @@ def _validate_point(kind: str, point: tuple) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated sweep: kind, grid, destination, worker count, tolerances."""
+    """A validated sweep: kind, grid, destination, worker count."""
 
     kind: str
     grid: list
     output_path: str
     workers: int = 1
-    tolerances: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -73,12 +72,9 @@ class ResultRow:
     status: str = "ok"
 
 
-def _compute_point(kind: str, point: tuple, tol: Tolerance) -> dict:
-    # tol steers the critical-point quadrature/root solves; the dimer
-    # minimizers keep their own calibrated tolerances (their snapping and
-    # branch-race margins assume them)
+def _compute_point(kind: str, point: tuple) -> dict:
     if kind == "phase-diagram":
-        cp = thermodynamic.theta_critical_thermo(point[0], tol)
+        cp = thermodynamic.theta_critical_thermo(point[0])
         return {"theta_c": cp.theta_c, "W_star": cp.W_star, "x": cp.x}
     if kind == "bifurcation":
         mu, theta = point
@@ -91,7 +87,7 @@ def _compute_point(kind: str, point: tuple, tol: Tolerance) -> dict:
                 "gap": r.gap, "delta_opt": r.delta_opt}
     if kind == "finite-thetac":
         mu, L = point
-        cp = finite_chain.theta_critical_finite(mu, int(L), tol)
+        cp = finite_chain.theta_critical_finite(mu, int(L))
         if cp is None:
             return {"theta_c": 0.0, "W_star": "", "x": ""}
         return {"theta_c": cp.theta_c, "W_star": cp.W_star, "x": cp.x}
@@ -101,11 +97,11 @@ def _compute_point(kind: str, point: tuple, tol: Tolerance) -> dict:
 
 
 def _point_row(task) -> ResultRow:
-    kind, point, tol = task
+    kind, point = task
     names, out_names = SWEEP_KINDS[kind]
     inputs = dict(zip(names, point))
     try:
-        return ResultRow(inputs=inputs, outputs=_compute_point(kind, point, tol))
+        return ResultRow(inputs=inputs, outputs=_compute_point(kind, point))
     except (ValueError, RuntimeError, ConvergenceError) as err:
         return ResultRow(inputs=inputs,
                          outputs={name: "" for name in out_names},
@@ -114,7 +110,7 @@ def _point_row(task) -> ResultRow:
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point; failures become error rows, not aborts."""
-    tasks = [(spec.kind, tuple(point), spec.tolerances) for point in spec.grid]
+    tasks = [(spec.kind, tuple(point)) for point in spec.grid]
     if spec.workers == 1:
         return [_point_row(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:

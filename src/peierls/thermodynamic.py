@@ -12,23 +12,24 @@ maps its nodes towards it.
 
 The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
 its full relative precision at the band center. The critical temperature
-solves the same two-equation system as the finite case, with the strictly
-increasing J(x) obtained by subtracting the equations. Around theta_c the
-dimerization amplitude bifurcates like sqrt(theta_c - theta), with a
-coefficient assembled from three h'' moments.
+solves the finite case's two-equation system by the same routine
+(``finite_chain._critical_point``): it inverts the strictly increasing
+J(x), the equations' difference, in ln x from x ~ e^(pi mu/4). Around
+theta_c the dimerization amplitude bifurcates like sqrt(theta_c - theta),
+with a coefficient assembled from three h'' moments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finite_chain import (CriticalPoint, DimerState, ModelParams, _dimer_band,
-                           _minimize_dimer)
+from .finite_chain import (CriticalPoint, DimerState, ModelParams,
+                           _critical_point, _dimer_band, _minimize_dimer)
 from .kernels import _h_prime_arr, _h_second_arr
-from .numerics import Bracket, Tolerance, mode_mean, solve_increasing
+from .numerics import Tolerance, mode_mean
 
 __all__ = [
     "BifurcationData",
@@ -79,8 +80,7 @@ def _g_thermo_raw(W, delta, mu, theta, tol):
     return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - band
 
 
-def minimize_dimer_thermo(p: ModelParams, init=None,
-                          tol: Tolerance | None = None):
+def minimize_dimer_thermo(p: ModelParams, init=None):
     """Minimize g_thermo over W, delta >= 0; delta < 1e-8 snaps to 0.
 
     ``init`` seeds the search (useful for continuation along a temperature
@@ -89,7 +89,7 @@ def minimize_dimer_thermo(p: ModelParams, init=None,
     if p.theta <= 0:
         raise ValueError("minimize_dimer_thermo needs theta > 0")
     g2 = lambda W, d: _g_thermo_raw(W, d, p.mu, p.theta, _QUAD_TOL)
-    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init, tol)
+    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init)
     return DimerState(W=W, delta=delta), val
 
 
@@ -110,47 +110,23 @@ def J_thermo(x: float, tol: Tolerance | None = None) -> float:
         _tanh_eta(x), tol or _QUAD_TOL)
 
 
-def _first_integral(x: float, tol) -> float:
-    # (4/pi) int tanh(x cos s) cos s ds, with tanh(x c) c = x h'(x^2 c^2) c^2
-    def f(t):
-        sn2 = np.sin(t) ** 2
-        return x * _h_prime_arr(x * x * sn2) * sn2
-    return 2.0 * mode_mean(f, _tanh_eta(x), tol)
-
-
-def _second_integral(x: float, tol) -> float:
-    # (4/pi) int tanh(x cos s) sin^2 s / cos s ds
-    return 2.0 * mode_mean(
-        lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(t) ** 2,
-        _tanh_eta(x), tol)
-
-
-def theta_critical_thermo(mu: float, tol: Tolerance | None = None) -> CriticalPoint:
+def theta_critical_thermo(mu: float) -> CriticalPoint:
     """Critical temperature of the infinite ring, for 0 < mu <= 200.
 
-    x inverts J_thermo at mu (the bracket doubles until it straddles,
-    guaranteed to end since J is onto [0, inf)); the cos^2 equation yields
-    theta_c = [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x), and the
-    sin^2 equation is asserted to 1e-8.
+    x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
+    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and the band
+    means are mode means. theta_c follows from the cos^2 Euler-Lagrange
+    equation, [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x), and the
+    sin^2 equation is asserted to 1e-8 (finite_chain._critical_point).
     """
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
     if mu > _MU_MAX:
         raise ValueError(
             f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
-    qtol = _QUAD_TOL if tol is None else tol
-    hi = max(1.0, mu)
-    while J_thermo(hi, qtol) < mu:
-        hi *= 2.0
-    x = solve_increasing(lambda z: J_thermo(z, qtol), mu, Bracket(0.0, hi),
-                         Tolerance(abs_tol=1e-12, rel_tol=0.0, max_iter=300))
-    theta = (mu + _first_integral(x, qtol)) / (mu * x)
-    W = x * theta
-    residual = mu * W - _second_integral(x, qtol)
-    if abs(residual) > 1e-8:
-        raise RuntimeError(
-            f"critical-point equations inconsistent (residual {residual:.3e})")
-    return CriticalPoint(x=x, W_star=W, theta_c=theta)
+    return _critical_point(mu, J_thermo, mu,
+                           lambda f, x: mode_mean(f, _tanh_eta(x), _QUAD_TOL),
+                           0.25 * math.pi * mu)
 
 
 @dataclass(frozen=True)
@@ -207,7 +183,7 @@ class BifurcationData:
             raise ValueError(f"d(delta^2)/d(theta) must be negative, got {self.delta_prime}")
 
 
-def bifurcation_data(mu: float, tol: Tolerance | None = None) -> BifurcationData:
+def bifurcation_data(mu: float) -> BifurcationData:
     """Second-order data of the transition at theta_c(mu).
 
     delta_prime = -(2 W* mu / theta_c^2) [(B - A) + mu theta_c^3 / (2 W*^3)]
@@ -217,13 +193,11 @@ def bifurcation_data(mu: float, tol: Tolerance | None = None) -> BifurcationData
     det J <= 0 or delta_prime >= 0 would contradict the structure of the
     problem and raise as an internal-consistency failure.
     """
-    qtol = tol or _QUAD_TOL
-    cp = theta_critical_thermo(mu, tol)
+    cp = theta_critical_thermo(mu)
     ratio = cp.W_star / cp.theta_c
 
     # the moments scale like x^-3, so they converge relative to that size
-    mtol = Tolerance(abs_tol=qtol.abs_tol / ratio ** 3, rel_tol=qtol.rel_tol,
-                     max_iter=qtol.max_iter)
+    mtol = replace(_QUAD_TOL, abs_tol=_QUAD_TOL.abs_tol / ratio ** 3)
 
     def moment(p):
         # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds, in t; h''
@@ -245,7 +219,7 @@ def bifurcation_data(mu: float, tol: Tolerance | None = None) -> BifurcationData
                            coeff=math.sqrt(-delta_prime))
 
 
-def phase_diagram(mu_grid, tol: Tolerance | None = None):
+def phase_diagram(mu_grid):
     """theta_c over a stiffness grid, as (mu, theta_c) pairs.
 
     Per-point failures are recorded as NaN instead of aborting the sweep.
@@ -254,7 +228,7 @@ def phase_diagram(mu_grid, tol: Tolerance | None = None):
     rows = []
     for mu in mu_grid:
         try:
-            rows.append((float(mu), theta_critical_thermo(float(mu), tol).theta_c))
+            rows.append((float(mu), theta_critical_thermo(float(mu)).theta_c))
         except (ValueError, RuntimeError):
             rows.append((float(mu), math.nan))
     good = [(m, t) for m, t in rows if not math.isnan(t)]

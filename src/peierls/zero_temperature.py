@@ -19,7 +19,6 @@ import numpy as np
 
 from .finite_chain import DimerState, _minimize_dimer
 from .kernels import elliptic_side
-from .numerics import Tolerance
 
 __all__ = [
     "GapResult",
@@ -70,7 +69,7 @@ def periodic_optimum_zero(mu: float):
     return 1.0 + 4.0 / (math.pi * mu), -4.0 / math.pi - 8.0 / (math.pi ** 2 * mu)
 
 
-def dimer_optimum_zero(mu: float, tol: Tolerance | None = None) -> GapResult:
+def dimer_optimum_zero(mu: float) -> GapResult:
     """Full (W, delta) optimum and the periodicity-breaking energy gain.
 
     The search warm-starts at the scale delta ~ e^{-(pi mu/4 + 1/2)} where
@@ -82,7 +81,7 @@ def dimer_optimum_zero(mu: float, tol: Tolerance | None = None) -> GapResult:
     W1, f0_per = periodic_optimum_zero(mu)
     delta_scale = math.exp(-(math.pi * mu / 4.0 + 0.5))
     g2 = lambda W, d: _g_zero_raw(W, d, mu)
-    W, delta, f0 = _minimize_dimer(g2, W1, init=(W1, delta_scale), tol=tol)
+    W, delta, f0 = _minimize_dimer(g2, W1, init=(W1, delta_scale))
     if f0 > f0_per:
         # the dimerized search can only improve on the closed form
         W, delta, f0 = W1, 0.0, f0_per
@@ -97,7 +96,7 @@ def dimer_optimum_zero(mu: float, tol: Tolerance | None = None) -> GapResult:
                      delta_opt=delta, resolved=resolved)
 
 
-def gap_rate_fit(mu_values, tol: Tolerance | None = None):
+def gap_rate_fit(mu_values):
     """Least-squares slope of ln(gap) against mu; expected near -pi/2.
 
     Unresolved gaps are dropped; fewer than three usable points is an
@@ -105,7 +104,7 @@ def gap_rate_fit(mu_values, tol: Tolerance | None = None):
     """
     pts = []
     for mu in mu_values:
-        res = dimer_optimum_zero(float(mu), tol)
+        res = dimer_optimum_zero(float(mu))
         if res.resolved:
             pts.append((res.mu, math.log(res.gap)))
     if len(pts) < 3:

@@ -320,6 +320,26 @@ class TestThetaCriticalFinite:
         assert theta_critical_finite(1.38, 10) is not None
         assert theta_critical_finite(1.39, 10) is None
 
+    def test_j_call_budget(self, monkeypatch):
+        import peierls.finite_chain as finite_chain
+        calls = []
+        J = finite_chain.J_finite
+        monkeypatch.setattr(finite_chain, "J_finite",
+                            lambda x, L: calls.append(x) or J(x, L))
+        theta_critical_finite(2.0, 1024)
+        assert len(calls) <= 12
+
+    def test_euler_lagrange_on_ring_angles(self):
+        # both equations as sums over the L ring angles 2 pi k/L, which as a
+        # set are the L/2 mode nodes the solver averages over
+        from peierls.kernels import _h_prime_arr
+        mu, L = 2.0, 8
+        cp = theta_critical_finite(mu, L)
+        ang = 2.0 * np.pi * np.arange(1, L + 1) / L
+        xhp = cp.x * _h_prime_arr((cp.x * np.cos(ang)) ** 2)
+        assert abs(mu * (cp.W_star - 1) - 2.0 * np.mean(xhp * np.cos(ang) ** 2)) <= 1e-8
+        assert abs(mu * cp.W_star - 2.0 * np.mean(xhp * np.sin(ang) ** 2)) <= 1e-8
+
     def test_solution_exists_and_is_bounded_across_grid(self):
         for mu in (0.3, 1.0, 3.0):
             for L in (8, 12, 16, 6, 10, 14):

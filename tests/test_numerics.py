@@ -111,8 +111,13 @@ class TestSolveIncreasing:
         assert x == pytest.approx(3.0, abs=1e-10)
 
     def test_tanh_inverse(self):
-        x = solve_increasing(math.tanh, 0.5, Bracket(0.0, 5.0), TOL)
+        # a converged secant step lands next to the endpoint it last moved,
+        # and must still be taken rather than replaced by a bisection
+        calls = []
+        x = solve_increasing(lambda t: calls.append(t) or math.tanh(t), 0.5,
+                             Bracket(0.0, 5.0), TOL)
         assert x == pytest.approx(math.atanh(0.5), abs=1e-10)
+        assert len(calls) <= 12
 
     def test_cube_root(self):
         x = solve_increasing(lambda t: t ** 3, 8.0, Bracket(0.0, 3.0), TOL)

@@ -3,6 +3,7 @@
 import pytest
 
 from peierls.cli import UsageError, main, parse_config
+from peierls.finite_chain import theta_critical_finite
 from peierls.sweep import ResultRow, SweepSpec, emit_csv, run_sweep
 
 
@@ -39,11 +40,11 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["phase-diagram", "--mu", "2"])
 
-    def test_tolerance_flags(self, tmp_path):
-        spec = parse_config(["phase-diagram", "--mu", "2", "--abs-tol", "1e-8",
-                             "--rel-tol", "0", "--out", str(tmp_path / "pd.csv")])
-        assert spec.tolerances.abs_tol == 1e-8
-        assert spec.tolerances.rel_tol == 0.0
+    def test_no_tolerance_flags(self, tmp_path):
+        # sweeps run at the library's fixed accuracy
+        with pytest.raises(UsageError):
+            parse_config(["phase-diagram", "--mu", "2", "--abs-tol", "1e-8",
+                          "--out", str(tmp_path / "pd.csv")])
 
     def test_config_file_defaults_and_override(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -55,10 +56,18 @@ class TestParseConfig:
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("muu=1\n")
-        with pytest.raises(UsageError):
-            parse_config(["phase-diagram", "--config", str(cfg),
-                          "--out", str(tmp_path / "x.csv")])
+        for line in ("muu=1\n", "abs_tol=1e-8\n"):
+            cfg.write_text(line)
+            with pytest.raises(UsageError, match="unknown config key"):
+                parse_config(["phase-diagram", "--mu", "2", "--config", str(cfg),
+                              "--out", str(tmp_path / "x.csv")])
+
+    def test_config_keys_are_the_flags(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("theta=0.1\nL=8\n")
+        spec = parse_config(["bifurcation", "--mu", "2", "--config", str(cfg),
+                             "--out", str(tmp_path / "x.csv")])
+        assert spec.grid == [(2.0, 0.1)]
 
     def test_bifurcation_wants_single_mu(self, tmp_path):
         with pytest.raises(UsageError):
@@ -197,6 +206,15 @@ class TestCliMain:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["W"]) == pytest.approx(1.5966876965, abs=1e-5)
         assert float(row["delta"]) == pytest.approx(0.3193357284, abs=1e-5)
+
+    def test_finite_thetac_row_is_the_library_value(self, tmp_path):
+        out = tmp_path / "ft.csv"
+        assert main(["finite-thetac", "--mu", "2", "--L", "64", "--out", str(out),
+                     "--workers", "1"]) == 0
+        cp = theta_critical_finite(2.0, 64)
+        want = ",".join(["2", "64", *(f"{v:.12g}" for v in (cp.theta_c, cp.W_star, cp.x)),
+                         "ok"])
+        assert out.read_text(encoding="utf-8").splitlines()[1] == want
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["finite-thetac", "--mu", "1", "--L", "7", "--out", "x.csv"]) == 1

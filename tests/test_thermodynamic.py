@@ -164,13 +164,32 @@ class TestThetaCritical:
             assert 0 < cp.theta_c < 1.0 / mu
 
     def test_euler_lagrange_residuals(self):
-        from peierls.thermodynamic import _QUAD_TOL, _first_integral, _second_integral
+        # both equations, mu (W* - 1) = 2 <x h'(x^2 sin^2 t) sin^2 t> and
+        # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here
+        from peierls.kernels import _h_prime_arr
+        from peierls.thermodynamic import _QUAD_TOL, _tanh_eta
         for mu in (1.0, 2.0, 6.0):
             cp = theta_critical_thermo(mu)
-            r1 = mu * (cp.W_star - 1) - _first_integral(cp.x, _QUAD_TOL)
-            r2 = mu * cp.W_star - _second_integral(cp.x, _QUAD_TOL)
+            x = cp.x
+
+            def mean(trig):
+                f = lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * trig(t) ** 2
+                return numerics.mode_mean(f, _tanh_eta(x), _QUAD_TOL)
+            r1 = mu * (cp.W_star - 1) - 2.0 * mean(np.sin)
+            r2 = mu * cp.W_star - 2.0 * mean(np.cos)
             assert abs(r1) <= 1e-8
             assert abs(r2) <= 1e-8
+
+    def test_j_call_budget(self, monkeypatch):
+        # the bracket starts at ln x = pi mu/4 and the secant converges:
+        # a handful of J_thermo calls even at x ~ 3e68
+        import peierls.thermodynamic as thermodynamic
+        calls = []
+        J = thermodynamic.J_thermo
+        monkeypatch.setattr(thermodynamic, "J_thermo",
+                            lambda x, *tol: calls.append(x) or J(x, *tol))
+        theta_critical_thermo(200.0)
+        assert len(calls) <= 12
 
     def test_corrected_asymptotic_relation(self):
         # theta_c * e^{pi mu/4} = W* e^{c2 - 1} up to an exponentially small
