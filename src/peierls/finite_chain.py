@@ -10,16 +10,15 @@ system with delta factored out.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _h_prime_arr, _h_theta_arr
-from .numerics import (Bracket, Tolerance, _mode_nodes, _polished_descent,
+from .numerics import (Tolerance, _mode_nodes, _polished_descent,
                        eigenvalues_symmetric, minimize_multistart,
-                       solve_increasing)
+                       solve_from_estimate)
 
 __all__ = [
     "ModelParams",
@@ -128,20 +127,15 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
     ``mean(f, x)`` averages a vectorized pi-periodic f of t = s - pi/2 over
     the band: the L/2 mode nodes of a finite ring, the mode mean of the
     infinite one. J(x) = target is solved in u = ln x, where J is nearly
-    linear, from a bracket that starts at the caller's estimate u of the
-    root and widens by ln 2 until it straddles. theta follows from the
-    cos^2 equation mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the
-    sin^2 equation mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
+    linear, from the caller's estimate u of the root (by
+    numerics.solve_from_estimate). theta follows from the cos^2 equation
+    mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the sin^2 equation
+    mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
     """
-    # cached, as the solve evaluates the bracket's ends again
-    f = functools.lru_cache(maxsize=None)(lambda v: J(math.exp(v)))
-    step = math.log(2.0) if f(u) < target else -math.log(2.0)
-    while (f(u + step) < target) == (step > 0):
-        u += step
     # dJ/du tends to J at small x and to 4/pi at large x, so stopping at
     # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
     tol = Tolerance(abs_tol=1e-12 * min(1.0, target), rel_tol=0.0, max_iter=100)
-    x = math.exp(solve_increasing(f, target, Bracket(*sorted((u, u + step))), tol))
+    x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u, tol))
     # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, with cos s = -sin t
     xhp = lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2)
     theta = (mu + 2.0 * mean(lambda t: xhp(t) * np.sin(t) ** 2, x)) / (mu * x)

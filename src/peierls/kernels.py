@@ -3,7 +3,7 @@
 The occupation entropy S, the h family h(y) = 2 ln(2 cosh sqrt(y)) with its
 first two derivatives, the temperature-scaled kernel h_theta, the
 Fermi-Dirac electronic free energy of an eigenvalue list, and the complete
-elliptic integral of the second kind, by the arithmetic-geometric mean, in
+elliptic integrals K and E, both from one arithmetic-geometric mean, in
 the form the zero-temperature analysis needs.
 """
 
@@ -152,20 +152,10 @@ def electron_free_energy(eigs, theta: float):
     return closed, occ
 
 
-def elliptic_side(a: float) -> float:
-    """int_0^1 sqrt(1 + a u^2/(1-u^2)) du = E(1-a) for a in [0, 1].
-
-    With u = sin(phi) this is int_0^{pi/2} sqrt(1 - (1-a) sin^2 phi) dphi,
-    computed by the arithmetic-geometric mean of 1 and sqrt(a)
-    (Abramowitz & Stegun 17.6): E = K (1 - sum_n 2^(n-1) c_n^2) with
-    K = pi / (2 AGM). The mean converges quadratically; it stops once the two
-    means agree to a few ulps. At a = 0 the mean tends to 0 and never
-    converges, so the endpoint E(1) = 1 is returned directly.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"parameter must lie in [0, 1], got {a}")
-    if a == 0.0:
-        return 1.0
+def _elliptic_ke(a: float) -> tuple[float, float]:
+    """K(1 - a) and E(1 - a) for a in (0, 1] by the mean of 1 and sqrt(a)
+    (A&S 17.6): K = pi / (2 AGM), E = K (1 - sum_n 2^(n-1) c_n^2). It
+    converges quadratically and stops once the two means agree to 4 ulps."""
     x, y = 1.0, math.sqrt(a)
     p, s = 0.5, 0.5 * (1.0 - a)  # 2^(n-1) and the sum so far, c_0^2 = 1 - a
     while x - y > 4.0 * _EPS * x:
@@ -173,4 +163,19 @@ def elliptic_side(a: float) -> float:
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         p *= 2.0
         s += p * c * c
-    return math.pi / (2.0 * x) * (1.0 - s)
+    K = math.pi / (2.0 * x)
+    return K, K * (1.0 - s)
+
+
+def elliptic_side(a: float) -> float:
+    """int_0^1 sqrt(1 + a u^2/(1-u^2)) du = E(1-a) for a in [0, 1].
+
+    With u = sin(phi) this is int_0^{pi/2} sqrt(1 - (1-a) sin^2 phi) dphi,
+    the E of :func:`_elliptic_ke`. At a = 0 the mean tends to 0 and never
+    converges, so the endpoint E(1) = 1 is returned directly.
+    """
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"parameter must lie in [0, 1], got {a}")
+    if a == 0.0:
+        return 1.0
+    return _elliptic_ke(a)[1]

@@ -12,6 +12,7 @@ workers at once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -24,6 +25,7 @@ __all__ = [
     "ConvergenceError",
     "mode_mean",
     "solve_increasing",
+    "solve_from_estimate",
     "minimize_box",
     "minimize_multistart",
     "eigenvalues_symmetric",
@@ -223,6 +225,20 @@ def solve_increasing(f: Callable[[float], float], target: float,
     raise ConvergenceError(
         f"root solve did not converge in {tol.max_iter} iterations "
         f"(x={x!r}, residual={fx:.3e})", best=x)
+
+
+def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
+    """Solve f(u) = target for f increasing, from an estimate u of the root.
+
+    For a log variable u: the bracket [u, u +- ln 2] moves by ln 2 until it
+    straddles the target, and :func:`solve_increasing` finishes inside it.
+    f is cached, so the solve does not pay again for the bracket's ends.
+    """
+    f = functools.lru_cache(maxsize=None)(f)
+    step = math.log(2.0) if f(u) < target else -math.log(2.0)
+    while (f(u + step) < target) == (step > 0):
+        u += step
+    return solve_increasing(f, target, Bracket(*sorted((u, u + step))), tol)
 
 
 def _clamp(x, lower, upper):

@@ -5,9 +5,10 @@ The energy per atom is g0(W, delta) = (mu/2)[(W-1)^2 + delta^2]
 integral is the complete elliptic integral M E(1 - m^2/M^2), with
 M = max(W, delta) and m = min(W, delta), which the arithmetic-geometric
 mean gives to machine precision in a handful of steps. The best
-1-periodic state has the closed form W1 = 1 + 4/(pi mu); breaking the
-periodicity always gains energy, but exponentially little in mu, which
-makes both the warm start and the resolution floor below essential.
+1-periodic state has the closed form W1 = 1 + 4/(pi mu). Breaking the
+periodicity gains energy, exponentially little in mu; the optimum is one
+root of its Euler-Lagrange equations, and the gain is summed from terms of
+its own size, not as a difference of two energies of order 1.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_chain import DimerState, _minimize_dimer
-from .kernels import elliptic_side
+from .finite_chain import DimerState
+from .kernels import _EPS, _elliptic_ke, elliptic_side
+from .numerics import Tolerance, solve_from_estimate
 
 __all__ = [
     "GapResult",
@@ -28,13 +30,15 @@ __all__ = [
     "gap_rate_fit",
 ]
 
-# below this the periodic/dimerized energy difference is not resolved
-GAP_FLOOR = 1e-10
+# largest stiffness dimer_optimum_zero accepts, the top of the tests'
+# mpmath checks (the gap there is 3.4e-138; it underflows near mu = 450)
+_MU_MAX = 200.0
 
 
 @dataclass(frozen=True)
 class GapResult:
-    """Dimerization energy gain at zero temperature for one stiffness."""
+    """The 1-periodic optimum (W1, f0_per), the full one (f0, delta_opt) and
+    the dimerization gain gap = f0_per - f0 > 0 at zero temperature."""
 
     mu: float
     W1: float
@@ -42,11 +46,10 @@ class GapResult:
     f0: float
     gap: float
     delta_opt: float
-    resolved: bool = True
 
 
 def _g_zero_raw(W: float, delta: float, mu: float) -> float:
-    # the simplex probes delta > W too: the integral is symmetric in the two
+    # symmetric in W and delta, so delta > W is accepted too
     big, small = max(W, delta), min(W, delta)
     band = big * elliptic_side((small / big) ** 2) if big > 0.0 else 0.0
     return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - 4.0 / math.pi * band
@@ -69,48 +72,65 @@ def periodic_optimum_zero(mu: float):
     return 1.0 + 4.0 / (math.pi * mu), -4.0 / math.pi - 8.0 / (math.pi ** 2 * mu)
 
 
-def dimer_optimum_zero(mu: float) -> GapResult:
-    """Full (W, delta) optimum and the periodicity-breaking energy gain.
+def _e_minus_one(q: float, E: float) -> float:
+    """E - 1 for the modulus sqrt(1 - q^2); below q = 0.2 by A&S 17.3.36,
+    sum_n a_n [ln(4/q) - d_n] q^(2n), whose terms are all positive."""
+    if q >= 0.2:
+        return E - 1.0
+    lead, total, a, d = math.log(4.0 / q), 0.0, 0.5, 0.5
+    for n in range(1, 14):  # the next term is below 1e-19 of the sum
+        total += a * (lead - d) * q ** (2 * n)
+        a *= (4 * n * n - 1) / (4 * n * (n + 1))
+        d += 1.0 / ((2 * n - 1) * 2 * n) + 1.0 / ((2 * n + 1) * (2 * n + 2))
+    return total
 
-    The search warm-starts at the scale delta ~ e^{-(pi mu/4 + 1/2)} where
-    the dimerized well sits; a cold multistart misses it for mu beyond ~4
-    because the landscape is exponentially flat in delta. Practical range
-    mu <= ~8; past that the gap drops below the 1e-10 resolution floor and
-    the result is flagged unresolved.
+
+def dimer_optimum_zero(mu: float) -> GapResult:
+    """Full (W, delta) optimum and the periodicity-breaking gain, 0 < mu <= 200.
+
+    With q = delta/W, and K and E of the modulus sqrt(1 - q^2), the
+    Euler-Lagrange equations are mu (W - 1) = (4/pi)(E - q^2 K)/(1 - q^2)
+    and mu W = (4/pi)(K - E)/(1 - q^2). Their difference depends on q alone
+    and rises from 0 at q = 1 to infinity as q -> 0; it is solved in ln v,
+    v = ln(1/q), from the law delta ~ 4 W1 e^(-2 - pi mu/4). The gain,
+    ~ (16/pi) e^-4 W1 e^(-pi mu/2), is summed from terms of its own size.
     """
+    if not 0 < mu <= _MU_MAX:  # a NaN would never bracket the root
+        raise ValueError(
+            f"dimer_optimum_zero is validated for 0 < mu <= {_MU_MAX:g}, got {mu}")
     W1, f0_per = periodic_optimum_zero(mu)
-    delta_scale = math.exp(-(math.pi * mu / 4.0 + 0.5))
-    g2 = lambda W, d: _g_zero_raw(W, d, mu)
-    W, delta, f0 = _minimize_dimer(g2, W1, init=(W1, delta_scale))
-    if f0 > f0_per:
-        # the dimerized search can only improve on the closed form
-        W, delta, f0 = W1, 0.0, f0_per
-    gap = f0_per - f0
-    # past mu = 8 the true gap (~e^{-pi mu/2}) sinks toward the minimizer's
-    # resolution, so anything measured there is not trusted either
-    resolved = gap > GAP_FLOOR and mu <= 8.0
-    if mu <= 8.0 and gap <= 0.0:
-        raise RuntimeError(
-            f"failed to resolve the dimerization gap at mu={mu}: gap={gap:.3e}")
-    return GapResult(mu=mu, W1=W1, f0_per=f0_per, f0=f0, gap=gap,
-                     delta_opt=delta, resolved=resolved)
+
+    def difference(u):  # (4/pi)[(1 + q^2) K - 2E]/(1 - q^2) at v = e^u
+        a = math.exp(-2.0 * math.exp(u))
+        K, E = _elliptic_ke(a)
+        return 4.0 / math.pi * ((1.0 + a) * K - 2.0 * E) / (1.0 - a)
+
+    # it grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
+    tol = Tolerance(abs_tol=4.0 * _EPS * max(1.0, mu), rel_tol=0.0, max_iter=100)
+    v0 = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
+    v = math.exp(solve_from_estimate(difference, mu, math.log(v0), tol))
+    q, a = math.exp(-v), math.exp(-2.0 * v)
+    K, E = _elliptic_ke(a)
+    e1 = _e_minus_one(q, E)
+    # W - W1 from the first equation, then f0_per - f0 without cancellation
+    dW = 4.0 / (math.pi * mu) * (e1 - a * (K - 1.0)) / (1.0 - a)
+    W = W1 + dW
+    delta = q * W
+    gap = (0.5 * mu * (-dW * (W1 + W - 2.0) - delta * delta)
+           + 4.0 / math.pi * (dW * E + W1 * e1))
+    return GapResult(mu=mu, W1=W1, f0_per=f0_per, f0=f0_per - gap, gap=gap,
+                     delta_opt=delta)
 
 
 def gap_rate_fit(mu_values):
     """Least-squares slope of ln(gap) against mu; expected near -pi/2.
 
-    Unresolved gaps are dropped; fewer than three usable points is an
-    error. Returns (slope, intercept).
+    Needs at least three stiffnesses, each within dimer_optimum_zero's
+    domain. Returns (slope, intercept).
     """
-    pts = []
-    for mu in mu_values:
-        res = dimer_optimum_zero(float(mu))
-        if res.resolved:
-            pts.append((res.mu, math.log(res.gap)))
-    if len(pts) < 3:
-        raise ValueError(
-            f"need at least 3 resolvable gaps for a rate fit, got {len(pts)}")
-    mus = np.array([p[0] for p in pts])
-    logs = np.array([p[1] for p in pts])
+    mus = [float(mu) for mu in mu_values]
+    if len(mus) < 3:
+        raise ValueError(f"need at least 3 gaps for a rate fit, got {len(mus)}")
+    logs = [math.log(dimer_optimum_zero(mu).gap) for mu in mus]
     slope, intercept = np.polyfit(mus, logs, 1)
     return float(slope), float(intercept)

@@ -1,5 +1,8 @@
 """Sweep orchestration and the command-line front end."""
 
+import csv
+import math
+
 import pytest
 
 from peierls.cli import UsageError, main, parse_config
@@ -215,6 +218,32 @@ class TestCliMain:
         want = ",".join(["2", "64", *(f"{v:.12g}" for v in (cp.theta_c, cp.W_star, cp.x)),
                          "ok"])
         assert out.read_text(encoding="utf-8").splitlines()[1] == want
+
+    def test_gap_rows_match_mpmath(self, tmp_path):
+        # (f0, gap, delta_opt) from mpmath at 150 digits or more (see
+        # GAP_REFERENCES in test_zero_temperature.py); every printed cell
+        # must carry the reference's 12 digits
+        refs = {12: (-1.3407870011686601, 6.7193885635197218e-10, 4.8321194577362843e-5),
+                20: (-1.3137680181921, 2.2533688098552439e-15, 8.6774654484138596e-8),
+                30: (-1.3002585270397861, 3.3281162791004839e-22, 3.3014140137111062e-11)}
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--mu", "12,20,30", "--out", str(out), "--workers", "1"]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "mu,W1,f0_per,f0,gap,delta_opt,status"
+        for line, (mu, ref) in zip(lines[1:], refs.items()):
+            W1, f0_per = 1 + 4 / (math.pi * mu), -4 / math.pi - 8 / (math.pi ** 2 * mu)
+            assert line == ",".join([str(mu), *(f"{v:.12g}" for v in (W1, f0_per, *ref)),
+                                     "ok"])
+
+    def test_gap_past_domain_is_error_row(self, tmp_path):
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--mu", "250", "--out", str(out), "--workers", "1"]) == 3
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert rows[0][:6] == ["250", "", "", "", "", ""]
+        assert rows[0][6].startswith("error: ") and "validated for" in rows[0][6]
+        assert main(["gap", "--mu", "2,250", "--out", str(out), "--workers", "1"]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert rows[0][6] == "ok" and rows[1][6].startswith("error: ")
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["finite-thetac", "--mu", "1", "--L", "7", "--out", "x.csv"]) == 1

@@ -1,10 +1,13 @@
 """Ground-state limit: closed forms, the exponentially small gap, rate fits."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 import scipy.special
 
+import peierls.numerics
 from peierls.finite_chain import DimerState, ModelParams
 from peierls.kernels import elliptic_side
 from peierls.numerics import Tolerance, minimize_box
@@ -16,6 +19,35 @@ from peierls.zero_temperature import (dimer_optimum_zero, g_zero,
 GAP_MU2 = 6.839373e-03
 DELTA_OPT_MU2 = 0.1900463
 F0_MU2 = -1.6853636526
+
+# mu -> (gap, delta_opt, f0) from mpmath at 2.5 mu + 120 digits (at least
+# 125): findroot of the Euler-Lagrange difference
+# (4/pi)[(1 + q^2) K - 2E]/(1 - q^2) = mu in v = ln(1/q), q = delta/W, with
+# mpmath's ellipk and ellipe; W = (4/(pi mu))(K - E)/(1 - q^2), and the gap
+# is f0_per - g0(W, delta) by plain subtraction at that precision. The gaps
+# for mu <= 30 agree in all 17 digits with an independent 2-D findroot,
+# and at mu = 2 and 4 the gradient of g0 by mpmath quadrature vanishes to
+# 1e-50 there.
+GAP_REFERENCES = {
+    2.0: (6.839373331378686e-3, 1.9004625994429502e-1, -1.6853636526358925),
+    4.0: (2.3023166373503766e-4, 3.0911801675603692e-2, -1.4761121436835733),
+    8.0: (3.7707874866650039e-7, 1.1718267927112885e-3, -1.3745611054562491),
+    12.0: (6.7193885635197218e-10, 4.8321194577362843e-5, -1.3407870011686601),
+    16.0: (1.2247153604669188e-12, 2.0380715442614734e-6, -1.3239001365575563),
+    20.0: (2.2533688098552439e-15, 8.6774654484138596e-8, -1.3137680181921),
+    30.0: (3.3281162791004839e-22, 3.3014140137111062e-11, -1.3002585270397861),
+    200.0: (3.4269900164074433e-138, 3.291617605342294e-69, -1.2772923920808562),
+}
+# mu -> (gap / ((16/pi) e^-4 W1 e^(-pi mu/2)) - 1,
+#        delta_opt / (4 W1 e^(-2 - pi mu/4)) - 1), 60-digit mpmath
+LAW_DEVIATIONS = {
+    4.0: (2.55e-3, 2.33e-3),
+    8.0: (8.75e-6, 8.32e-6),
+    12.0: (2.38e-8, 2.30e-8),
+    16.0: (5.85e-11, 5.69e-11),
+    20.0: (1.35e-13, 1.32e-13),
+    30.0: (3.02e-20, 2.98e-20),
+}
 
 
 class TestGZero:
@@ -99,7 +131,6 @@ class TestDimerOptimum:
         assert r.gap == pytest.approx(GAP_MU2, rel=1e-4)
         assert r.delta_opt == pytest.approx(DELTA_OPT_MU2, abs=1e-5)
         assert r.f0 == pytest.approx(F0_MU2, abs=1e-8)
-        assert r.resolved
 
     def test_delta_scale_near_heuristic(self):
         r = dimer_optimum_zero(2.0)
@@ -145,11 +176,44 @@ class TestGapRateFit:
         with pytest.raises(ValueError):
             gap_rate_fit([3.0])
 
-    def test_noise_floor_points_excluded(self):
-        # past mu = 8 the measured gap is quadrature noise and must not
-        # steer the fit
-        r = dimer_optimum_zero(12.0)
-        assert not r.resolved
-        with_noise = gap_rate_fit([3.0, 4.0, 5.0, 6.0, 12.0])
-        clean = gap_rate_fit([3.0, 4.0, 5.0, 6.0])
-        assert with_noise == pytest.approx(clean, abs=1e-12)
+    def test_stiffness_past_domain_rejected(self):
+        with pytest.raises(ValueError, match="validated for"):
+            gap_rate_fit([3.0, 4.0, 250.0])
+
+
+class TestDimerOptimumExact:
+    @pytest.mark.parametrize("mu", sorted(GAP_REFERENCES))
+    def test_matches_mpmath(self, mu):
+        gap, delta, f0 = GAP_REFERENCES[mu]
+        r = dimer_optimum_zero(mu)
+        assert r.gap == pytest.approx(gap, rel=1e-12, abs=0)
+        assert r.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
+        assert r.f0 == pytest.approx(f0, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("mu", sorted(LAW_DEVIATIONS))
+    def test_prefactor_law(self, mu):
+        # each deviation within half a unit of its third digit, plus 1e-13
+        # for the double-precision evaluation
+        r = dimer_optimum_zero(mu)
+        law_gap = 16 / math.pi * math.exp(-4) * r.W1 * math.exp(-math.pi * mu / 2)
+        law_delta = 4 * r.W1 * math.exp(-2 - math.pi * mu / 4)
+        for got, want in zip((r.gap / law_gap - 1, r.delta_opt / law_delta - 1),
+                             LAW_DEVIATIONS[mu]):
+            assert abs(got - want) <= 5e-3 * want + 1e-13
+
+    def test_no_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dimer_optimum_zero must not search")
+        monkeypatch.setattr(peierls.numerics, "minimize_box", forbidden)
+        mus = np.arange(0.5, 30.0 + 1e-9, 0.5)
+        t0 = time.perf_counter()
+        for mu in mus:
+            r = dimer_optimum_zero(float(mu))
+            assert 0 < r.gap and 0 < r.delta_opt < r.W1
+        assert (time.perf_counter() - t0) / mus.size < 1e-3
+
+    def test_domain(self):
+        assert dimer_optimum_zero(200.0).gap > 0
+        for bad in (0.0, -1.0, 200.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                dimer_optimum_zero(bad)
