@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _h_prime_arr, _h_theta_arr
+from .kernels import _h_prime_arr, _h_theta_arr, _tanh_eta
 from .numerics import (Tolerance, _mode_nodes, _polished_descent,
                        eigenvalues_symmetric, minimize_multistart,
                        solve_from_estimate)
@@ -124,11 +124,10 @@ class CriticalPoint:
 def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoint:
     """Solve a ring's critical system, given its J and its band mean.
 
-    ``mean(f, x)`` averages a vectorized pi-periodic f of t = s - pi/2 over
-    the band: the L/2 mode nodes of a finite ring, the mode mean of the
-    infinite one. J(x) = target is solved in u = ln x, where J is nearly
-    linear, from the caller's estimate u of the root (by
-    numerics.solve_from_estimate). theta follows from the cos^2 equation
+    J(x) = target is solved in u = ln x, where J is nearly linear, from the
+    caller's estimate u of the root (by numerics.solve_from_estimate). Then
+    one call of the ring's band mean ``mean(f, eta)`` (:func:`_ring_mean`)
+    gives both Euler-Lagrange means: theta follows from the cos^2 equation
     mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the sin^2 equation
     mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
     """
@@ -136,11 +135,16 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
     # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
     tol = Tolerance(abs_tol=1e-12 * min(1.0, target), rel_tol=0.0, max_iter=100)
     x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u, tol))
-    # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, with cos s = -sin t
-    xhp = lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2)
-    theta = (mu + 2.0 * mean(lambda t: xhp(t) * np.sin(t) ** 2, x)) / (mu * x)
+
+    def moments(t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
+        sin_t = np.sin(t)
+        xhp = x * _h_prime_arr((x * sin_t) ** 2)
+        return np.stack((xhp * sin_t ** 2, xhp * np.cos(t) ** 2))
+
+    sin2, cos2 = mean(moments, _tanh_eta(x))
+    theta = (mu + 2.0 * sin2) / (mu * x)
     W = x * theta
-    residual = mu * W - 2.0 * mean(lambda t: xhp(t) * np.cos(t) ** 2, x)
+    residual = mu * W - 2.0 * cos2
     if abs(residual) > 1e-8:
         raise RuntimeError(
             f"critical-point equations inconsistent (residual {residual:.3e}); "
@@ -190,52 +194,61 @@ def _dimer_band(W: float, delta: float, theta: float):
     return lambda t: _h_theta_arr(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
 
 
-def _g_finite_raw(W: float, delta: float, mu: float, theta: float, L: int) -> float:
-    band = _dimer_band(W, delta, theta)(_mode_nodes(L // 2))
-    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - float(np.mean(band))
+def _ring_mean(L: int):
+    """The band mean mean(f, eta) of a ring of L atoms: np.mean's sum / N over
+    its L/2 mode nodes, per row of a stack. It ignores the strip eta that
+    its L -> infinity limit, thermodynamic._band_mean, needs."""
+    nodes = _mode_nodes(L // 2)
+    return lambda f, eta: (f(nodes).sum(axis=-1) / nodes.size).tolist()
+
+
+def _band_energy(W: float, delta: float, mu: float, theta: float, mean) -> float:
+    """Energy per atom of the 2-periodic state (W, delta), given the ring's band mean."""
+    # h_theta's singularities sit where the squared level reaches
+    # -(pi theta)^2; with M = max(W, delta) and m = min(W, delta) that is
+    # eta = asinh(sqrt((m^2 + (pi theta/2)^2) / (M^2 - m^2))), and at M = m
+    # the integrand is constant
+    big, small = max(W, delta), min(W, delta)
+    spread = big * big - small * small
+    eta = (math.asinh(math.sqrt((small * small + (0.5 * math.pi * theta) ** 2) / spread))
+           if spread > 0.0 else math.inf)
+    band = mean(_dimer_band(W, delta, theta), eta)
+    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - band
 
 
 def g_finite(s: DimerState, p: ModelParams) -> float:
     """Energy per atom of a 2-periodic ring via the explicit mode sum."""
     if p.theta <= 0:
         raise ValueError("g_finite needs theta > 0")
-    L = _check_even_length(p.L)
-    return _g_finite_raw(s.W, s.delta, p.mu, p.theta, L)
+    return _band_energy(s.W, s.delta, p.mu, p.theta, _ring_mean(_check_even_length(p.L)))
 
 
-def _dimer_starts(w_guess: float):
-    # descending-delta fan of starts plus the 1-periodic candidate
-    starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
-    steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    return starts, steps
-
-
-def _minimize_dimer(g2, w_guess: float, init=None):
-    """Shared (W, delta) quadrant search with delta snapping. g2: (W, d) -> value.
+def _minimize_dimer(p: ModelParams, mean, init=None):
+    """(W, delta) quadrant search of the band energy with the ring's band
+    mean, delta snapping to 0 below DELTA_ZERO. Returns (DimerState, value).
 
     The 2D search always races the best 1-periodic state: near and above
     the transition the landscape is quartically flat in delta and a simplex
     can stall at a tiny spurious delta, so the winner is decided by value.
     """
+    g2 = lambda W, d: _band_energy(W, d, p.mu, p.theta, mean)
+    w_guess = 1.0 + 4.0 / (math.pi * p.mu)
     tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=2000)
     f = lambda z: g2(z[0], z[1])
-    starts, steps = _dimer_starts(w_guess)
+    # descending-delta fan of starts plus the 1-periodic candidate
+    starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
+    steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
     if init is not None:
         starts = [tuple(init)] + starts[-1:]
         steps = [(0.05, max(0.3 * init[1], 1e-4))] + steps[-1:]
-    x, fx = _polished_descent(f, [np.array(s, float) for s in starts],
-                              np.zeros(2), None, tol, [np.array(s) for s in steps])
+    x, fx = _polished_descent(f, starts, np.zeros(2), None, tol, steps)
     W, delta = float(x[0]), float(abs(x[1]))
-    x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0),
-                               [np.array([w_guess]), np.array([W])],
-                               np.zeros(1), None, tol,
-                               [np.array([0.1]), np.array([1e-4])])
+    x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0), [(w_guess,), (W,)],
+                               np.zeros(1), None, tol, [(0.1,), (1e-4,)])
     tie = 4e-15 * (1.0 + abs(f1))
     if f1 <= fx + tie:
-        return float(x1[0]), 0.0, float(f1)
-    if delta < DELTA_ZERO:
-        return W, 0.0, float(fx)
-    return W, delta, float(fx)
+        return DimerState(W=float(x1[0]), delta=0.0), float(f1)
+    return DimerState(W=W, delta=0.0 if delta < DELTA_ZERO else delta), float(fx)
 
 
 def minimize_dimer_finite(p: ModelParams, init=None):
@@ -245,10 +258,7 @@ def minimize_dimer_finite(p: ModelParams, init=None):
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_finite needs theta > 0")
-    L = _check_even_length(p.L)
-    g2 = lambda W, d: _g_finite_raw(W, d, p.mu, p.theta, L)
-    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init)
-    return DimerState(W=W, delta=delta), val
+    return _minimize_dimer(p, _ring_mean(_check_even_length(p.L)), init)
 
 
 def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
@@ -270,9 +280,21 @@ def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
     return HoppingConfig(x)
 
 
+def _node_terms(L: int):
+    # a = |sin t| and b = cos 2t / a on the L/2 mode nodes t, less the band
+    # centre t = 0 (a node for L = 0 mod 4), where tanh(x a) b tends to x
+    t = _mode_nodes(L // 2)
+    t = t[t != 0.0]
+    a = np.abs(np.sin(t))
+    return a, np.cos(2.0 * t) / a
+
+
 def J_finite(x: float, L: int) -> float:
     """Strictly increasing function whose root locates theta_c.
 
+    With a and b of :func:`_node_terms`, it is (x + sum tanh(x a) b)/(L/4)
+    for L = 0 mod 4 and sum tanh(x a) b/(L/2) for L = 2 mod 4: means of
+    tanh(x a)/a cos 2t, a form whose rounding keeps J monotone.
     The root is taken at mu for L = 0 mod 4 and at mu/2 for L = 2 mod 4
     (see theta_critical_finite for the normalization). For L = 4n the mode
     grid hits the band center and contributes the linear x/n term; for
@@ -281,22 +303,15 @@ def J_finite(x: float, L: int) -> float:
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     L = _check_even_length(L)
-    if L % 4 == 0:
-        n = L // 4
-        k = np.arange(1, 2 * n + 1)
-        k = k[k != n]
-        c = np.cos(k * np.pi / (2 * n))
-        return float((x - np.sum(np.tanh(x * c) * np.cos(k * np.pi / n) / c)) / n)
-    n = (L - 2) // 4
-    k = np.arange(1, 2 * n + 2)
-    c = np.cos(k * np.pi / (2 * n + 1))
-    return float(-np.sum(np.tanh(x * c) * np.cos(2 * k * np.pi / (2 * n + 1)) / c)
-                 / (2 * n + 1))
+    a, b = _node_terms(L)
+    total = float(np.sum(np.tanh(x * a) * b))
+    return (x + total) / (L // 4) if L % 4 == 0 else total / (L // 2)
 
 
 def mu_critical(L: int) -> float:
     """Closed-form saturation value of J_finite for rings with L = 2 mod 4.
 
+    J_finite's limit sum b / (L/2) (:func:`_node_terms`), or
     -(1/(2n+1)) sum_k cos(2k pi/(2n+1)) / |cos(k pi/(2n+1))|, positive and
     growing like (2/pi) ln L. The dimerized phase of such rings survives up
     to stiffness 2 * mu_critical(L) (the factor comes from the pairing of
@@ -309,10 +324,7 @@ def mu_critical(L: int) -> float:
         raise ValueError(
             f"mu_critical needs L = 2 mod 4 (got {L}); rings with L = 0 mod 4 "
             "dimerize at every stiffness")
-    n = (L - 2) // 4
-    k = np.arange(1, 2 * n + 2)
-    c = np.cos(k * np.pi / (2 * n + 1))
-    return float(-np.sum(np.cos(2 * k * np.pi / (2 * n + 1)) / np.abs(c)) / (2 * n + 1))
+    return float(np.sum(_node_terms(L)[1])) / (L // 2)
 
 
 def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
@@ -322,10 +334,8 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     but 2 * J_finite for L = 2 mod 4 (the closed-form normalization of
     J_finite halves that parity), so the dimerized branch of a 2-mod-4
     ring dies at mu = 2 * mu_critical(L) and the root solve targets mu/2
-    there; brute-force minimization confirms both statements. The band
-    mean is the plain mean over the L/2 mode nodes, as in g_finite; theta
-    follows from the cos^2 Euler-Lagrange equation and the sin^2 equation
-    is asserted to 1e-8 (see _critical_point).
+    there; brute-force minimization confirms both statements. theta_c
+    follows by _critical_point with the ring's band mean, as in g_finite.
     """
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
@@ -335,8 +345,6 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
         if mu >= 2.0 * mu_critical(L):
             return None
         target = 0.5 * mu
-    nodes = _mode_nodes(L // 2)
     # x ~ e^(pi mu/4) until J turns linear, J ~ 4x/L, and then x ~ 1 + L mu/4
-    return _critical_point(mu, lambda x: J_finite(x, L), target,
-                           lambda f, x: float(np.mean(f(nodes))),
+    return _critical_point(mu, lambda x: J_finite(x, L), target, _ring_mean(L),
                            min(0.25 * math.pi * mu, math.log1p(0.25 * L * mu)))

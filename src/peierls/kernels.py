@@ -121,6 +121,12 @@ def _h_second_arr(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tanh_eta(x: float) -> float:
+    # tanh(x cos s) and h''(x^2 cos^2 s) have their singularities nearest
+    # the real axis at s = pi/2 +- i asinh(pi / (2x))
+    return math.asinh(0.5 * math.pi / x)
+
+
 def _occupation(eps: float, theta: float) -> float:
     # 1 / (1 + e^{eps/theta}) without overflow
     u = eps / theta
@@ -152,19 +158,22 @@ def electron_free_energy(eigs, theta: float):
     return closed, occ
 
 
-def _elliptic_ke(a: float) -> tuple[float, float]:
-    """K(1 - a) and E(1 - a) for a in (0, 1] by the mean of 1 and sqrt(a)
-    (A&S 17.6): K = pi / (2 AGM), E = K (1 - sum_n 2^(n-1) c_n^2). It
-    converges quadratically and stops once the two means agree to 4 ulps."""
+def _elliptic_ke(a: float) -> tuple[float, float, float]:
+    """K(1 - a), E(1 - a) and S = sum_{n>=1} 2^(n-1) c_n^2 for a in (0, 1] by the
+    mean of 1 and sqrt(a) (A&S 17.6): K = pi / (2 AGM), E = K (1 - c_0^2/2 - S)
+    with c_0^2 = 1 - a, and (1 + a) K - 2E = 2 K S without cancellation as
+    a -> 1. It converges quadratically and stops once the means agree to 4 ulps."""
     x, y = 1.0, math.sqrt(a)
-    p, s = 0.5, 0.5 * (1.0 - a)  # 2^(n-1) and the sum so far, c_0^2 = 1 - a
+    p, s, tail = 0.5, 0.5 * (1.0 - a), 0.0  # 2^(n-1), the sum from n = 0, S
     while x - y > 4.0 * _EPS * x:
         c = 0.5 * (x - y)
         x, y = 0.5 * (x + y), math.sqrt(x * y)
         p *= 2.0
-        s += p * c * c
+        term = p * c * c
+        s += term
+        tail += term
     K = math.pi / (2.0 * x)
-    return K, K * (1.0 - s)
+    return K, K * (1.0 - s), tail
 
 
 def elliptic_side(a: float) -> float:

@@ -136,7 +136,7 @@ def _mapped(f, p: int):
 
 
 def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
-              tol: Tolerance | None = None) -> float:
+              tol: Tolerance | None = None) -> float | list[float]:
     """Mean of a vectorized pi-periodic f over one period, by the trapezoid rule.
 
     f maps an array of nodes to the array of its values, and is analytic in
@@ -151,6 +151,9 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     ~1e-13, and doubles with the old nodes reused: the new estimate is the
     mean of the old one and the mean over the midpoints. The finer estimate
     is returned once two agree to ``abs_tol + rel_tol * |est|``.
+    f may also return a (k, N) stack of integrands that share a strip and a
+    costly factor: the k means converge together, each to the tolerance,
+    and come back as a list of k floats; a 1-D f gives one float.
     ``tol.max_iter`` caps N; past it, or when N0 leaves no room for a
     doubling, :class:`ConvergenceError` is raised.
     """
@@ -165,16 +168,17 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
             f"beyond the cap of {tol.max_iter}")
     g = f if p == 1 else _mapped(f, p)
     # sum / n is np.mean's arithmetic without its per-call overhead
-    est = float(g(_mode_nodes(n)).sum()) / n
+    est = g(_mode_nodes(n)).sum(axis=-1) / n
     while 2 * n <= tol.max_iter:
-        new = 0.5 * (est + float(g(_mode_nodes(n, midpoints=True)).sum()) / n)
+        new = 0.5 * (est + g(_mode_nodes(n, midpoints=True)).sum(axis=-1) / n)
         n *= 2
-        if abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new):
-            return new
+        close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
+        if close.all() if close.ndim else close:  # .all() is slow on one bool
+            return new.tolist()
         est = new
     raise ConvergenceError(
         f"mode mean did not converge within {tol.max_iter} nodes "
-        f"(estimate {est!r} at N = {n})", best=est)
+        f"(estimate {est.tolist()!r} at N = {n})", best=est.tolist())
 
 
 def solve_increasing(f: Callable[[float], float], target: float,
@@ -376,41 +380,33 @@ def minimize_multistart(f: Callable[[np.ndarray], float],
     if tol is None:
         tol = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200 * d)
     starts = lower + (upper - lower) * lattice_points(n_starts, d, seed)
-    return _polished_descent(f, list(starts), lower, upper, tol, 0.2 * (upper - lower))
+    return _polished_descent(f, list(starts), lower, upper, tol,
+                             [0.2 * (upper - lower)] * n_starts)
 
 
-def _polished_descent(f, starts, lower, upper, tol, step):
+def _polished_descent(f, starts, lower, upper, tol, steps):
     """Best simplex minimum over explicit starts, then restart-polished.
 
     The engine behind :func:`minimize_multistart` and the dimer
-    minimizers. ``step`` is one initial simplex step for every start or a
-    list with one per start. The best point is restarted with a fresh
-    simplex of relative size 1e-6, at most 3 times, until the value stops
-    improving by 1e-15: near a phase boundary the landscape is quartically
-    flat and a first run can stall short of the minimum. A run that
-    exhausts its iterations contributes its best point; any other exception
-    from the objective propagates.
+    minimizers, with one initial simplex step per start in ``steps``. The
+    best point is restarted with a fresh simplex of relative size 1e-6, at
+    most 3 times, until the value stops improving by 1e-15: near a phase
+    boundary the landscape is quartically flat and a first run can stall
+    short of the minimum. A run that exhausts its iterations contributes
+    its best point; any other exception from the objective propagates.
     """
-    best = None
-    for x0, st in zip(starts, step if isinstance(step, list) else [step] * len(starts)):
+    def descend(x0, st):
         try:
-            x, fx = minimize_box(f, x0, lower, tol, upper_bounds=upper,
-                                 initial_step=st)
+            return minimize_box(f, x0, lower, tol, upper_bounds=upper, initial_step=st)
         except ConvergenceError as err:
             if not (isinstance(err.best, tuple) and len(err.best) == 2):
                 raise
-            x, fx = err.best
-        if best is None or fx < best[1]:
-            best = (x, fx)
-    x, fx = best
+            return err.best
+
+    # the first of the lowest, as min keeps its first item among equals
+    x, fx = min((descend(x0, st) for x0, st in zip(starts, steps)), key=lambda r: r[1])
     for _ in range(3):
-        try:
-            xp, fp = minimize_box(f, x, lower, tol, upper_bounds=upper,
-                                  initial_step=1e-6 * (1.0 + np.abs(x)))
-        except ConvergenceError as err:
-            if not (isinstance(err.best, tuple) and len(err.best) == 2):
-                raise
-            xp, fp = err.best
+        xp, fp = descend(x, 1e-6 * (1.0 + np.abs(x)))
         if fp >= fx - 1e-15:
             if fp < fx:
                 x, fx = xp, fp

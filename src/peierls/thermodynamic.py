@@ -11,10 +11,10 @@ past ~100 the tanh layer at the band center is so sharp that the mode mean
 maps its nodes towards it.
 
 The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
-its full relative precision at the band center. The critical temperature
-solves the finite case's two-equation system by the same routine
-(``finite_chain._critical_point``): it inverts the strictly increasing
-J(x), the equations' difference, in ln x from x ~ e^(pi mu/4). Around
+its full relative precision at the band center. The band energy and the
+critical point are the finite ring's routines, given this ring's band
+mean (``_band_mean``); the latter inverts the strictly increasing J(x),
+the Euler-Lagrange difference, in ln x from x ~ e^(pi mu/4). Around
 theta_c the dimerization amplitude bifurcates like sqrt(theta_c - theta),
 with a coefficient assembled from three h'' moments.
 """
@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .finite_chain import (CriticalPoint, DimerState, ModelParams,
-                           _critical_point, _dimer_band, _minimize_dimer)
-from .kernels import _h_prime_arr, _h_second_arr
+                           _band_energy, _critical_point, _minimize_dimer)
+from .kernels import _h_prime_arr, _h_second_arr, _tanh_eta
 from .numerics import Tolerance, mode_mean
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "phase_diagram",
 ]
 
-_HALF_PI = math.pi / 2
 # accuracy of all integrals in this module; max_iter caps the mode-mean
 # nodes, and leaves room for the start N0 = 4096 and its doubling that the
 # mapped nodes need near mu = _MU_MAX
@@ -52,32 +52,17 @@ _QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=8192)
 # to here (x = W/theta_c ~ 3e68), and from mu ~ 205 on the mapped nodes
 # would start at N0 = 8192, whose doubling passes the cap
 _MU_MAX = 200.0
-
-
-def _tanh_eta(x: float) -> float:
-    # tanh(x cos s) and h''(x^2 cos^2 s) have their singularities nearest
-    # the real axis at s = pi/2 +- i asinh(pi / (2x))
-    return math.asinh(_HALF_PI / x)
+# the infinite ring's band mean(f, eta): the L -> infinity limit of
+# finite_chain._ring_mean, the mode mean at this module's accuracy
+_band_mean = partial(mode_mean, tol=_QUAD_TOL)
 
 
 def g_thermo(s: DimerState, p: ModelParams, tol: Tolerance | None = None) -> float:
     """Energy per atom of the infinite ring at theta > 0."""
     if p.theta <= 0:
         raise ValueError("g_thermo needs theta > 0")
-    return _g_thermo_raw(s.W, s.delta, p.mu, p.theta, tol or _QUAD_TOL)
-
-
-def _g_thermo_raw(W, delta, mu, theta, tol):
-    # h_theta's singularities sit where the squared level reaches
-    # -(pi theta)^2; with M = max(W, delta) and m = min(W, delta) that is
-    # eta = asinh(sqrt((m^2 + (pi theta/2)^2) / (M^2 - m^2))), and at M = m
-    # the integrand is constant
-    big, small = max(W, delta), min(W, delta)
-    spread = big * big - small * small
-    eta = (math.asinh(math.sqrt((small * small + (_HALF_PI * theta) ** 2) / spread))
-           if spread > 0.0 else math.inf)
-    band = mode_mean(_dimer_band(W, delta, theta), eta, tol)
-    return 0.5 * mu * ((W - 1.0) ** 2 + delta * delta) - band
+    return _band_energy(s.W, s.delta, p.mu, p.theta,
+                        partial(mode_mean, tol=tol or _QUAD_TOL))
 
 
 def minimize_dimer_thermo(p: ModelParams, init=None):
@@ -88,9 +73,7 @@ def minimize_dimer_thermo(p: ModelParams, init=None):
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_thermo needs theta > 0")
-    g2 = lambda W, d: _g_thermo_raw(W, d, p.mu, p.theta, _QUAD_TOL)
-    W, delta, val = _minimize_dimer(g2, 1.0 + 4.0 / (math.pi * p.mu), init)
-    return DimerState(W=W, delta=delta), val
+    return _minimize_dimer(p, _band_mean, init)
 
 
 def J_thermo(x: float, tol: Tolerance | None = None) -> float:
@@ -114,19 +97,16 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
     """Critical temperature of the infinite ring, for 0 < mu <= 200.
 
     x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
-    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and the band
-    means are mode means. theta_c follows from the cos^2 Euler-Lagrange
-    equation, [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x), and the
-    sin^2 equation is asserted to 1e-8 (finite_chain._critical_point).
+    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and theta_c
+    follows by finite_chain._critical_point with the band mean _band_mean:
+    [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
     """
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
     if mu > _MU_MAX:
         raise ValueError(
             f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
-    return _critical_point(mu, J_thermo, mu,
-                           lambda f, x: mode_mean(f, _tanh_eta(x), _QUAD_TOL),
-                           0.25 * math.pi * mu)
+    return _critical_point(mu, J_thermo, mu, _band_mean, 0.25 * math.pi * mu)
 
 
 @dataclass(frozen=True)
@@ -199,15 +179,15 @@ def bifurcation_data(mu: float) -> BifurcationData:
     # the moments scale like x^-3, so they converge relative to that size
     mtol = replace(_QUAD_TOL, abs_tol=_QUAD_TOL.abs_tol / ratio ** 3)
 
-    def moment(p):
-        # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds, in t; h''
-        # transitions on the same cos s ~ 1/x layer as the tanh kernels
-        def f(t):
-            sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
-            return _h_second_arr(ratio * ratio * sn2) * sn2 ** (2 - p) * cs2 ** p
-        return 2.0 * mode_mean(f, _tanh_eta(ratio), mtol)
+    def moments(t):
+        # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds for p = 0, 1,
+        # 2, in t; h'' transitions on the same cos s ~ 1/x layer as the tanh
+        # kernels
+        sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
+        hpp = _h_second_arr(ratio * ratio * sn2)
+        return np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
 
-    A, B, C_int = moment(0), moment(1), moment(2)
+    A, B, C_int = (2.0 * m for m in mode_mean(moments, _tanh_eta(ratio), mtol))
 
     W, th = cp.W_star, cp.theta_c
     det_J = -mu / (W * W * th) * C_int + 2.0 * W / th ** 4 * (A * C_int - B * B)

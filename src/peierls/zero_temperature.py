@@ -101,19 +101,25 @@ def dimer_optimum_zero(mu: float) -> GapResult:
     W1, f0_per = periodic_optimum_zero(mu)
 
     def difference(u):  # (4/pi)[(1 + q^2) K - 2E]/(1 - q^2) at v = e^u
-        a = math.exp(-2.0 * math.exp(u))
-        K, E = _elliptic_ke(a)
-        return 4.0 / math.pi * ((1.0 + a) * K - 2.0 * E) / (1.0 - a)
+        # both differences vanish as q -> 1 (mu -> 0): the numerator is 2 K S
+        v = math.exp(u)
+        K, _, tail = _elliptic_ke(math.exp(-2.0 * v))
+        return 8.0 / math.pi * K * tail / -math.expm1(-2.0 * v)
 
     # it grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
     tol = Tolerance(abs_tol=4.0 * _EPS * max(1.0, mu), rel_tol=0.0, max_iter=100)
     v0 = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
     v = math.exp(solve_from_estimate(difference, mu, math.log(v0), tol))
     q, a = math.exp(-v), math.exp(-2.0 * v)
-    K, E = _elliptic_ke(a)
+    K, E, tail = _elliptic_ke(a)
     e1 = _e_minus_one(q, E)
-    # W - W1 from the first equation, then f0_per - f0 without cancellation
-    dW = 4.0 / (math.pi * mu) * (e1 - a * (K - 1.0)) / (1.0 - a)
+    # W - W1 from the first equation, (pi mu/4)(W - W1) = (E - q^2 K)/(1 - q^2)
+    # - 1, summed without cancellation: from E - 1 and q^2 (K - 1) as q -> 0,
+    # as (K/2 - 1) - K S/(1 - q^2) as q -> 1; then f0_per - f0 likewise
+    if q < 0.5:
+        dW = 4.0 / (math.pi * mu) * (e1 - a * (K - 1.0)) / (1.0 - a)
+    else:
+        dW = 4.0 / (math.pi * mu) * (0.5 * K - 1.0 - K * tail / -math.expm1(-2.0 * v))
     W = W1 + dW
     delta = q * W
     gap = (0.5 * mu * (-dW * (W1 + W - 2.0) - delta * delta)

@@ -1,5 +1,6 @@
 """Finite even rings: matrices, energies, dimer reduction, critical lines."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,9 @@ from peierls.numerics import eigenvalues_symmetric
 THETA_C_L8_MU2 = 0.320591933975
 THETA_C_L8_MU1 = 0.729359530672
 MU_C_10 = 0.6944271909999159
+# 30-digit mpmath: -(1/N) sum_{k=1..N} cos(2k pi/N) / |cos(k pi/N)|, N = L/2
+MU_C_LARGE_L = {1022: 3.65947763284249834911983804799,
+                40002: 5.99407110235935174450355696594}
 
 
 def ring(*t):
@@ -275,9 +279,18 @@ class TestMuCritical:
         L = 40002
         assert mu_critical(L) / (2 / math.pi * math.log(L)) == pytest.approx(0.8885, abs=2e-3)
 
+    def test_large_rings_against_mpmath(self):
+        for L, want in MU_C_LARGE_L.items():
+            assert mu_critical(L) == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_wrong_residue_rejected(self):
         with pytest.raises(ValueError):
             mu_critical(8)
+
+    def test_values_are_python_floats(self):
+        assert type(mu_critical(10)) is float
+        for L in (8, 10):
+            assert type(J_finite(3.0, L)) is float and type(J_finite(0.0, L)) is float
 
 
 class TestThetaCriticalFinite:
@@ -328,6 +341,26 @@ class TestThetaCriticalFinite:
                             lambda x, L: calls.append(x) or J(x, L))
         theta_critical_finite(2.0, 1024)
         assert len(calls) <= 12
+
+    def test_one_band_mean_per_solve(self, monkeypatch):
+        # both Euler-Lagrange means come from one stacked band mean
+        import peierls.finite_chain as finite_chain
+        calls = []
+        ring_mean = finite_chain._ring_mean
+
+        def counting(L):
+            mean = ring_mean(L)
+            return lambda f, eta: calls.append(eta) or mean(f, eta)
+        monkeypatch.setattr(finite_chain, "_ring_mean", counting)
+        for L in (8, 10):
+            calls.clear()
+            theta_critical_finite(0.5, L)
+            assert len(calls) == 1
+
+    def test_fields_are_python_floats(self):
+        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024)):
+            cp = theta_critical_finite(mu, L)
+            assert all(type(getattr(cp, f.name)) is float for f in dataclasses.fields(cp))
 
     def test_euler_lagrange_on_ring_angles(self):
         # both equations as sums over the L ring angles 2 pi k/L, which as a

@@ -104,6 +104,51 @@ class TestModeMean:
         with pytest.raises(ConvergenceError):
             mode_mean(lambda s: np.full_like(s, np.nan), math.inf, TOL)
 
+    def test_one_dimensional_mean_is_python_float(self):
+        val = mode_mean(lambda s: 1.0 + np.cos(2 * s), math.inf, TOL)
+        assert type(val) is float and val == 1.0
+
+    def test_stack_rows_equal_scalar_calls(self):
+        # rows that converge at the same N come back bit for bit as their
+        # scalar calls, on unmapped (a = 1.25) and mapped (eps = 1e-6) nodes
+        a, eps = 1.25, 1e-6
+        unmapped = (lambda s: 1.0 / (a - np.cos(2 * s)),
+                    lambda s: np.cos(2 * s) / (a - np.cos(2 * s)),
+                    lambda s: np.sin(s) ** 2 / (a - np.cos(2 * s)))
+        mapped = (lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2),
+                  lambda t: np.cos(2 * t) / (eps + 2.0 * np.sin(t) ** 2),
+                  lambda t: np.cos(t) ** 2 / (eps + 2.0 * np.sin(t) ** 2))
+        cases = ((unmapped, 0.5 * math.acosh(a)), (mapped, 0.5 * math.acosh(1.0 + eps)))
+        for fs, eta in cases:
+            scalar, sizes = [], []
+            for f in fs:
+                g, n = self._recording(f)
+                scalar.append(mode_mean(g, eta, TOL))
+                sizes.append(n)
+            assert sizes[1:] == sizes[:-1]  # the premise: the same N for each row
+            stacked = mode_mean(lambda s: np.stack([f(s) for f in fs]), eta, TOL)
+            assert type(stacked) is list and all(type(v) is float for v in stacked)
+            assert stacked == scalar
+
+    def test_stack_rows_meet_own_tolerance(self):
+        # mean 1/(c - cos 2s) = 1/sqrt(c^2 - 1): c = 1.01 needs 256 nodes from
+        # a start of 8, c = 1.25 (scaled by 1e8, where the relative target
+        # rules) only 64; the stack runs until both meet their tolerance
+        rows = ((1.01, 1.0), (1.25, 1e8))
+        f = lambda s: np.stack([scale / (c - np.cos(2 * s)) for c, scale in rows])
+        g, sizes = self._recording(f)
+        vals = mode_mean(g, 15.0 / 8, TOL)
+        assert sizes[-1] == 256
+        for val, (c, scale) in zip(vals, rows):
+            exact = scale / math.sqrt(c * c - 1.0)
+            assert abs(val - exact) <= TOL.abs_tol + TOL.rel_tol * exact
+
+    def test_nan_row_never_converges(self):
+        f = lambda s: np.stack((np.ones_like(s), np.full_like(s, np.nan)))
+        with pytest.raises(ConvergenceError) as err:
+            mode_mean(f, math.inf, TOL)
+        assert err.value.best[0] == 1.0
+
 
 class TestSolveIncreasing:
     def test_identity(self):

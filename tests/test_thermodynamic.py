@@ -1,5 +1,6 @@
 """Infinite-ring limit: quadrature energies, theta_c, constants, bifurcation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,10 +74,11 @@ class TestGThermo:
         # the integrand is symmetric under s -> pi/2 - s, so exchanging W
         # and delta only moves the elastic part:
         # g(W,d) - g(d,W) = (mu/2)[(W-1)^2 - (d-1)^2 + d^2 - W^2]
-        from peierls.thermodynamic import _QUAD_TOL, _g_thermo_raw
+        from peierls.finite_chain import _band_energy
+        from peierls.thermodynamic import _band_mean
         mu, th, W, d = 2.0, 0.25, 1.4, 0.3
-        g_wd = _g_thermo_raw(W, d, mu, th, _QUAD_TOL)
-        g_dw = _g_thermo_raw(d, W, mu, th, _QUAD_TOL)
+        g_wd = _band_energy(W, d, mu, th, _band_mean)
+        g_dw = _band_energy(d, W, mu, th, _band_mean)
         want = mu / 2 * ((W - 1) ** 2 - (d - 1) ** 2 + d * d - W * W)
         assert g_wd - g_dw == pytest.approx(want, abs=1e-11)
 
@@ -191,6 +193,21 @@ class TestThetaCritical:
         theta_critical_thermo(200.0)
         assert len(calls) <= 12
 
+    def test_one_band_mean_per_solve(self, monkeypatch):
+        # both Euler-Lagrange means come from one stacked band mean
+        import peierls.thermodynamic as thermodynamic
+        calls = []
+        mean = thermodynamic._band_mean
+        monkeypatch.setattr(thermodynamic, "_band_mean",
+                            lambda f, eta: calls.append(eta) or mean(f, eta))
+        theta_critical_thermo(2.0)
+        assert len(calls) == 1
+
+    def test_fields_are_python_floats(self):
+        for mu in (2.0, 50.0):
+            cp = theta_critical_thermo(mu)
+            assert all(type(getattr(cp, f.name)) is float for f in dataclasses.fields(cp))
+
     def test_corrected_asymptotic_relation(self):
         # theta_c * e^{pi mu/4} = W* e^{c2 - 1} up to an exponentially small
         # remainder; the W* prefactor (1 + 4/(pi mu)) decays only like 1/mu
@@ -295,6 +312,24 @@ class TestBifurcationData:
         # their size, and delta_prime's bracket must not be summed as B - A + ...
         for mu, want in BIFURCATION_COEFF.items():
             assert bifurcation_data(mu).coeff == pytest.approx(want, rel=1e-8)
+
+    def test_one_moment_mean(self, monkeypatch):
+        # A, B and C_int come from one stacked mode mean, with h'' once
+        import peierls.thermodynamic as thermodynamic
+        want = bifurcation_data(2.0)
+        cp = theta_critical_thermo(2.0)
+        monkeypatch.setattr(thermodynamic, "theta_critical_thermo", lambda mu: cp)
+        calls = []
+        mode_mean = thermodynamic.mode_mean
+        monkeypatch.setattr(thermodynamic, "mode_mean",
+                            lambda *args: calls.append(args) or mode_mean(*args))
+        assert bifurcation_data(2.0) == want
+        assert len(calls) == 1
+
+    def test_fields_are_python_floats(self):
+        for mu in (2.0, 12.0):
+            b = bifurcation_data(mu)
+            assert all(type(getattr(b, f.name)) is float for f in dataclasses.fields(b))
 
     def test_reference_values_mu2(self):
         b = bifurcation_data(2.0)

@@ -38,6 +38,15 @@ GAP_REFERENCES = {
     30.0: (3.3281162791004839e-22, 3.3014140137111062e-11, -1.3002585270397861),
     200.0: (3.4269900164074433e-138, 3.291617605342294e-69, -1.2772923920808562),
 }
+# mu -> (W, delta_opt, gap) below the domain's tested range, from 80-digit
+# mpmath: the same findroot, with 1 - q^2 as -expm1(-2v). There q -> 1 and
+# the Euler-Lagrange difference is a small difference of O(1) terms.
+# GapResult carries no W; delta_opt = q W carries its error.
+SMALL_MU_REFERENCES = {
+    1e-4: (10001.499925013746954, 9999.5000249962508279, 1894.0320940657434655),
+    1e-6: (1000001.4999992500014, 999999.50000024999963, 189430.25762200309304),
+    1e-8: (100000001.4999999925, 99999999.5000000025, 18943052.81289024061),
+}
 # mu -> (gap / ((16/pi) e^-4 W1 e^(-pi mu/2)) - 1,
 #        delta_opt / (4 W1 e^(-2 - pi mu/4)) - 1), 60-digit mpmath
 LAW_DEVIATIONS = {
@@ -189,6 +198,13 @@ class TestDimerOptimumExact:
         assert r.gap == pytest.approx(gap, rel=1e-12, abs=0)
         assert r.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
         assert r.f0 == pytest.approx(f0, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("mu", sorted(SMALL_MU_REFERENCES))
+    def test_small_mu_without_cancellation(self, mu):
+        _, delta, gap = SMALL_MU_REFERENCES[mu]
+        r = dimer_optimum_zero(mu)
+        assert r.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
+        assert r.gap == pytest.approx(gap, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("mu", sorted(LAW_DEVIATIONS))
     def test_prefactor_law(self, mu):
