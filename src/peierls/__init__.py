@@ -14,9 +14,8 @@ from .finite_chain import (CriticalPoint, DimerState, HoppingConfig,
 from .kernels import (HKernelValue, electron_free_energy, elliptic_side,
                       entropy, h_eval, h_theta)
 from .numerics import (Bracket, ConvergenceError, Tolerance,
-                       eigenvalues_symmetric, minimize_box,
-                       minimize_multistart, mode_mean, solve_from_estimate,
-                       solve_increasing)
+                       eigenvalues_symmetric, minimize_box, mode_mean,
+                       solve_from_estimate, solve_increasing)
 from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 from .thermodynamic import (AsymptoticConstants, BifurcationData, J_thermo,
                             asymptotic_constants, bifurcation_data, g_thermo,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tolerance", "Bracket", "ConvergenceError",
     "mode_mean", "solve_increasing", "solve_from_estimate", "minimize_box",
-    "minimize_multistart", "eigenvalues_symmetric",
+    "eigenvalues_symmetric",
     "entropy", "HKernelValue", "h_eval", "h_theta",
     "electron_free_energy", "elliptic_side",
     "ModelParams", "HoppingConfig", "DimerState", "CriticalPoint",

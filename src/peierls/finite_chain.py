@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _h_prime_arr, _h_theta_arr, _tanh_eta
-from .numerics import (Tolerance, _mode_nodes, _polished_descent,
-                       eigenvalues_symmetric, minimize_multistart,
-                       solve_from_estimate)
+from .numerics import (Tolerance, _mode_nodes, _newton_box, _polished_descent,
+                       eigenvalues_symmetric, lattice_points, solve_from_estimate)
 
 __all__ = [
     "ModelParams",
@@ -40,6 +39,8 @@ __all__ = [
 DELTA_ZERO = 1e-8
 # search box for full hopping vectors; physical minimizers have t near 1
 T_BOX = (0.05, 3.0)
+# Newton steps per start of minimize_chain_full (~55 at theta_c, where F is quartic)
+_NEWTON_STEPS = 100
 
 
 def _check_even_length(L) -> int:
@@ -261,23 +262,55 @@ def minimize_dimer_finite(p: ModelParams, init=None):
     return _minimize_dimer(p, _ring_mean(_check_even_length(p.L)), init)
 
 
-def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
-    """Multistart search over full hopping vectors t in [0.05, 3]^L.
+def _ring_derivatives(t: np.ndarray, mu: float, theta: float):
+    """F(t) = (mu/2) sum (t_i - 1)^2 - Tr f(T), its gradient and Hessian, by one eigh.
 
-    Intended for small rings (L <= 16) to confirm that unconstrained
-    minimizers are 2-periodic. theta = 0 falls back to the ground-state
-    energy.
+    f(e) = h_theta(e^2) = 2 theta ln 2cosh(e/2theta), f' = tanh(e/2theta) and
+    f'' = sech^2(e/2theta)/(2 theta); at theta = 0, f = |e|, f' = sign e, f'' = 0.
+    With T = V diag(lam) V^T and B_i = V^T (dT/dt_i) V, g_i = mu (t_i - 1) -
+    2 f'(T)_{i,i+1}, and by Daleckii-Krein H_ij = mu delta_ij - sum_kl
+    f'[lam_k, lam_l] (B_i)_kl (B_j)_kl, where the divided difference f'[a, b]
+    is f''((a + b)/2) for |a - b| <= eps^(1/3) theta, as at the degenerate
+    levels of a uniform ring.
+    """
+    lam, V = np.linalg.eigh(build_hopping_matrix(HoppingConfig(t)))
+    diff = lam[:, None] - lam
+    if theta > 0:
+        fp = np.tanh(lam / (2.0 * theta))
+        fpp = (1.0 - np.tanh((lam[:, None] + lam) / (4.0 * theta)) ** 2) / (2.0 * theta)
+        band = float(np.sum(_h_theta_arr(lam * lam, theta)))
+    else:
+        fp, fpp, band = np.sign(lam), 0.0, float(np.sum(np.abs(lam)))
+    near = np.abs(diff) <= np.finfo(float).eps ** (1.0 / 3.0) * theta
+    dd = np.where(near, fpp, (fp[:, None] - fp) / np.where(near, 1.0, diff))
+    Vn = np.roll(V, -1, axis=0)  # row i + 1 of V, cyclically
+    B = (V[:, :, None] * Vn[:, None] + Vn[:, :, None] * V[:, None]).reshape(t.size, -1)
+    F = 0.5 * mu * float(np.sum((t - 1.0) ** 2)) - band
+    g = mu * (t - 1.0) - 2.0 * (V * Vn) @ fp
+    return F, g, mu * np.eye(t.size) - (B * dd.ravel()) @ B.T
+
+
+def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
+    """Minimize the ring's energy over hopping vectors t in T_BOX^L, L <= 16,
+    to confirm that unconstrained minimizers are 2-periodic.
+
+    Each of ``n_starts`` lattice points mapped onto the box starts a damped
+    Newton descent (numerics._newton_box) on the exact derivatives of
+    :func:`_ring_derivatives`; the lowest value wins, the first among
+    equals, and a start that runs out of steps raises ConvergenceError. At
+    theta = 0, |e| has a kink where a level crosses zero; there sign(0) = 0
+    is a subgradient and the line search on F rejects steps the kink
+    spoils, and minimizers are gapped, so F is smooth near them.
     """
     L = _check_even_length(p.L)
     if L > 16:
         raise ValueError(f"full-chain search is limited to L <= 16, got {L}")
-    if p.theta > 0:
-        obj = lambda t: chain_free_energy(HoppingConfig(t), p)
-    else:
-        obj = lambda t: chain_energy_zero(HoppingConfig(t), p.mu)
-    x, _ = minimize_multistart(obj, [T_BOX] * L, n_starts,
-                               Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=400 * L))
-    return HoppingConfig(x)
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
+    lo, hi = T_BOX
+    runs = (_newton_box(lambda t: _ring_derivatives(t, p.mu, p.theta), x0, lo, hi, _NEWTON_STEPS)
+            for x0 in lo + (hi - lo) * lattice_points(n_starts, L))
+    return HoppingConfig(min(runs, key=lambda r: r[1])[0])
 
 
 def _node_terms(L: int):

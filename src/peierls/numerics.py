@@ -4,8 +4,9 @@ One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
 periodic integrands whose error falls geometrically with the node count,
 on nodes mapped towards a sharp layer where the integrand's strip of
 analyticity is narrow. Then monotone root solving, box-constrained
-derivative-free minimization with multistart, and checked spectra of dense
-symmetric matrices by LAPACK's eigvalsh through numpy.
+minimization (a derivative-free simplex, and damped Newton descent where
+the Hessian is known), and checked spectra of dense symmetric matrices by
+LAPACK's eigvalsh through numpy.
 Everything here is a pure function of its inputs and safe to call from many
 workers at once.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "solve_increasing",
     "solve_from_estimate",
     "minimize_box",
-    "minimize_multistart",
     "eigenvalues_symmetric",
 ]
 
@@ -167,18 +167,23 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
             f"mode mean needs {n} nodes and a doubling for eta = {eta:.3e}, "
             f"beyond the cap of {tol.max_iter}")
     g = f if p == 1 else _mapped(f, p)
-    # sum / n is np.mean's arithmetic without its per-call overhead
-    est = g(_mode_nodes(n)).sum(axis=-1) / n
+    # sum / n is np.mean's arithmetic without its per-call overhead; one
+    # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
+    s = g(_mode_nodes(n)).sum(axis=-1)
+    rows = s.ndim
+    est = s / n if rows else float(s) / n
     while 2 * n <= tol.max_iter:
-        new = 0.5 * (est + g(_mode_nodes(n, midpoints=True)).sum(axis=-1) / n)
+        s = g(_mode_nodes(n, midpoints=True)).sum(axis=-1)
+        new = 0.5 * (est + (s / n if rows else float(s) / n))
         n *= 2
         close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
-        if close.all() if close.ndim else close:  # .all() is slow on one bool
-            return new.tolist()
+        if close.all() if rows else close:
+            return new.tolist() if rows else new
         est = new
+    best = est.tolist() if rows else est
     raise ConvergenceError(
         f"mode mean did not converge within {tol.max_iter} nodes "
-        f"(estimate {est.tolist()!r} at N = {n})", best=est.tolist())
+        f"(estimate {best!r} at N = {n})", best=best)
 
 
 def solve_increasing(f: Callable[[float], float], target: float,
@@ -346,54 +351,27 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
     return x, fx
 
 
-# first primes, for the Kronecker (sqrt-prime) lattice used by multistart
+# first primes, for the Kronecker (sqrt-prime) lattice of lattice_points
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89)
 
 
-def lattice_points(n: int, d: int, seed: int = 0) -> np.ndarray:
-    """n quasi-uniform points in [0,1)^d: the additive sqrt-prime lattice.
-
-    Deterministic; the seed only shifts the lattice phase.
-    """
+def lattice_points(n: int, d: int) -> np.ndarray:
+    """n quasi-uniform points in [0,1)^d, d <= 24: 0.5 + j sqrt(p_i) mod 1."""
     alpha = np.sqrt(np.array(_PRIMES[:d], dtype=float))
-    shift = np.modf(0.5 + seed * np.sqrt(np.array(_PRIMES[d:2 * d], dtype=float)))[0]
-    j = np.arange(1, n + 1)[:, None]
-    return np.modf(shift + j * alpha)[0]
-
-
-def minimize_multistart(f: Callable[[np.ndarray], float],
-                        box: Sequence[tuple[float, float]], n_starts: int,
-                        tol: Tolerance | None = None, seed: int = 0):
-    """Global search: :func:`_polished_descent` from lattice start points.
-
-    The ``n_starts`` points of :func:`lattice_points` are mapped onto the
-    box, each with an initial simplex step of a fifth of the box. Returns
-    the best ``(point, value)``; deterministic for a given seed. Any
-    exception from the objective propagates at once; a run that exhausts
-    its iterations contributes its best point instead.
-    """
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
-    lower, upper = np.array(box, dtype=float).T
-    d = lower.size
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200 * d)
-    starts = lower + (upper - lower) * lattice_points(n_starts, d, seed)
-    return _polished_descent(f, list(starts), lower, upper, tol,
-                             [0.2 * (upper - lower)] * n_starts)
+    return np.modf(0.5 + np.arange(1, n + 1)[:, None] * alpha)[0]
 
 
 def _polished_descent(f, starts, lower, upper, tol, steps):
     """Best simplex minimum over explicit starts, then restart-polished.
 
-    The engine behind :func:`minimize_multistart` and the dimer
-    minimizers, with one initial simplex step per start in ``steps``. The
-    best point is restarted with a fresh simplex of relative size 1e-6, at
-    most 3 times, until the value stops improving by 1e-15: near a phase
-    boundary the landscape is quartically flat and a first run can stall
-    short of the minimum. A run that exhausts its iterations contributes
-    its best point; any other exception from the objective propagates.
+    The engine behind the dimer minimizers, with one initial simplex step
+    per start in ``steps``. The best point is restarted with a fresh simplex
+    of relative size 1e-6, at most 3 times, until the value stops improving
+    by 1e-15: near a phase boundary the landscape is quartically flat and a
+    first run can stall short of the minimum. A run that exhausts its
+    iterations contributes its best point; any other exception from the
+    objective propagates.
     """
     def descend(x0, st):
         try:
@@ -413,6 +391,47 @@ def _polished_descent(f, starts, lower, upper, tol, steps):
             break
         x, fx = xp, fp
     return x, fx
+
+
+def _newton_box(fgh, x, lower: float, upper: float, max_steps: int):
+    """Damped Newton descent from x on the box [lower, upper]^d; returns (x, F).
+
+    fgh(x) gives F, its gradient g and Hessian H. Coordinates on a bound
+    that g pushes outwards stay put; the rest take the Newton step of H with
+    |eigenvalues| floored at 1e-8 of the largest, clipped onto the box and
+    halved until F falls by 1e-4 of the decrease g predicts. Where the full
+    step's predicted decrease is below F's rounding, the step is taken if
+    the free gradient shrinks, else x is returned; so it is when the step
+    falls to x's rounding level. ConvergenceError(best=(x, F)) is raised
+    after ``max_steps`` steps.
+    """
+    eps = np.finfo(float).eps
+    F, g, H = fgh(x)
+    free = lambda x, g: ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+    for _ in range(max_steps):
+        free_x = free(x, g)
+        w, U = np.linalg.eigh(H[np.ix_(free_x, free_x)])
+        w = np.abs(w)
+        p = np.zeros_like(x)
+        p[free_x] = -U @ ((U.T @ g[free_x]) / np.maximum(w, 1e-8 * w.max(initial=0.0)))
+        flat = -(g @ p) <= 16 * x.size * eps * (1.0 + abs(F))
+        s = 1.0
+        while True:
+            xn = np.clip(x + s * p, lower, upper)
+            d = xn - x
+            if np.abs(d).max() <= 4 * eps * np.abs(x).max():
+                return x, F
+            Fn, gn, Hn = fgh(xn)
+            if flat:
+                if np.linalg.norm(gn[free(xn, gn)]) >= np.linalg.norm(g[free_x]):
+                    return x, F
+                break
+            if Fn < F + 1e-4 * min(g @ d, 0.0):
+                break
+            s *= 0.5
+        x, F, g, H = xn, Fn, gn, Hn
+    raise ConvergenceError(
+        f"Newton descent did not converge in {max_steps} steps", best=(x, F))
 
 
 def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:

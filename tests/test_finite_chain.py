@@ -12,8 +12,10 @@ from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                                   g_finite, minimize_chain_full,
                                   minimize_dimer_finite, mu_critical,
                                   theta_critical_finite)
+from peierls import finite_chain, numerics
+from peierls.finite_chain import T_BOX, _ring_derivatives
 from peierls.kernels import h_theta
-from peierls.numerics import eigenvalues_symmetric
+from peierls.numerics import ConvergenceError, eigenvalues_symmetric
 
 # independently solved reference values (Brent root of J + explicit sums,
 # cross-checked against a 1e-15 scipy solve)
@@ -227,6 +229,83 @@ class TestFullChainMinimization:
     def test_large_rings_rejected(self):
         with pytest.raises(ValueError):
             minimize_chain_full(ModelParams(mu=1.0, theta=0.1, L=18))
+
+    def test_needs_a_start(self):
+        with pytest.raises(ValueError):
+            minimize_chain_full(ModelParams(mu=1.0, theta=0.1, L=4), n_starts=0)
+
+    def test_largest_ring_is_2_periodic(self):
+        t = minimize_chain_full(ModelParams(mu=2.0, theta=0.05, L=16), n_starts=2).t
+        assert np.max(np.abs(t - np.roll(t, 2))) < 1e-9
+
+    @pytest.mark.parametrize("mu, L", [(1.0, 4), (2.0, 8)])
+    def test_criterion_06_pairs_are_2_periodic_to_roundoff(self, mu, L):
+        # criterion 06's pairs and starts; its bounds are 1e-5 and 1e-8
+        p = ModelParams(mu=mu, theta=0.05, L=L)
+        cfg = minimize_chain_full(p, n_starts=4)
+        assert np.max(np.abs(cfg.t - np.roll(cfg.t, 2))) < 1e-9
+        _, per_atom = minimize_dimer_finite(p)
+        assert chain_free_energy(cfg, p) / L == pytest.approx(per_atom, abs=1e-12)
+
+    def test_soft_ring_minimum_on_the_box(self):
+        # W* = 1 + 4/(pi mu) is past T_BOX at mu = 0.5: every other bond sits
+        # on the upper bound and the gradient vanishes in the free ones
+        p = ModelParams(mu=0.5, theta=0.05, L=8)
+        t = minimize_chain_full(p, n_starts=3).t
+        free = t < T_BOX[1]
+        assert free.sum() == 4 and np.max(np.abs(t - np.roll(t, 2))) < 1e-9
+        assert np.max(np.abs(_ring_derivatives(t, p.mu, p.theta)[1][free])) < 1e-9
+
+    def test_never_reaches_the_simplex(self, monkeypatch):
+        def simplex(*args, **kwargs):
+            raise AssertionError("simplex called")
+        monkeypatch.setattr(numerics, "minimize_box", simplex)
+        monkeypatch.setattr(numerics, "_nelder_mead", simplex)
+        for theta in (0.0, 0.05):
+            t = minimize_chain_full(ModelParams(mu=1.0, theta=theta, L=4), n_starts=2).t
+            assert np.max(np.abs(t - np.roll(t, 2))) < 1e-9
+
+    def test_step_budget_exhaustion_raises_with_best(self, monkeypatch):
+        monkeypatch.setattr(finite_chain, "_NEWTON_STEPS", 1)
+        p = ModelParams(mu=1.0, theta=0.05, L=4)
+        with pytest.raises(ConvergenceError) as err:
+            minimize_chain_full(p, n_starts=1)
+        x, value = err.value.best
+        start = T_BOX[0] + (T_BOX[1] - T_BOX[0]) * numerics.lattice_points(1, 4)[0]
+        assert np.all((x >= T_BOX[0]) & (x <= T_BOX[1]))
+        assert value == pytest.approx(chain_free_energy(HoppingConfig(x), p), abs=1e-12)
+        assert value < chain_free_energy(HoppingConfig(start), p)
+
+
+def check_derivatives(t, mu, theta):
+    """_ring_derivatives against the ring's energy and central differences."""
+    F, g, H = _ring_derivatives(t, mu, theta)
+    cfg = HoppingConfig(t)
+    energy = (chain_free_energy(cfg, ModelParams(mu=mu, theta=theta, L=t.size)) if theta > 0
+              else chain_energy_zero(cfg, mu))
+    assert F == pytest.approx(energy, abs=1e-12)
+    h = 1e-5
+    for i, e in enumerate(np.eye(t.size)):
+        up, down = _ring_derivatives(t + h * e, mu, theta), _ring_derivatives(t - h * e, mu, theta)
+        assert g[i] == pytest.approx((up[0] - down[0]) / (2 * h), abs=1e-8)
+        assert np.allclose(H[i], (up[1] - down[1]) / (2 * h), rtol=0, atol=1e-7)
+    assert np.allclose(H, H.T, rtol=0, atol=1e-12)
+
+
+class TestRingDerivatives:
+    @pytest.mark.parametrize("theta", [0.05, 2.0])
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_match_central_differences(self, theta, L):
+        check_derivatives(np.random.default_rng(L).uniform(0.5, 1.5, L), 1.3, theta)
+
+    def test_zero_temperature_on_a_gapped_ring(self):
+        # t near (1, 3, 1, 3, ...): levels at |e| >= 2, far from the kink of |e|
+        t = np.tile([1.0, 3.0], 4) + np.random.default_rng(0).uniform(-0.1, 0.1, 8)
+        check_derivatives(t, 1.0, 0.0)
+
+    def test_uniform_ring_degenerate_levels(self):
+        # the uniform ring's levels pair up, where the divided differences are f''
+        check_derivatives(np.ones(8), 1.0, 0.05)
 
 
 class TestJFinite:

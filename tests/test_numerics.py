@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from peierls.numerics import (Bracket, ConvergenceError, Tolerance,
-                              eigenvalues_symmetric, lattice_points,
-                              minimize_box, minimize_multistart, mode_mean,
+                              _polished_descent, eigenvalues_symmetric,
+                              lattice_points, minimize_box, mode_mean,
                               solve_increasing)
 
 TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
@@ -218,21 +218,31 @@ class TestMinimizeBox:
         assert fx < (50.0 - 1) ** 2
 
 
+def lattice_descent(f, lo, hi, n_starts):
+    """_polished_descent from n_starts lattice points of [lo, hi], each with
+    a simplex step of a fifth of the interval."""
+    starts = lo + (hi - lo) * lattice_points(n_starts, 1)
+    return _polished_descent(f, list(starts), np.array([lo]), np.array([hi]),
+                             Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200),
+                             [0.2 * (hi - lo)] * n_starts)
+
+
 class TestMultistart:
+    """The simplex engine of the dimer searches, fed lattice starts."""
+
     def test_cosine_global(self):
-        x, val = minimize_multistart(lambda z: math.cos(3 * z[0]), [(0.0, 2.0)], 8)
+        x, val = lattice_descent(lambda z: math.cos(3 * z[0]), 0.0, 2.0, 8)
         assert val == pytest.approx(-1.0, abs=1e-10)
         assert x[0] == pytest.approx(math.pi / 3, abs=1e-4)
 
     def test_double_well(self):
-        x, val = minimize_multistart(lambda z: (z[0] ** 2 - 1) ** 2, [(-2.0, 2.0)], 4)
+        x, val = lattice_descent(lambda z: (z[0] ** 2 - 1) ** 2, -2.0, 2.0, 4)
         assert val == pytest.approx(0.0, abs=1e-10)
         assert abs(x[0]) == pytest.approx(1.0, abs=1e-4)
 
     def test_beats_single_starts(self):
         f = lambda z: math.cos(3 * z[0]) + 0.1 * z[0]
-        box = [(0.0, 4.0)]
-        _, best = minimize_multistart(f, box, 8)
+        _, best = lattice_descent(f, 0.0, 4.0, 8)
         for x0 in (0.1, 1.0, 3.5):
             try:
                 _, val = minimize_box(f, [x0], [0.0], upper_bounds=[4.0])
@@ -243,15 +253,14 @@ class TestMultistart:
     def test_ring_minimizer_is_2_periodic(self):
         # 4-site ring searched over the full hopping vector collapses onto
         # the two-parameter alternating pattern
-        from peierls.finite_chain import (HoppingConfig, ModelParams,
-                                          chain_free_energy,
+        from peierls.finite_chain import (ModelParams, chain_free_energy,
+                                          minimize_chain_full,
                                           minimize_dimer_finite)
         p = ModelParams(mu=1.0, theta=0.05, L=4)
-        f = lambda t: chain_free_energy(HoppingConfig(t), p)
-        x, val = minimize_multistart(f, [(0.1, 3.0)] * 4, 3,
-                                     Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=1600))
+        cfg = minimize_chain_full(p, n_starts=3)
+        x = cfg.t
         _, per_atom = minimize_dimer_finite(p)
-        assert val / 4 == pytest.approx(per_atom, abs=1e-6)
+        assert chain_free_energy(cfg, p) / 4 == pytest.approx(per_atom, abs=1e-6)
         assert abs(x[0] - x[2]) < 1e-4 and abs(x[1] - x[3]) < 1e-4
 
     @pytest.mark.parametrize("exc", [ValueError("objective failed"),
@@ -261,18 +270,27 @@ class TestMultistart:
         def f(z):
             raise exc
         with pytest.raises(type(exc)) as err:
-            minimize_multistart(f, [(0.0, 2.0)], 3)
+            lattice_descent(f, 0.0, 2.0, 3)
         assert err.value is exc
 
-    def test_seed_determinism(self):
+    def test_budget_exhaustion_is_absorbed(self):
+        def f(z):
+            calls.append(1)
+            return (z[0] - 0.7) ** 2
+        calls = []
+        x, val = _polished_descent(f, [np.array([1.9])], np.array([0.0]), np.array([2.0]),
+                                   Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=3), [0.4])
+        assert val < (1.9 - 0.7) ** 2 and len(calls) > 1
+
+    def test_determinism(self):
         f = lambda z: (z[0] - 0.7) ** 2
-        a = minimize_multistart(f, [(0.0, 2.0)], 5, seed=3)
-        b = minimize_multistart(f, [(0.0, 2.0)], 5, seed=3)
+        a = lattice_descent(f, 0.0, 2.0, 5)
+        b = lattice_descent(f, 0.0, 2.0, 5)
         assert a[0][0] == b[0][0] and a[1] == b[1]
 
     def test_lattice_in_unit_box(self):
-        pts = lattice_points(64, 3, seed=1)
-        assert pts.shape == (64, 3)
+        pts = lattice_points(64, 16)
+        assert pts.shape == (64, 16)
         assert np.all(pts >= 0) and np.all(pts < 1)
 
 
