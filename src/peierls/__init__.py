@@ -11,8 +11,7 @@ from .finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                            chain_energy_zero, chain_free_energy, g_finite,
                            minimize_chain_full, minimize_dimer_finite,
                            mu_critical, theta_critical_finite)
-from .kernels import (HKernelValue, electron_free_energy, elliptic_side,
-                      entropy, h_eval, h_theta)
+from .kernels import electron_free_energy, elliptic_side, entropy, h_theta
 from .numerics import (Bracket, ConvergenceError, Tolerance,
                        eigenvalues_symmetric, minimize_box, mode_mean,
                        solve_from_estimate, solve_increasing)
@@ -30,8 +29,7 @@ __all__ = [
     "Tolerance", "Bracket", "ConvergenceError",
     "mode_mean", "solve_increasing", "solve_from_estimate", "minimize_box",
     "eigenvalues_symmetric",
-    "entropy", "HKernelValue", "h_eval", "h_theta",
-    "electron_free_energy", "elliptic_side",
+    "entropy", "h_theta", "electron_free_energy", "elliptic_side",
     "ModelParams", "HoppingConfig", "DimerState", "CriticalPoint",
     "build_hopping_matrix", "chain_free_energy", "chain_energy_zero",
     "g_finite", "minimize_chain_full", "minimize_dimer_finite",

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 every point failed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,12 +42,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str, integer: bool = False) -> list:
-    """Expand '2', '3,4,5' or 'start:stop:step' (endpoints within half-step)."""
+    """Expand '2', '3,4,5' or 'start:stop:step' (endpoints within half-step).
+
+    Every number, range parts included, must be finite, and an integer
+    where ``integer`` is set.
+    """
     def one(tok: str):
         try:
             val = float(tok)
         except ValueError:
             raise UsageError(f"malformed number {tok!r}") from None
+        if not math.isfinite(val):
+            raise UsageError(f"expected a finite number, got {tok!r}")
         if integer:
             if val != int(val):
                 raise UsageError(f"expected an integer, got {tok!r}")
@@ -58,7 +65,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (one(p) for p in parts)
         if step <= 0 or stop < start:
             raise UsageError(f"bad range {text!r}")
         out, k = [], 0
@@ -66,7 +73,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
             val = start + k * step
             if val > stop + step / 2:
                 break
-            out.append(int(val) if integer else val)
+            out.append(val)
             k += 1
         return out
     return [one(tok) for tok in text.split(",") if tok != ""]

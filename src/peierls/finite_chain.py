@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _h_prime_arr, _h_theta_arr, _tanh_eta
+from .kernels import _h_prime, _tanh_eta, h_theta
 from .numerics import (Tolerance, _mode_nodes, _newton_box, _polished_descent,
                        eigenvalues_symmetric, lattice_points, solve_from_estimate)
 
@@ -139,7 +139,7 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
 
     def moments(t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
         sin_t = np.sin(t)
-        xhp = x * _h_prime_arr((x * sin_t) ** 2)
+        xhp = x * _h_prime((x * sin_t) ** 2)
         return np.stack((xhp * sin_t ** 2, xhp * np.cos(t) ** 2))
 
     sin2, cos2 = mean(moments, _tanh_eta(x))
@@ -171,7 +171,7 @@ def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
         raise ValueError("use chain_energy_zero for theta = 0")
     eps = eigenvalues_symmetric(build_hopping_matrix(cfg))
     distortion = 0.5 * p.mu * float(np.sum((cfg.t - 1.0) ** 2))
-    return distortion - float(np.sum(_h_theta_arr(eps * eps, p.theta)))
+    return distortion - float(np.sum(h_theta(eps * eps, p.theta)))
 
 
 def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
@@ -192,7 +192,7 @@ def _dimer_band(W: float, delta: float, theta: float):
     in the limit.
     """
     w2, d2 = 4.0 * W * W, 4.0 * delta * delta
-    return lambda t: _h_theta_arr(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
+    return lambda t: h_theta(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
 
 
 def _ring_mean(L: int):
@@ -278,7 +278,7 @@ def _ring_derivatives(t: np.ndarray, mu: float, theta: float):
     if theta > 0:
         fp = np.tanh(lam / (2.0 * theta))
         fpp = (1.0 - np.tanh((lam[:, None] + lam) / (4.0 * theta)) ** 2) / (2.0 * theta)
-        band = float(np.sum(_h_theta_arr(lam * lam, theta)))
+        band = float(np.sum(h_theta(lam * lam, theta)))
     else:
         fp, fpp, band = np.sign(lam), 0.0, float(np.sum(np.abs(lam)))
     near = np.abs(diff) <= np.finfo(float).eps ** (1.0 / 3.0) * theta

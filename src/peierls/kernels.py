@@ -1,23 +1,21 @@
-"""Scalar kernels of the model.
+"""Array kernels of the model.
 
-The occupation entropy S, the h family h(y) = 2 ln(2 cosh sqrt(y)) with its
-first two derivatives, the temperature-scaled kernel h_theta, the
-Fermi-Dirac electronic free energy of an eigenvalue list, and the complete
-elliptic integrals K and E, both from one arithmetic-geometric mean, in
-the form the zero-temperature analysis needs.
+The occupation entropy S and the temperature-scaled per-mode free energy
+h_theta(x) = theta h(x / (4 theta^2)) of h(y) = 2 ln(2 cosh sqrt(y)), each on
+a float or an array; h' and h'' on arrays; the Fermi-Dirac electronic free
+energy of an eigenvalue list; and the complete elliptic integrals K and E,
+both from one arithmetic-geometric mean, in the form the zero-temperature
+analysis needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "entropy",
-    "HKernelValue",
-    "h_eval",
     "h_theta",
     "electron_free_energy",
     "elliptic_side",
@@ -28,75 +26,35 @@ _SERIES_CUTOFF = 1e-6
 _EPS = float(np.finfo(float).eps)
 
 
-def entropy(x: float) -> float:
+def entropy(x):
     """x ln x + (1-x) ln(1-x) on [0, 1], with value 0 at the endpoints."""
-    if not 0.0 <= x <= 1.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"occupation must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return x * math.log(x) + (1.0 - x) * math.log1p(-x)
+    inner = (x > 0.0) & (x < 1.0)
+    s = np.where(inner, x, 0.5)  # keeps log(0) out of the endpoints
+    out = np.where(inner, s * np.log(s) + (1.0 - s) * np.log1p(-s), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def _log2cosh(u: float) -> float:
-    # ln(2 cosh u) = |u| + ln(1 + e^{-2|u|}), overflow-safe for all u
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u))
-
-
-@dataclass(frozen=True)
-class HKernelValue:
-    """h, h', h'' at a point y >= 0 of the electronic kernel."""
-
-    y: float
-    h: float
-    h_prime: float
-    h_second: float
-
-
-def h_eval(y: float) -> HKernelValue:
-    """Evaluate h(y) = 2 ln(2 cosh sqrt(y)) together with h' and h''.
-
-    h'(y) = tanh(sqrt y)/sqrt y and
-    h''(y) = sech^2(sqrt y)/(2y) - tanh(sqrt y)/(2 y^{3/2});
-    both have removable singularities at 0 (h'(0) = 1, h''(0) = -1/3)
-    handled by Taylor series below the crossover.
-    """
-    if y < 0:
-        raise ValueError(f"h is defined for y >= 0, got {y}")
-    r = math.sqrt(y)
-    h = 2.0 * _log2cosh(r)
-    if y < _SERIES_CUTOFF:
-        hp = 1.0 - y / 3.0 + 2.0 * y * y / 15.0
-        hpp = -1.0 / 3.0 + 4.0 * y / 15.0 - 17.0 * y * y / 105.0
-    else:
-        th = math.tanh(r)
-        hp = th / r
-        sech2 = 1.0 - th * th
-        hpp = sech2 / (2.0 * y) - th / (2.0 * y * r)
-    return HKernelValue(y=y, h=h, h_prime=hp, h_second=hpp)
-
-
-def h_theta(x: float, theta: float) -> float:
+def h_theta(x, theta: float):
     """theta * h(x / (4 theta^2)); the per-mode free energy of a squared level.
 
     Equals sqrt(x) + 2 theta ln(1 + e^{-sqrt(x)/theta}), hence always >= sqrt(x).
+    A float x must be >= 0 and gives a float; an array is not checked.
     """
     if theta <= 0:
         raise ValueError(f"temperature must be positive, got {theta}")
-    if x < 0:
+    scalar = not isinstance(x, np.ndarray)
+    if scalar and x < 0:
         raise ValueError(f"argument must be non-negative, got {x}")
-    r = math.sqrt(x)
-    return r + 2.0 * theta * math.log1p(math.exp(-r / theta))
-
-
-def _h_theta_arr(x: np.ndarray, theta: float) -> np.ndarray:
-    # vectorized h_theta for trusted non-negative input
     r = np.sqrt(x)
-    return r + 2.0 * theta * np.log1p(np.exp(-r / theta))
+    out = r + 2.0 * theta * np.log1p(np.exp(-r / theta))
+    return float(out) if scalar else out
 
 
-def _h_prime_arr(y: np.ndarray) -> np.ndarray:
-    # vectorized h' with the series guard
+def _h_prime(y: np.ndarray) -> np.ndarray:
+    # h'(y) = tanh(sqrt y)/sqrt y, h'(0) = 1, with the series guard
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     small = y < _SERIES_CUTOFF
@@ -107,8 +65,9 @@ def _h_prime_arr(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _h_second_arr(y: np.ndarray) -> np.ndarray:
-    # vectorized h'' with the series guard
+def _h_second(y: np.ndarray) -> np.ndarray:
+    # h''(y) = sech^2(sqrt y)/(2y) - tanh(sqrt y)/(2 y^{3/2}), h''(0) = -1/3,
+    # with the series guard
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
     small = y < _SERIES_CUTOFF
@@ -127,15 +86,6 @@ def _tanh_eta(x: float) -> float:
     return math.asinh(0.5 * math.pi / x)
 
 
-def _occupation(eps: float, theta: float) -> float:
-    # 1 / (1 + e^{eps/theta}) without overflow
-    u = eps / theta
-    if u >= 0:
-        z = math.exp(-u)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(u))
-
-
 def electron_free_energy(eigs, theta: float):
     """Minimal electronic free energy 2 Tr(T gamma) + 2 theta Tr S(gamma).
 
@@ -148,9 +98,11 @@ def electron_free_energy(eigs, theta: float):
     if theta <= 0:
         raise ValueError(f"temperature must be positive, got {theta}")
     eigs = np.asarray(eigs, dtype=float).ravel()
-    occ = np.array([_occupation(e, theta) for e in eigs])
-    direct = 2.0 * sum(e * g + theta * entropy(g) for e, g in zip(eigs, occ))
-    closed = float(np.sum(eigs)) - sum(h_theta(e * e, theta) for e in eigs)
+    u = eigs / theta
+    z = np.exp(-np.abs(u))  # the occupation without overflow
+    occ = np.where(u >= 0.0, z / (1.0 + z), 1.0 / (1.0 + z))
+    direct = 2.0 * float(np.sum(eigs * occ + theta * entropy(occ)))
+    closed = float(np.sum(eigs)) - float(np.sum(h_theta(eigs * eigs, theta)))
     if abs(direct - closed) > 1e-10:
         raise RuntimeError(
             "Fermi-Dirac evaluations disagree: "

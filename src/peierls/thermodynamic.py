@@ -29,7 +29,7 @@ import numpy as np
 
 from .finite_chain import (CriticalPoint, DimerState, ModelParams,
                            _band_energy, _critical_point, _minimize_dimer)
-from .kernels import _h_prime_arr, _h_second_arr, _tanh_eta
+from .kernels import _h_prime, _h_second, _tanh_eta
 from .numerics import Tolerance, mode_mean
 
 __all__ = [
@@ -89,7 +89,7 @@ def J_thermo(x: float, tol: Tolerance | None = None) -> float:
     if x == 0:
         return 0.0
     return 2.0 * mode_mean(
-        lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
+        lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
         _tanh_eta(x), tol or _QUAD_TOL)
 
 
@@ -184,7 +184,7 @@ def bifurcation_data(mu: float) -> BifurcationData:
         # 2, in t; h'' transitions on the same cos s ~ 1/x layer as the tanh
         # kernels
         sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
-        hpp = _h_second_arr(ratio * ratio * sn2)
+        hpp = _h_second(ratio * ratio * sn2)
         return np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
 
     A, B, C_int = (2.0 * m for m in mode_mean(moments, _tanh_eta(ratio), mtol))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                                   J_finite, ModelParams, build_hopping_matrix,
@@ -328,13 +329,13 @@ class TestJFinite:
         # the kernel-derivative mode sum (the raw Euler-Lagrange difference)
         # equals J_finite for L = 0 mod 4 and twice J_finite for L = 2 mod 4,
         # whose closed-form normalization is half the variational one
-        from peierls.kernels import h_eval
+        # h'(r^2) = tanh(r)/r in closed form
         for L, factor in ((8, 1.0), (12, 1.0), (10, 2.0), (6, 2.0)):
             N = L // 2
             for x in (0.5, 3.0, 20.0):
                 k = np.arange(1, N + 1)
-                hp = np.array([h_eval((x * math.cos(i * math.pi / N)) ** 2).h_prime
-                               for i in k])
+                r = [abs(x * math.cos(i * math.pi / N)) for i in k]
+                hp = np.array([math.tanh(v) / v if v else 1.0 for v in r])
                 el_difference = -2 * x * np.mean(hp * np.cos(2 * k * np.pi / N))
                 assert factor * J_finite(x, L) == pytest.approx(el_difference, abs=1e-12)
 
@@ -444,11 +445,11 @@ class TestThetaCriticalFinite:
     def test_euler_lagrange_on_ring_angles(self):
         # both equations as sums over the L ring angles 2 pi k/L, which as a
         # set are the L/2 mode nodes the solver averages over
-        from peierls.kernels import _h_prime_arr
+        from peierls.kernels import _h_prime
         mu, L = 2.0, 8
         cp = theta_critical_finite(mu, L)
         ang = 2.0 * np.pi * np.arange(1, L + 1) / L
-        xhp = cp.x * _h_prime_arr((cp.x * np.cos(ang)) ** 2)
+        xhp = cp.x * _h_prime((cp.x * np.cos(ang)) ** 2)
         assert abs(mu * (cp.W_star - 1) - 2.0 * np.mean(xhp * np.cos(ang) ** 2)) <= 1e-8
         assert abs(mu * cp.W_star - 2.0 * np.mean(xhp * np.sin(ang) ** 2)) <= 1e-8
 
@@ -461,3 +462,47 @@ class TestThetaCriticalFinite:
                     continue
                 assert cp is not None
                 assert 0 < cp.theta_c < 1.0 / mu
+
+
+class TestCriticalPointHessian:
+    """theta_critical_finite against the exact gradient and Hessian of the
+    full L-atom energy (_ring_derivatives, one eigh), which share neither
+    J_finite's tanh sum nor the mode nodes. At (W*, theta_c) the uniform
+    ring is stationary and its staggered mode (-1)^i goes soft, while every
+    other mode stays stiff: the instability is 2-periodic.
+
+    Measured: |g| <= 9.7e-15 (bound 1e-13); the staggered eigenvalue is at
+    most 4.6e-13 in modulus at theta_c (bound 5e-12), and -/+ 3.5e-7 to
+    1.6e-6 at theta_c (1 -/+ 1e-6) (bound 1e-7); the next eigenvalue is
+    2.2e-3 to 1.14 (bound 1e-3).
+    """
+
+    @pytest.mark.parametrize("mu, L", [(1.0, 4), (2.0, 8), (0.5, 12), (2.0, 16),
+                                       (2.0, 64), (3.0, 128), (1.5, 256)])
+    def test_staggered_mode_goes_soft_at_theta_c(self, mu, L):
+        cp = theta_critical_finite(mu, L)
+        t = np.full(L, cp.W_star)
+        s = (-1.0) ** np.arange(L) / math.sqrt(L)
+        _, g, H = _ring_derivatives(t, mu, cp.theta_c)
+        lam = s @ H @ s
+        assert np.linalg.norm(g) <= 1e-13
+        assert np.linalg.norm(H @ s - lam * s) <= 1e-13
+        assert abs(lam) <= 5e-12
+        w = np.linalg.eigvalsh(H)
+        assert np.all(np.delete(w, np.argmin(np.abs(w - lam))) > 1e-3)
+        for factor, sign in ((1 - 1e-6, -1), (1 + 1e-6, 1)):
+            H = _ring_derivatives(t, mu, cp.theta_c * factor)[2]
+            assert sign * (s @ H @ s) > 1e-7
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-2])
+    def test_l6_threshold_is_twice_mu_critical(self, theta):
+        # the staggered eigenvalue of the stationary uniform ring of 6 atoms
+        # is -/+ 2.2e-4 at mu = 2 mu_critical(6) (1 -/+ 1e-3) (bound 2e-5)
+        s = (-1.0) ** np.arange(6) / math.sqrt(6)
+        for factor, sign in ((1 - 1e-3, -1), (1 + 1e-3, 1)):
+            mu = 2 * mu_critical(6) * factor
+            W = scipy.optimize.brentq(
+                lambda W: _ring_derivatives(np.full(6, W), mu, theta)[1][0], 1.0, 10.0,
+                xtol=1e-14)
+            H = _ring_derivatives(np.full(6, W), mu, theta)[2]
+            assert sign * (s @ H @ s) > 2e-5

@@ -2,12 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
-from peierls.kernels import (electron_free_energy, elliptic_side, entropy,
-                             h_eval, h_theta)
+from peierls.kernels import (_h_prime, _h_second, electron_free_energy,
+                             elliptic_side, entropy, h_theta)
+
+# h_theta(x, theta) as the band means take it, bit for bit, at fixed
+# arguments (x, theta)
+H_THETA_STORED = {(0.0, 0.5): 0.6931471805599453, (1e-12, 0.1): 0.13862943611448905,
+                  (0.3, 0.7): 1.0749222953538993, (2.5, 0.05): 1.5811388300841915,
+                  (9.0, 1.3): 3.2466021061279395, (4.0, 1e-3): 2.0,
+                  (100.0, 0.5): 10.000000002061153, (7500.0, 2.0): 86.60254037844386}
 
 
 class TestEntropy:
@@ -34,56 +42,74 @@ class TestEntropy:
         assert all(v <= 0 for v in vals)
         assert np.allclose(vals, vals[::-1], atol=1e-14)
 
+    def test_array_is_elementwise(self):
+        xs = np.linspace(0, 1, 21)
+        got = entropy(xs)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert got.tolist() == [entropy(float(x)) for x in xs]
+        with pytest.raises(ValueError):
+            entropy(np.array([0.5, 1.1]))
+
 
 class TestHEval:
+    """h' and h'' of h(y) = 2 ln(2 cosh sqrt(y)), the private array kernels."""
+
     def test_at_zero(self):
-        v = h_eval(0.0)
-        assert v.h == pytest.approx(2 * math.log(2), abs=1e-14)
-        assert v.h_prime == 1.0
-        assert v.h_second == pytest.approx(-1.0 / 3.0, abs=1e-14)
+        assert _h_prime(np.zeros(1))[0] == 1.0
+        assert _h_second(np.zeros(1))[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
     def test_at_one(self):
-        assert h_eval(1.0).h_prime == pytest.approx(math.tanh(1.0), abs=1e-14)
+        assert _h_prime(np.ones(1))[0] == pytest.approx(math.tanh(1.0), abs=1e-14)
 
     def test_large_argument_stable(self):
-        # direct cosh evaluation is still exact at y=100 and oracles the
-        # overflow-safe form
-        assert h_eval(100.0).h == pytest.approx(2 * math.log(2 * math.cosh(10.0)), abs=1e-12)
-        assert h_eval(100.0).h == pytest.approx(20.0, abs=1e-7)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            h_eval(-1e-9)
+        # h(y) = 2 h_theta(y, 1/2); direct cosh evaluation is still exact at
+        # y=100 and oracles the overflow-safe form
+        assert 2 * h_theta(100.0, 0.5) == pytest.approx(2 * math.log(2 * math.cosh(10.0)),
+                                                        abs=1e-12)
+        assert 2 * h_theta(100.0, 0.5) == pytest.approx(20.0, abs=1e-7)
 
     def test_h_prime_positive_decreasing(self):
-        ys = np.logspace(-8, 4, 200)
-        hps = [h_eval(float(y)).h_prime for y in ys]
-        assert all(v > 0 for v in hps)
-        assert all(a > b for a, b in zip(hps, hps[1:]))
-        assert all(v <= 1.0 for v in hps)
+        hps = _h_prime(np.logspace(-8, 4, 200))
+        assert np.all(hps > 0)
+        assert np.all(np.diff(hps) < 0)
+        assert np.all(hps <= 1.0)
 
     def test_h_second_matches_finite_differences(self):
-        for y in np.logspace(-2, 2, 25):
-            y = float(y)
-            step = 1e-4 * y
-            fd = (h_eval(y + step).h_prime - h_eval(y - step).h_prime) / (2 * step)
-            hpp = h_eval(y).h_second
-            assert hpp < 0
-            assert abs(hpp - fd) <= 1e-6 * abs(hpp)
+        ys = np.logspace(-2, 2, 25)
+        step = 1e-4 * ys
+        fd = (_h_prime(ys + step) - _h_prime(ys - step)) / (2 * step)
+        hpp = _h_second(ys)
+        assert np.all(hpp < 0)
+        assert np.all(np.abs(hpp - fd) <= 1e-6 * np.abs(hpp))
 
     def test_series_crossover_continuous(self):
         # straddle the series/direct switch by a negligible argument gap
-        below = h_eval(1e-6 * (1 - 1e-10))
-        above = h_eval(1e-6 * (1 + 1e-10))
-        assert below.h_prime == pytest.approx(above.h_prime, abs=1e-12)
-        assert below.h_second == pytest.approx(above.h_second, abs=1e-9)
+        y = np.array([1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10)])
+        below, above = _h_prime(y)
+        assert below == pytest.approx(above, abs=1e-12)
+        below, above = _h_second(y)
+        assert below == pytest.approx(above, abs=1e-9)
 
-    def test_vectorized_forms_match_scalar(self):
-        from peierls.kernels import _h_prime_arr, _h_second_arr
-        y = np.array([0.0, 1e-8, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 0.3, 2.0, 50.0, 1e6])
-        want = [h_eval(float(v)) for v in y]
-        assert _h_prime_arr(y) == pytest.approx([w.h_prime for w in want], rel=1e-14, abs=0)
-        assert _h_second_arr(y) == pytest.approx([w.h_second for w in want], rel=1e-14, abs=0)
+    def test_derivatives_match_mpmath(self):
+        # 30-digit closed forms h'(y) = tanh(r)/r and h''(y) = sech^2(r)/2y -
+        # tanh(r)/2y^(3/2), r = sqrt(y), on both sides of the 1e-6 series
+        # crossover. Above it h'' is the difference of two terms of size
+        # ~1/2y, so it carries a few ulps of 1/2y (1.4e-11 at y = 2e-6); the
+        # bound allows 8
+        ys = np.array([0.0, 1e-12, 1e-8, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 2e-6,
+                       1e-4, 1e-2, 0.3, 2.0, 50.0, 1e6])
+        with mpmath.workdps(30):
+            for y, hp, hpp in zip(ys, _h_prime(ys), _h_second(ys)):
+                if y == 0.0:
+                    want_p, want_s, ulps = 1.0, -1.0 / 3.0, 0.0
+                else:
+                    Y = mpmath.mpf(float(y))
+                    r = mpmath.sqrt(Y)
+                    want_p = float(mpmath.tanh(r) / r)
+                    want_s = float(mpmath.sech(r) ** 2 / (2 * Y) - mpmath.tanh(r) / (2 * Y * r))
+                    ulps = 8 * np.finfo(float).eps / (2 * y) if y >= 1e-6 else 0.0
+                assert abs(hp - want_p) <= 1e-14 * abs(want_p)
+                assert abs(hpp - want_s) <= 1e-14 * abs(want_s) + ulps
 
 
 class TestHTheta:
@@ -94,8 +120,25 @@ class TestHTheta:
         assert h_theta(4.0, 0.1) >= 2.0
 
     def test_scaling_identity(self):
-        for x, th in ((0.3, 0.7), (2.5, 0.05), (9.0, 1.3)):
-            assert h_theta(x, th) == pytest.approx(th * h_eval(x / (4 * th * th)).h, rel=1e-13)
+        # h_theta(x) = 2 theta ln(2 cosh(sqrt(x)/2theta)), in 30-digit mpmath
+        with mpmath.workdps(30):
+            for x, th in ((0.3, 0.7), (2.5, 0.05), (9.0, 1.3)):
+                want = 2 * th * mpmath.log(2 * mpmath.cosh(mpmath.sqrt(x) / (2 * th)))
+                assert h_theta(x, th) == pytest.approx(float(want), rel=1e-13)
+
+    def test_stored_values(self):
+        for (x, th), want in H_THETA_STORED.items():
+            assert h_theta(x, th) == want
+            assert type(h_theta(x, th)) is float
+            assert np.all(h_theta(np.array([x, x]), th) == want)
+
+    def test_array_is_elementwise(self):
+        # 64 levels, as at the benchmark's ring and band sizes
+        x = np.concatenate(([0.0, 1e-300, 1e-12], np.logspace(-6, 6, 61)))
+        for th in (1e-3, 0.3, 4.0):
+            got = h_theta(x, th)
+            assert got.shape == x.shape
+            assert got.tolist() == [h_theta(float(v), th) for v in x]
 
     def test_zero_temperature_limit(self):
         assert h_theta(1.0, 1e-3) == pytest.approx(1.0, abs=1e-6)

@@ -261,6 +261,15 @@ class TestCliMain:
         assert main(["gap", "--mu", "5:1:1", "--out", str(tmp_path / "g.csv")]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--mu", "1:inf:1"], ["gap", "--mu", "1:2:nan"], ["gap", "--mu=-inf:2:1"],
+        ["mu-critical", "--L", "6:x:4"], ["mu-critical", "--L", "6.5:14:4"],
+        ["mu-critical", "--L", "6:14:0.5"], ["mu-critical", "--L", "inf"]])
+    def test_bad_range_part_exit_1(self, argv, capsys, tmp_path):
+        # each part of a range passes the checks of a single value
+        assert main([*argv, "--out", str(tmp_path / "x.csv"), "--workers", "1"]) == 1
+        assert "usage error:" in capsys.readouterr().err
+
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         assert main(["mu-critical", "--L", "6",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
@@ -283,3 +292,74 @@ class TestCliMain:
             main(["phase-diagram", "--help"])
         assert exc.value.code == 0
         assert "mu,theta_c,W_star,x,status" in capsys.readouterr().out
+
+
+# CSV text of the README's grids but the bifurcation one, as written at
+# --workers 1 (sweeps) or to stdout (solve, constants). The printed digits
+# are the package's behaviour: a change to any of them is a change of result.
+README_GRIDS = {
+    "phase-diagram --mu 0.5:8:0.5": (
+        "mu,theta_c,W_star,x,status\n"
+        "0.5,1.60184110215,3.24338358614,2.02478484401,ok\n"
+        "1,0.659788703402,2.22215337649,3.36797730096,ok\n"
+        "1.5,0.355175784616,1.83523485258,5.1671170504,ok\n"
+        "2,0.210440067907,1.63220047639,7.75612977425,ok\n"
+        "2.5,0.130507492137,1.50771610096,11.5527168308,ok\n"
+        "3,0.083007586179,1.42381821289,17.1528685321,ok\n"
+        "3.5,0.053615393513,1.3635511211,25.4320826866,ok\n"
+        "4,0.0349810017602,1.31821765163,37.6838165091,ok\n"
+        "4.5,0.022982101694,1.28290477048,55.8219081771,ok\n"
+        "5,0.0151746276559,1.25463258797,82.6796292089,ok\n"
+        "5.5,0.010056911207,1.23149174972,122.452284242,ok\n"
+        "6,0.00668423998191,1.21220393734,181.352545782,ok\n"
+        "6.5,0.00445259461395,1.19588189017,268.580904811,ok\n"
+        "7,0.00297134573754,1.18189089076,397.762830433,ok\n"
+        "7.5,0.00198575875782,1.16976507145,589.077130764,ok\n"
+        "8,0.00132868438854,1.1591548571,872.407975206,ok\n"
+    ),
+    "gap --mu 3,4,5,6": (
+        "mu,W1,f0_per,f0,gap,delta_opt,status\n"
+        "3,1.42441318158,-1.54342936778,-1.54463473824,0.00120537045733,0.073728453081,ok\n"
+        "4,1.31830988618,-1.47588191202,-1.47611214368,0.000230231663735,0.0309118016756,ok\n"
+        "5,1.25464790895,-1.43535343856,-1.43539890084,4.54622759178e-05,0.0133899871307,ok\n"
+        "6,1.21220659079,-1.40833445626,-1.40834358283,9.12656943644e-06,0.00589585336166,ok\n"
+    ),
+    "finite-thetac --mu 2 --L 8,16,64": (
+        "mu,L,theta_c,W_star,x,status\n"
+        "2,8,0.320591933976,1.60293055621,4.99990918777,ok\n"
+        "2,16,0.23676944705,1.62740623749,6.8733793898,ok\n"
+        "2,64,0.210442357749,1.63220011432,7.75604365864,ok\n"
+    ),
+    "mu-critical --L 6,10,14": (
+        "L,mu_c,status\n"
+        "6,0.333333333333,ok\n"
+        "10,0.694427191,ok\n"
+        "14,0.918226210224,ok\n"
+    ),
+    "solve --mu 2 --theta 0.1": (
+        "mu,theta,W,delta,value,status\n"
+        "2,0.1,1.6280198572,0.183844790934,-1.6856099482,ok\n"
+    ),
+    "solve --mu 2 --theta 0.1 --L 8": (
+        "mu,theta,L,W,delta,value,status\n"
+        "2,0.1,8,1.59673336163,0.318249515297,-1.65147284833,ok\n"
+    ),
+    "constants": (
+        "c1,c2,C,status\n"
+        "0.818780140172,0.511927320732,0.613808260287,ok\n"
+    ),
+}
+
+
+class TestReadmeGrids:
+    @pytest.mark.parametrize("command", list(README_GRIDS))
+    def test_output_is_unchanged(self, command, tmp_path, capsys):
+        argv = command.split()
+        if argv[0] in ("solve", "constants"):
+            assert main(argv) == 0
+            got = capsys.readouterr().out
+        else:
+            out = tmp_path / "grid.csv"
+            assert main([*argv, "--out", str(out), "--workers", "1"]) == 0
+            got = out.read_text(encoding="utf-8")
+        assert got == README_GRIDS[command]

@@ -168,14 +168,14 @@ class TestThetaCritical:
     def test_euler_lagrange_residuals(self):
         # both equations, mu (W* - 1) = 2 <x h'(x^2 sin^2 t) sin^2 t> and
         # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here
-        from peierls.kernels import _h_prime_arr
+        from peierls.kernels import _h_prime
         from peierls.thermodynamic import _QUAD_TOL, _tanh_eta
         for mu in (1.0, 2.0, 6.0):
             cp = theta_critical_thermo(mu)
             x = cp.x
 
             def mean(trig):
-                f = lambda t: x * _h_prime_arr((x * np.sin(t)) ** 2) * trig(t) ** 2
+                f = lambda t: x * _h_prime((x * np.sin(t)) ** 2) * trig(t) ** 2
                 return numerics.mode_mean(f, _tanh_eta(x), _QUAD_TOL)
             r1 = mu * (cp.W_star - 1) - 2.0 * mean(np.sin)
             r2 = mu * cp.W_star - 2.0 * mean(np.cos)
@@ -295,13 +295,16 @@ class TestBifurcationData:
             assert b.coeff == pytest.approx(math.sqrt(-b.delta_prime), rel=1e-14)
 
     def test_moments_match_scipy(self):
-        from peierls.kernels import h_eval
+        # h''(u^2) = sech^2(u)/2u^2 - tanh(u)/2u^3 in closed form, -1/3 at u = 0
+        def hpp(u):
+            return (1 / math.cosh(u) ** 2 - math.tanh(u) / u) / (2 * u * u) if u else -1 / 3
+
         cp = theta_critical_thermo(2.0)
         r = cp.W_star / cp.theta_c
         b = bifurcation_data(2.0)
         for got, power in ((b.A, 0), (b.B, 1), (b.C_int, 2)):
             def f(s):
-                return (h_eval((r * math.cos(s)) ** 2).h_second
+                return (hpp(r * math.cos(s))
                         * math.sin(s) ** (2 * power) * math.cos(s) ** (4 - 2 * power))
             want = 4 / math.pi * scipy.integrate.quad(f, 0, math.pi / 2,
                                                       epsabs=1e-13, limit=300)[0]
