@@ -18,8 +18,7 @@ from .numerics import (Bracket, ConvergenceError, Tolerance,
 from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 from .thermodynamic import (AsymptoticConstants, BifurcationData, J_thermo,
                             asymptotic_constants, bifurcation_data, g_thermo,
-                            minimize_dimer_thermo, phase_diagram,
-                            theta_critical_thermo)
+                            minimize_dimer_thermo, theta_critical_thermo)
 from .zero_temperature import (GapResult, dimer_optimum_zero, g_zero,
                                gap_rate_fit, periodic_optimum_zero)
 
@@ -36,7 +35,7 @@ __all__ = [
     "J_finite", "mu_critical", "theta_critical_finite",
     "BifurcationData", "AsymptoticConstants", "g_thermo",
     "minimize_dimer_thermo", "J_thermo", "theta_critical_thermo",
-    "asymptotic_constants", "bifurcation_data", "phase_diagram",
+    "asymptotic_constants", "bifurcation_data",
     "GapResult", "g_zero", "periodic_optimum_zero", "dimer_optimum_zero",
     "gap_rate_fit",
     "SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS",

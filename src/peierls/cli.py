@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 every point failed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -23,14 +24,15 @@ grids accept a single value (2), a comma list (3,4,5) or an inclusive
 range start:stop:step (0.5:8:0.5).
 
 CSV columns per kind:
-  phase-diagram  mu,theta_c,W_star,x,status
-  bifurcation    mu,theta,W,delta,value,status
-  gap            mu,W1,f0_per,f0,gap,delta_opt,status
-  finite-thetac  mu,L,theta_c,W_star,x,status
-  mu-critical    L,mu_c,status
+""" + "".join(f"  {kind:<15}{','.join((*names, *out_names, 'status'))}\n"
+              for kind, (names, out_names) in SWEEP_KINDS.items()) + """\
   solve          mu,theta[,L],W,delta,value,status
   constants      c1,c2,C,status
 """
+
+# the most points a sweep grid may hold, in one range and in the product
+MAX_GRID_POINTS = 10 ** 6
+
 
 class UsageError(Exception):
     pass
@@ -45,7 +47,8 @@ def _parse_range(text: str, integer: bool = False) -> list:
     """Expand '2', '3,4,5' or 'start:stop:step' (endpoints within half-step).
 
     Every number, range parts included, must be finite, and an integer
-    where ``integer`` is set.
+    where ``integer`` is set. A range longer than MAX_GRID_POINTS is
+    rejected before it is built.
     """
     def one(tok: str):
         try:
@@ -68,6 +71,8 @@ def _parse_range(text: str, integer: bool = False) -> list:
         start, stop, step = (one(p) for p in parts)
         if step <= 0 or stop < start:
             raise UsageError(f"bad range {text!r}")
+        if not (float(stop) - start) / step < MAX_GRID_POINTS:  # ints may overflow
+            raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         out, k = [], 0
         while True:
             val = start + k * step
@@ -138,34 +143,28 @@ def _number(opts, key, default=None, cast=float):
 
 
 def parse_config(argv) -> SweepSpec:
-    """Tokens (plus an optional key=value file) to a validated SweepSpec."""
+    """Tokens (plus an optional key=value file) to a validated SweepSpec.
+
+    The grid is the product of the kind's input ranges, in SWEEP_KINDS
+    order (the first input varies slowest).
+    """
     args = _build_parser().parse_args(argv)
     if args.kind not in SWEEP_KINDS:
         raise UsageError(f"{args.kind} is not a sweep command")
     opts = _merged_options(args)
 
-    def need(key, integer=False):
+    ranges = []
+    for key in SWEEP_KINDS[args.kind][0]:
         if opts.get(key) is None:
             raise UsageError(f"{args.kind} requires --{key}")
-        return _parse_range(opts[key], integer=integer)
-
-    if args.kind in ("phase-diagram", "gap"):
-        grid = [(mu,) for mu in need("mu")]
-    elif args.kind == "bifurcation":
-        mus = need("mu")
-        if len(mus) != 1:
-            raise UsageError("bifurcation wants a single --mu")
-        grid = [(mus[0], th) for th in need("theta")]
-    elif args.kind == "finite-thetac":
-        grid = [(mu, L) for mu in need("mu") for L in need("L", integer=True)]
-    else:  # mu-critical
-        grid = [(L,) for L in need("L", integer=True)]
+        ranges.append(_parse_range(opts[key], integer=key == "L"))
+    if math.prod(map(len, ranges)) > MAX_GRID_POINTS:
+        raise UsageError(f"{args.kind} grid has more than {MAX_GRID_POINTS} points")
+    grid = list(itertools.product(*ranges))
 
     if opts.get("out") is None:
         raise UsageError(f"{args.kind} requires --out")
     workers = _number(opts, "workers", os.cpu_count() or 1, cast=int)
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
     try:
         return SweepSpec(kind=args.kind, grid=grid, output_path=opts["out"],
                          workers=workers)

@@ -80,9 +80,6 @@ class HoppingConfig:
         if not np.all((self.t > 0) & np.isfinite(self.t)):
             raise ValueError("all hoppings must be positive and finite")
 
-    def __len__(self):
-        return self.t.size
-
 
 @dataclass(frozen=True)
 class DimerState:
@@ -224,7 +221,7 @@ def g_finite(s: DimerState, p: ModelParams) -> float:
     return _band_energy(s.W, s.delta, p.mu, p.theta, _ring_mean(_check_even_length(p.L)))
 
 
-def _minimize_dimer(p: ModelParams, mean, init=None):
+def _minimize_dimer(p: ModelParams, mean):
     """(W, delta) quadrant search of the band energy with the ring's band
     mean, delta snapping to 0 below DELTA_ZERO. Returns (DimerState, value).
 
@@ -239,9 +236,6 @@ def _minimize_dimer(p: ModelParams, mean, init=None):
     # descending-delta fan of starts plus the 1-periodic candidate
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    if init is not None:
-        starts = [tuple(init)] + starts[-1:]
-        steps = [(0.05, max(0.3 * init[1], 1e-4))] + steps[-1:]
     x, fx = _polished_descent(f, starts, np.zeros(2), None, tol, steps)
     W, delta = float(x[0]), float(abs(x[1]))
     x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0), [(w_guess,), (W,)],
@@ -252,14 +246,14 @@ def _minimize_dimer(p: ModelParams, mean, init=None):
     return DimerState(W=W, delta=0.0 if delta < DELTA_ZERO else delta), float(fx)
 
 
-def minimize_dimer_finite(p: ModelParams, init=None):
+def minimize_dimer_finite(p: ModelParams):
     """Minimize the per-atom energy over W, delta >= 0.
 
     Returns (DimerState, value); delta below 1e-8 is reported as exact 0.
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_finite needs theta > 0")
-    return _minimize_dimer(p, _ring_mean(_check_even_length(p.L)), init)
+    return _minimize_dimer(p, _ring_mean(_check_even_length(p.L)))
 
 
 def _ring_derivatives(t: np.ndarray, mu: float, theta: float):

@@ -21,8 +21,11 @@ __all__ = [
     "elliptic_side",
 ]
 
-# below this, h' and h'' switch to truncated Taylor series (0/0 guard)
+# below this, h' switches to its truncated Taylor series (0/0 guard)
 _SERIES_CUTOFF = 1e-6
+# 1/(2k+3)! for k = 11 down to 0: the series of Q(s) = (sinh s - s)/s^3 in
+# s^2, to rounding for s^2 < 4
+_Q_SERIES = [1.0 / math.factorial(2 * k + 3) for k in range(11, -1, -1)]
 _EPS = float(np.finfo(float).eps)
 
 
@@ -66,13 +69,13 @@ def _h_prime(y: np.ndarray) -> np.ndarray:
 
 
 def _h_second(y: np.ndarray) -> np.ndarray:
-    # h''(y) = sech^2(sqrt y)/(2y) - tanh(sqrt y)/(2 y^{3/2}), h''(0) = -1/3,
-    # with the series guard
+    # h''(y) = sech^2(sqrt y)/(2y) - tanh(sqrt y)/(2 y^{3/2}); below y = 1,
+    # where those two terms cancel, the same as -2 Q(2 sqrt y)/cosh^2(sqrt y)
     y = np.asarray(y, dtype=float)
     out = np.empty_like(y)
-    small = y < _SERIES_CUTOFF
+    small = y < 1.0
     ys = y[small]
-    out[small] = -1.0 / 3.0 + 4.0 * ys / 15.0 - 17.0 * ys * ys / 105.0
+    out[small] = -2.0 * np.polyval(_Q_SERIES, 4.0 * ys) / np.cosh(np.sqrt(ys)) ** 2
     yl = y[~small]
     r = np.sqrt(yl)
     th = np.tanh(r)

@@ -187,7 +187,7 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
 
 
 def solve_increasing(f: Callable[[float], float], target: float,
-                     bracket: Bracket, tol: Tolerance | None = None) -> float:
+                     bracket: Bracket, tol: Tolerance) -> float:
     """Solve f(x) = target for f strictly increasing on the bracket.
 
     The secant through the last two iterates wherever it lands strictly
@@ -197,8 +197,6 @@ def solve_increasing(f: Callable[[float], float], target: float,
     abs_tol, at an end of the bracket too, or the bracket width drops below
     rel_tol * |x|.
     """
-    if tol is None:
-        tol = Tolerance(max_iter=200)
     lo, hi = bracket.lo, bracket.hi
     flo = f(lo) - target
     fhi = f(hi) - target

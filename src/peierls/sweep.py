@@ -9,6 +9,7 @@ the worker count.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -113,8 +114,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     tasks = [(spec.kind, tuple(point)) for point in spec.grid]
     if spec.workers == 1:
         return [_point_row(t) for t in tasks]
+    # a few chunks per worker: one round trip per point costs more than
+    # most points
+    chunk = math.ceil(len(tasks) / (4 * spec.workers))
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(_point_row, tasks))
+        return list(pool.map(_point_row, tasks, chunksize=chunk))
 
 
 def _format(value) -> str:
@@ -125,24 +129,22 @@ def _format(value) -> str:
     return f"{float(value):.12g}"
 
 
-def write_rows(rows, stream, columns=None) -> None:
-    """CSV-encode rows (floats at 12 significant digits) onto a text stream."""
-    if not rows and columns is None:
-        raise ValueError("cannot infer a header from zero rows; pass columns")
-    if columns is None:
-        columns = list(rows[0].inputs) + list(rows[0].outputs) + ["status"]
+def write_rows(rows, stream) -> None:
+    """CSV-encode rows (floats at 12 significant digits) onto a text stream,
+    under the first row's column names."""
+    columns = list(rows[0].inputs) + list(rows[0].outputs) + ["status"]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         cells = list(row.inputs) + list(row.outputs) + ["status"]
-        if cells != list(columns):
+        if cells != columns:
             raise ValueError("rows are not homogeneous in column names")
         writer.writerow([_format(row.inputs[k]) for k in row.inputs]
                         + [_format(row.outputs[k]) for k in row.outputs]
                         + [row.status])
 
 
-def emit_csv(rows, path: str, columns=None) -> None:
+def emit_csv(rows, path: str) -> None:
     """Write rows to a UTF-8, newline-terminated CSV file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_rows(rows, fh, columns)
+        write_rows(rows, fh)

@@ -41,7 +41,6 @@ __all__ = [
     "theta_critical_thermo",
     "asymptotic_constants",
     "bifurcation_data",
-    "phase_diagram",
 ]
 
 # accuracy of all integrals in this module; max_iter caps the mode-mean
@@ -57,26 +56,24 @@ _MU_MAX = 200.0
 _band_mean = partial(mode_mean, tol=_QUAD_TOL)
 
 
-def g_thermo(s: DimerState, p: ModelParams, tol: Tolerance | None = None) -> float:
+def g_thermo(s: DimerState, p: ModelParams) -> float:
     """Energy per atom of the infinite ring at theta > 0."""
     if p.theta <= 0:
         raise ValueError("g_thermo needs theta > 0")
-    return _band_energy(s.W, s.delta, p.mu, p.theta,
-                        partial(mode_mean, tol=tol or _QUAD_TOL))
+    return _band_energy(s.W, s.delta, p.mu, p.theta, _band_mean)
 
 
-def minimize_dimer_thermo(p: ModelParams, init=None):
+def minimize_dimer_thermo(p: ModelParams):
     """Minimize g_thermo over W, delta >= 0; delta < 1e-8 snaps to 0.
 
-    ``init`` seeds the search (useful for continuation along a temperature
-    sweep). Returns (DimerState, value).
+    Returns (DimerState, value).
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_thermo needs theta > 0")
-    return _minimize_dimer(p, _band_mean, init)
+    return _minimize_dimer(p, _band_mean)
 
 
-def J_thermo(x: float, tol: Tolerance | None = None) -> float:
+def J_thermo(x: float) -> float:
     """-(4/pi) int_0^{pi/2} tanh(x cos s) cos(2s)/cos(s) ds.
 
     Strictly increasing from 0 to infinity; the apparent s = pi/2 blowup
@@ -90,7 +87,7 @@ def J_thermo(x: float, tol: Tolerance | None = None) -> float:
         return 0.0
     return 2.0 * mode_mean(
         lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
-        _tanh_eta(x), tol or _QUAD_TOL)
+        _tanh_eta(x), _QUAD_TOL)
 
 
 def theta_critical_thermo(mu: float) -> CriticalPoint:
@@ -197,23 +194,3 @@ def bifurcation_data(mu: float) -> BifurcationData:
     return BifurcationData(A=A, B=B, C_int=C_int, det_J=det_J,
                            delta_prime=delta_prime,
                            coeff=math.sqrt(-delta_prime))
-
-
-def phase_diagram(mu_grid):
-    """theta_c over a stiffness grid, as (mu, theta_c) pairs.
-
-    Per-point failures are recorded as NaN instead of aborting the sweep.
-    Successful points are checked to be decreasing in mu.
-    """
-    rows = []
-    for mu in mu_grid:
-        try:
-            rows.append((float(mu), theta_critical_thermo(float(mu)).theta_c))
-        except (ValueError, RuntimeError):
-            rows.append((float(mu), math.nan))
-    good = [(m, t) for m, t in rows if not math.isnan(t)]
-    for (m0, t0), (m1, t1) in zip(good, good[1:]):
-        if m1 > m0 and not t1 < t0:
-            raise RuntimeError(
-                f"theta_c failed to decrease between mu={m0} and mu={m1}")
-    return rows

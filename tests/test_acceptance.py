@@ -170,13 +170,9 @@ def test_criterion_08_bifurcation_law():
     cp = theta_critical_thermo(2.0)
     coeff = bifurcation_data(2.0).coeff
     eps = np.geomspace(1e-4, 1e-2, 9)
-    deltas = np.empty_like(eps)
-    init = None
-    for i in np.argsort(eps)[::-1]:
-        state, _ = minimize_dimer_thermo(
-            ModelParams(mu=2.0, theta=cp.theta_c - eps[i]), init=init)
-        deltas[i] = state.delta
-        init = (state.W, max(state.delta, 1e-4))
+    deltas = np.array([
+        minimize_dimer_thermo(ModelParams(mu=2.0, theta=cp.theta_c - e))[0].delta
+        for e in eps])
     slope, _ = np.polyfit(np.log(eps), np.log(deltas), 1)
     amplitude = math.exp(float(np.mean(np.log(deltas) - 0.5 * np.log(eps))))
     elapsed = time.perf_counter() - t0

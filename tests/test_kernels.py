@@ -83,33 +83,34 @@ class TestHEval:
         assert np.all(np.abs(hpp - fd) <= 1e-6 * np.abs(hpp))
 
     def test_series_crossover_continuous(self):
-        # straddle the series/direct switch by a negligible argument gap
-        y = np.array([1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10)])
-        below, above = _h_prime(y)
+        # straddle each series/direct switch by a negligible argument gap:
+        # y = 1e-6 for h', y = 1 for h''
+        y = np.array([1 - 1e-10, 1 + 1e-10])
+        below, above = _h_prime(1e-6 * y)
         assert below == pytest.approx(above, abs=1e-12)
         below, above = _h_second(y)
         assert below == pytest.approx(above, abs=1e-9)
 
     def test_derivatives_match_mpmath(self):
-        # 30-digit closed forms h'(y) = tanh(r)/r and h''(y) = sech^2(r)/2y -
-        # tanh(r)/2y^(3/2), r = sqrt(y), on both sides of the 1e-6 series
-        # crossover. Above it h'' is the difference of two terms of size
-        # ~1/2y, so it carries a few ulps of 1/2y (1.4e-11 at y = 2e-6); the
-        # bound allows 8
-        ys = np.array([0.0, 1e-12, 1e-8, 1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 2e-6,
-                       1e-4, 1e-2, 0.3, 2.0, 50.0, 1e6])
-        with mpmath.workdps(30):
+        # 40-digit closed forms h'(y) = tanh(r)/r and h''(y) = sech^2(r)/2y -
+        # tanh(r)/2y^(3/2), r = sqrt(y), on y = 1e-9 to 1e4 and across both
+        # switches. Below y = 1 h'' sums the series of (sinh s - s)/s^3, so
+        # it never takes the difference of the two ~1/2y terms: the worst
+        # error measured is 2.3e-15 relative, at y ~ 300
+        ys = np.concatenate(([0.0], np.logspace(-9, 4, 131),
+                             [1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 2e-6,
+                              1 - 1e-10, 1 + 1e-10, 296.8246743463243]))
+        with mpmath.workdps(40):
             for y, hp, hpp in zip(ys, _h_prime(ys), _h_second(ys)):
                 if y == 0.0:
-                    want_p, want_s, ulps = 1.0, -1.0 / 3.0, 0.0
+                    want_p, want_s = 1.0, -1.0 / 3.0
                 else:
                     Y = mpmath.mpf(float(y))
                     r = mpmath.sqrt(Y)
                     want_p = float(mpmath.tanh(r) / r)
                     want_s = float(mpmath.sech(r) ** 2 / (2 * Y) - mpmath.tanh(r) / (2 * Y * r))
-                    ulps = 8 * np.finfo(float).eps / (2 * y) if y >= 1e-6 else 0.0
                 assert abs(hp - want_p) <= 1e-14 * abs(want_p)
-                assert abs(hpp - want_s) <= 1e-14 * abs(want_s) + ulps
+                assert abs(hpp - want_s) <= 4e-15 * abs(want_s)
 
 
 class TestHTheta:

@@ -2,10 +2,11 @@
 
 import csv
 import math
+import time
 
 import pytest
 
-from peierls.cli import UsageError, main, parse_config
+from peierls.cli import MAX_GRID_POINTS, UsageError, _parse_range, main, parse_config
 from peierls.finite_chain import theta_critical_finite
 from peierls.sweep import ResultRow, SweepSpec, emit_csv, run_sweep
 
@@ -17,6 +18,11 @@ class TestParseConfig:
         assert spec.kind == "phase-diagram"
         assert len(spec.grid) == 16
         assert spec.grid[0] == (0.5,) and spec.grid[-1] == (8.0,)
+
+    def test_largest_range(self):
+        assert len(_parse_range(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+        with pytest.raises(UsageError):
+            _parse_range(f"1:{MAX_GRID_POINTS + 1}:1")
 
     def test_comma_list(self, tmp_path):
         spec = parse_config(["gap", "--mu", "3,4,5,6", "--out", str(tmp_path / "g.csv")])
@@ -72,10 +78,10 @@ class TestParseConfig:
                              "--out", str(tmp_path / "x.csv")])
         assert spec.grid == [(2.0, 0.1)]
 
-    def test_bifurcation_wants_single_mu(self, tmp_path):
-        with pytest.raises(UsageError):
-            parse_config(["bifurcation", "--mu", "1,2", "--theta", "0.1",
-                          "--out", str(tmp_path / "x.csv")])
+    def test_bifurcation_grid_is_mu_major(self, tmp_path):
+        spec = parse_config(["bifurcation", "--mu", "1,2", "--theta", "0.1,0.2",
+                             "--out", str(tmp_path / "x.csv")])
+        assert spec.grid == [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
 
 
 class TestSweepSpec:
@@ -158,11 +164,6 @@ class TestEmitCsv:
                             outputs={"theta_c": 0.210440067907})], path)
         text = open(path, encoding="utf-8").read()
         assert text == "mu,theta_c,status\n2,0.210440067907,ok\n"
-
-    def test_header_only_for_no_rows(self, tmp_path):
-        path = str(tmp_path / "empty.csv")
-        emit_csv([], path, columns=["mu", "theta_c", "status"])
-        assert open(path, encoding="utf-8").read() == "mu,theta_c,status\n"
 
     def test_mixed_status_rows(self, tmp_path):
         path = str(tmp_path / "mix.csv")
@@ -269,6 +270,19 @@ class TestCliMain:
         # each part of a range passes the checks of a single value
         assert main([*argv, "--out", str(tmp_path / "x.csv"), "--workers", "1"]) == 1
         assert "usage error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--mu", "1:2:1e-20"],
+        ["mu-critical", "--L", "6:10000002:4"], ["mu-critical", "--L=-1.7e308:1.7e308:4"],
+        ["finite-thetac", "--mu", "1:2:0.0001", "--L", "4:2000:2"]])
+    def test_huge_grid_exit_1(self, argv, capsys, tmp_path):
+        # a range past a million points, or a product of ranges past it, is
+        # refused before the grid is built
+        t0 = time.perf_counter()
+        assert main([*argv, "--out", str(tmp_path / "x.csv"), "--workers", "1"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "more than 1000000 points" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_path_exit_2(self, capsys, tmp_path):
         assert main(["mu-critical", "--L", "6",

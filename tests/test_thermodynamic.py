@@ -2,18 +2,20 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 import peierls.numerics as numerics
+import peierls.thermodynamic as thermodynamic
 from peierls.finite_chain import DimerState, ModelParams, g_finite
 from peierls.numerics import Tolerance
+from peierls.sweep import SweepSpec, run_sweep
 from peierls.thermodynamic import (J_thermo, asymptotic_constants,
                                    bifurcation_data, g_thermo,
-                                   minimize_dimer_thermo, phase_diagram,
-                                   theta_critical_thermo)
+                                   minimize_dimer_thermo, theta_critical_thermo)
 
 # 30-digit reference: root of J(x) = 2 and the cos^2 equation
 THETA_C_MU2 = 0.210440067907
@@ -43,7 +45,11 @@ WIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1 << 17)
 
 
 def _by_each_rule(monkeypatch, fn):
-    """fn() by default, forced onto unmapped nodes, forced onto mapped nodes."""
+    """fn() by default, forced onto unmapped nodes, forced onto mapped nodes,
+    with the module's integrals given room for the unmapped nodes."""
+    monkeypatch.setattr(thermodynamic, "_QUAD_TOL", WIDE_TOL)
+    monkeypatch.setattr(thermodynamic, "_band_mean",
+                        partial(numerics.mode_mean, tol=WIDE_TOL))
     default = fn()
     monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 1 << 20)
     unmapped = fn()
@@ -102,7 +108,7 @@ class TestGThermo:
         for theta, delta, rule in ((0.97 * switch, 0.0, 2), (1.03 * switch, 0.0, 1),
                                    (0.97 * switch, 1e-4, 2), (1.03 * switch, 1e-4, 1)):
             s, p = DimerState(W=W, delta=delta), ModelParams(mu=2.0, theta=theta)
-            vals = _by_each_rule(monkeypatch, lambda: g_thermo(s, p, WIDE_TOL))
+            vals = _by_each_rule(monkeypatch, lambda: g_thermo(s, p))
             assert vals[0] == vals[rule]
             assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
 
@@ -148,7 +154,7 @@ class TestJThermo:
         # the nodes stay unmapped while their starting N, the power of two
         # >= 15 / asinh(pi / (2x)), is <= 1024: up to x = 107.2
         for x, rule in ((100.0, 1), (115.0, 2)):
-            vals = _by_each_rule(monkeypatch, lambda: J_thermo(x, WIDE_TOL))
+            vals = _by_each_rule(monkeypatch, lambda: J_thermo(x))
             assert vals[0] == vals[rule]
             assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
 
@@ -185,17 +191,15 @@ class TestThetaCritical:
     def test_j_call_budget(self, monkeypatch):
         # the bracket starts at ln x = pi mu/4 and the secant converges:
         # a handful of J_thermo calls even at x ~ 3e68
-        import peierls.thermodynamic as thermodynamic
         calls = []
         J = thermodynamic.J_thermo
         monkeypatch.setattr(thermodynamic, "J_thermo",
-                            lambda x, *tol: calls.append(x) or J(x, *tol))
+                            lambda x: calls.append(x) or J(x))
         theta_critical_thermo(200.0)
         assert len(calls) <= 12
 
     def test_one_band_mean_per_solve(self, monkeypatch):
         # both Euler-Lagrange means come from one stacked band mean
-        import peierls.thermodynamic as thermodynamic
         calls = []
         mean = thermodynamic._band_mean
         monkeypatch.setattr(thermodynamic, "_band_mean",
@@ -318,7 +322,6 @@ class TestBifurcationData:
 
     def test_one_moment_mean(self, monkeypatch):
         # A, B and C_int come from one stacked mode mean, with h'' once
-        import peierls.thermodynamic as thermodynamic
         want = bifurcation_data(2.0)
         cp = theta_critical_thermo(2.0)
         monkeypatch.setattr(thermodynamic, "theta_critical_thermo", lambda mu: cp)
@@ -345,17 +348,23 @@ class TestBifurcationData:
 
 
 class TestPhaseDiagram:
+    """The phase-diagram sweep: theta_c(mu) rows of run_sweep."""
+
+    @staticmethod
+    def _rows(mus):
+        return run_sweep(SweepSpec(kind="phase-diagram", grid=[(mu,) for mu in mus],
+                                   output_path="unused.csv"))
+
     def test_single_point(self):
-        rows = phase_diagram([2.0])
-        assert rows[0][0] == 2.0
-        assert rows[0][1] == pytest.approx(THETA_C_MU2, abs=1e-8)
+        (row,) = self._rows([2.0])
+        assert row.inputs["mu"] == 2.0 and row.status == "ok"
+        assert row.outputs["theta_c"] == pytest.approx(THETA_C_MU2, abs=1e-8)
 
     def test_strictly_decreasing(self):
-        rows = phase_diagram([1.0, 2.0, 4.0])
-        thetas = [t for _, t in rows]
+        thetas = [r.outputs["theta_c"] for r in self._rows([1.0, 2.0, 4.0])]
         assert thetas[0] > thetas[1] > thetas[2]
 
     def test_bad_point_recorded_not_fatal(self):
-        rows = phase_diagram([2.0, -1.0])
-        assert rows[0][1] > 0
-        assert math.isnan(rows[1][1])
+        rows = self._rows([2.0, 250.0])
+        assert rows[0].outputs["theta_c"] > 0
+        assert rows[1].status.startswith("error:") and rows[1].outputs["theta_c"] == ""
