@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: phase-diagram, bifurcation, gap, finite-thetac, mu-critical
-(parallel sweeps writing CSV), plus solve (one point) and constants.
+Subcommands: one sweep writing CSV per ``sweep.SWEEP_KINDS`` kind, plus
+solve (one point) and constants. Each takes only the flags it reads (a
+sweep: its inputs, --out, --workers) and --config, a key=value file keyed
+by those flags; any other flag or key is a usage error.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 every point failed.
 """
@@ -15,17 +17,18 @@ import os
 import sys
 
 from . import finite_chain, thermodynamic
-from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep, write_rows
+from .sweep import (SWEEP_KINDS, ResultRow, SweepSpec, _dimer, _row, emit_csv, run_sweep,
+                    write_rows)
 
 __all__ = ["parse_config", "main"]
 
 _EPILOG = """\
-grids accept a single value (2), a comma list (3,4,5) or an inclusive
-range start:stop:step (0.5:8:0.5).
+sweep inputs accept a single value (2), a comma list (3,4,5) or an
+inclusive range start:stop:step (0.5:8:0.5).
 
 CSV columns per kind:
 """ + "".join(f"  {kind:<15}{','.join((*names, *out_names, 'status'))}\n"
-              for kind, (names, out_names) in SWEEP_KINDS.items()) + """\
+              for kind, (names, out_names, _) in SWEEP_KINDS.items()) + """\
   solve          mu,theta[,L],W,delta,value,status
   constants      c1,c2,C,status
 """
@@ -111,25 +114,30 @@ def _build_parser() -> _Parser:
                      epilog=_EPILOG,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in (*SWEEP_KINDS, "solve", "constants"):
+    helps = {"mu": "stiffness", "theta": "temperature", "L": "even ring length",
+             "out": "output CSV path (default stdout for solve/constants)",
+             "workers": "parallel workers (default: cpu count)"}
+    # each command's flags, --config aside
+    commands = {kind: (*names, "out", "workers") for kind, (names, _, _) in SWEEP_KINDS.items()}
+    commands.update(solve=("mu", "theta", "L", "out"), constants=("out",))
+    for kind, flags in commands.items():
         p = sub.add_parser(kind, epilog=_EPILOG,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--mu", help="stiffness value, list or range")
-        p.add_argument("--theta", help="temperature value, list or range")
-        p.add_argument("--L", help="even ring length, list or range")
-        p.add_argument("--out", help="output CSV path (default stdout for solve/constants)")
-        p.add_argument("--workers", help="parallel workers (default: cpu count)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", help=helps[flag])
         p.add_argument("--config", help="key=value defaults file; flags override")
     return parser
 
 
-def _merged_options(args) -> dict:
+def _parse(argv) -> tuple[str, dict]:
+    """argv to the command and its options, flags over --config values."""
+    args = _build_parser().parse_args(argv)
     opts = {k: v for k, v in vars(args).items() if k not in ("kind", "config")}
     if args.config:
         for key, val in _read_config(args.config, opts).items():
             if opts.get(key) is None:
                 opts[key] = val
-    return opts
+    return args.kind, opts
 
 
 def _number(opts, key, default=None, cast=float):
@@ -142,34 +150,36 @@ def _number(opts, key, default=None, cast=float):
         raise UsageError(f"malformed value for --{key}: {raw!r}") from None
 
 
-def parse_config(argv) -> SweepSpec:
-    """Tokens (plus an optional key=value file) to a validated SweepSpec.
+def _sweep_spec(kind: str, opts: dict) -> SweepSpec:
+    """A sweep command's options to a validated SweepSpec.
 
     The grid is the product of the kind's input ranges, in SWEEP_KINDS
     order (the first input varies slowest).
     """
-    args = _build_parser().parse_args(argv)
-    if args.kind not in SWEEP_KINDS:
-        raise UsageError(f"{args.kind} is not a sweep command")
-    opts = _merged_options(args)
-
     ranges = []
-    for key in SWEEP_KINDS[args.kind][0]:
+    for key in SWEEP_KINDS[kind][0]:
         if opts.get(key) is None:
-            raise UsageError(f"{args.kind} requires --{key}")
+            raise UsageError(f"{kind} requires --{key}")
         ranges.append(_parse_range(opts[key], integer=key == "L"))
     if math.prod(map(len, ranges)) > MAX_GRID_POINTS:
-        raise UsageError(f"{args.kind} grid has more than {MAX_GRID_POINTS} points")
+        raise UsageError(f"{kind} grid has more than {MAX_GRID_POINTS} points")
     grid = list(itertools.product(*ranges))
 
     if opts.get("out") is None:
-        raise UsageError(f"{args.kind} requires --out")
+        raise UsageError(f"{kind} requires --out")
     workers = _number(opts, "workers", os.cpu_count() or 1, cast=int)
     try:
-        return SweepSpec(kind=args.kind, grid=grid, output_path=opts["out"],
-                         workers=workers)
+        return SweepSpec(kind=kind, grid=grid, output_path=opts["out"], workers=workers)
     except ValueError as err:
         raise UsageError(str(err)) from None
+
+
+def parse_config(argv) -> SweepSpec:
+    """Tokens (plus an optional key=value file) to a validated SweepSpec."""
+    kind, opts = _parse(argv)
+    if kind not in SWEEP_KINDS:
+        raise UsageError(f"{kind} is not a sweep command")
+    return _sweep_spec(kind, opts)
 
 
 def _solve_rows(opts) -> list[ResultRow]:
@@ -184,19 +194,8 @@ def _solve_rows(opts) -> list[ResultRow]:
         params = finite_chain.ModelParams(mu=mu, theta=theta, L=L)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    inputs = {"mu": mu, "theta": theta}
-    if L is not None:
-        inputs["L"] = L
-    try:
-        if L is not None:
-            state, value = finite_chain.minimize_dimer_finite(params)
-        else:
-            state, value = thermodynamic.minimize_dimer_thermo(params)
-        outputs = {"W": state.W, "delta": state.delta, "value": value}
-        return [ResultRow(inputs=inputs, outputs=outputs)]
-    except (ValueError, RuntimeError) as err:
-        return [ResultRow(inputs=inputs, outputs={"W": "", "delta": "", "value": ""},
-                          status=f"error: {err}")]
+    inputs = {"mu": mu, "theta": theta, **({} if L is None else {"L": L})}
+    return [_row(inputs, ("W", "delta", "value"), _dimer, params)]
 
 
 def _constants_rows() -> list[ResultRow]:
@@ -205,21 +204,17 @@ def _constants_rows() -> list[ResultRow]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parsed = _build_parser().parse_args(argv)
-        if parsed.kind in SWEEP_KINDS:
-            spec = parse_config(argv)
-            rows = run_sweep(spec)
-            out_path = spec.output_path
+        kind, opts = _parse(argv)
+        if kind in SWEEP_KINDS:
+            rows = run_sweep(_sweep_spec(kind, opts))
         else:
-            opts = _merged_options(parsed)
-            rows = _solve_rows(opts) if parsed.kind == "solve" else _constants_rows()
-            out_path = opts.get("out")
+            rows = _solve_rows(opts) if kind == "solve" else _constants_rows()
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
 
+    out_path = opts.get("out")
     try:
         if out_path is None:
             write_rows(rows, sys.stdout)

@@ -1,30 +1,55 @@
 """Parallel parameter sweeps and CSV emission for the CLI.
 
-Each sweep kind maps to exactly one library operation; no numeric logic
-lives here. Points are dispatched to a stateless worker pool and the rows
-are re-assembled in input order, so output is byte-identical regardless of
-the worker count.
+``SWEEP_KINDS`` is the one place a sweep kind is declared: its input
+columns, its output columns and the one library call that maps a grid
+point to its outputs. No numeric logic lives here. Points are dispatched
+to a stateless worker pool, no larger than the grid or the CPU count, and
+the rows are re-assembled in input order, so output is byte-identical
+regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import finite_chain, thermodynamic, zero_temperature
-from .numerics import ConvergenceError
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS"]
 
-# kind -> (input column names, output column names)
+
+def _critical(cp) -> tuple:
+    # None is a ring whose critical temperature is zero
+    return (0.0, "", "") if cp is None else (cp.theta_c, cp.W_star, cp.x)
+
+
+def _dimer(params) -> tuple:
+    minimize = (thermodynamic.minimize_dimer_thermo if params.L is None
+                else finite_chain.minimize_dimer_finite)
+    state, value = minimize(params)
+    return state.W, state.delta, value
+
+
+def _gap(mu) -> tuple:
+    r = zero_temperature.dimer_optimum_zero(mu)
+    return r.W1, r.f0_per, r.f0, r.gap, r.delta_opt
+
+
+# kind -> (input columns, output columns, call). The call takes a grid point
+# and returns its outputs in column order; it looks the library function up
+# when it runs, so wrappers installed on the library's modules see the call.
 SWEEP_KINDS = {
-    "phase-diagram": (("mu",), ("theta_c", "W_star", "x")),
-    "bifurcation": (("mu", "theta"), ("W", "delta", "value")),
-    "gap": (("mu",), ("W1", "f0_per", "f0", "gap", "delta_opt")),
-    "finite-thetac": (("mu", "L"), ("theta_c", "W_star", "x")),
-    "mu-critical": (("L",), ("mu_c",)),
+    "phase-diagram": (("mu",), ("theta_c", "W_star", "x"),
+                      lambda mu: _critical(thermodynamic.theta_critical_thermo(mu))),
+    "bifurcation": (("mu", "theta"), ("W", "delta", "value"),
+                    lambda mu, theta: _dimer(finite_chain.ModelParams(mu=mu, theta=theta))),
+    "gap": (("mu",), ("W1", "f0_per", "f0", "gap", "delta_opt"), _gap),
+    "finite-thetac": (("mu", "L"), ("theta_c", "W_star", "x"),
+                      lambda mu, L: _critical(finite_chain.theta_critical_finite(mu, int(L)))),
+    "mu-critical": (("L",), ("mu_c",), lambda L: (finite_chain.mu_critical(int(L)),)),
 }
 
 
@@ -42,8 +67,7 @@ def _validate_point(kind: str, point: tuple) -> None:
         if L != int(L) or int(L) < 4 or int(L) % 2:
             raise ValueError(f"L must be an even integer >= 4, got {L}")
         if kind == "mu-critical" and int(L) % 4 != 2:
-            raise ValueError(
-                f"mu-critical needs L = 2 mod 4, got {L}")
+            raise ValueError(f"mu-critical needs L = 2 mod 4, got {L}")
 
 
 @dataclass(frozen=True)
@@ -73,51 +97,32 @@ class ResultRow:
     status: str = "ok"
 
 
-def _compute_point(kind: str, point: tuple) -> dict:
-    if kind == "phase-diagram":
-        cp = thermodynamic.theta_critical_thermo(point[0])
-        return {"theta_c": cp.theta_c, "W_star": cp.W_star, "x": cp.x}
-    if kind == "bifurcation":
-        mu, theta = point
-        state, value = thermodynamic.minimize_dimer_thermo(
-            finite_chain.ModelParams(mu=mu, theta=theta))
-        return {"W": state.W, "delta": state.delta, "value": value}
-    if kind == "gap":
-        r = zero_temperature.dimer_optimum_zero(point[0])
-        return {"W1": r.W1, "f0_per": r.f0_per, "f0": r.f0,
-                "gap": r.gap, "delta_opt": r.delta_opt}
-    if kind == "finite-thetac":
-        mu, L = point
-        cp = finite_chain.theta_critical_finite(mu, int(L))
-        if cp is None:
-            return {"theta_c": 0.0, "W_star": "", "x": ""}
-        return {"theta_c": cp.theta_c, "W_star": cp.W_star, "x": cp.x}
-    if kind == "mu-critical":
-        return {"mu_c": finite_chain.mu_critical(int(point[0]))}
-    raise ValueError(f"unknown sweep kind {kind!r}")
+def _row(inputs: dict, out_names: tuple, call, *args) -> ResultRow:
+    """``call(*args)`` under ``out_names``; a ValueError or RuntimeError: an error row."""
+    try:
+        return ResultRow(inputs=inputs, outputs=dict(zip(out_names, call(*args))))
+    except (ValueError, RuntimeError) as err:
+        return ResultRow(inputs=inputs, outputs=dict.fromkeys(out_names, ""),
+                         status=f"error: {err}")
 
 
 def _point_row(task) -> ResultRow:
     kind, point = task
-    names, out_names = SWEEP_KINDS[kind]
-    inputs = dict(zip(names, point))
-    try:
-        return ResultRow(inputs=inputs, outputs=_compute_point(kind, point))
-    except (ValueError, RuntimeError, ConvergenceError) as err:
-        return ResultRow(inputs=inputs,
-                         outputs={name: "" for name in out_names},
-                         status=f"error: {err}")
+    names, out_names, call = SWEEP_KINDS[kind]
+    return _row(dict(zip(names, point)), out_names, call, *point)
 
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point; failures become error rows, not aborts."""
     tasks = [(spec.kind, tuple(point)) for point in spec.grid]
-    if spec.workers == 1:
+    # a fork pool starts all its workers at once: no more than can run
+    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         return [_point_row(t) for t in tasks]
     # a few chunks per worker: one round trip per point costs more than
     # most points
-    chunk = math.ceil(len(tasks) / (4 * spec.workers))
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    chunk = math.ceil(len(tasks) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_point_row, tasks, chunksize=chunk))
 
 

@@ -2,13 +2,18 @@
 
 import csv
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from peierls.cli import MAX_GRID_POINTS, UsageError, _parse_range, main, parse_config
+from peierls import cli, sweep, thermodynamic
+from peierls.cli import (MAX_GRID_POINTS, UsageError, _build_parser, _parse_range, main,
+                         parse_config)
 from peierls.finite_chain import theta_critical_finite
-from peierls.sweep import ResultRow, SweepSpec, emit_csv, run_sweep
+from peierls.numerics import ConvergenceError
+from peierls.sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 
 
 class TestParseConfig:
@@ -37,9 +42,34 @@ class TestParseConfig:
         with pytest.raises(UsageError):
             parse_config(["mu-critical", "--L", "8", "--out", str(tmp_path / "x.csv")])
 
-    def test_unknown_flag(self):
+    def test_unknown_flag(self, tmp_path, capsys):
         with pytest.raises(UsageError):
             parse_config(["gap", "--mu", "2", "--frobnicate", "1"])
+        # each command takes only the flags it reads; past the first, each
+        # argv gives a command one flag of another command
+        out = tmp_path / "x.csv"
+        for argv in (["gap", "--mu", "2", "--frobnicate", "1"],
+                     ["phase-diagram", "--mu", "2", "--theta", "0.1"],
+                     ["phase-diagram", "--mu", "2", "--L", "8"],
+                     ["bifurcation", "--mu", "2", "--theta", "0.1", "--L", "8"],
+                     ["gap", "--mu", "2", "--theta", "0.1"],
+                     ["gap", "--mu", "2", "--L", "8"],
+                     ["finite-thetac", "--mu", "2", "--L", "8", "--theta", "0.1"],
+                     ["mu-critical", "--L", "6", "--mu", "2"],
+                     ["mu-critical", "--L", "6", "--theta", "nan"],
+                     ["solve", "--mu", "2", "--theta", "0.1", "--workers", "1"],
+                     ["constants", "--mu", "2"],
+                     ["constants", "--theta", "0.1"],
+                     ["constants", "--L", "8"],
+                     ["constants", "--workers", "1"]):
+            assert main([*argv, "--out", str(out)]) == 1, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[A-Za-z]+", capsys.readouterr().out))
+        assert flags == {"--help", "--mu", "--out", "--workers", "--config"}
 
     def test_malformed_number(self, tmp_path):
         with pytest.raises(UsageError):
@@ -73,10 +103,13 @@ class TestParseConfig:
 
     def test_config_keys_are_the_flags(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
+        argv = ["bifurcation", "--mu", "2", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        cfg.write_text("theta=0.1\n")
+        assert parse_config(argv).grid == [(2.0, 0.1)]
+        # bifurcation reads no L: the key is rejected, as the flag is
         cfg.write_text("theta=0.1\nL=8\n")
-        spec = parse_config(["bifurcation", "--mu", "2", "--config", str(cfg),
-                             "--out", str(tmp_path / "x.csv")])
-        assert spec.grid == [(2.0, 0.1)]
+        with pytest.raises(UsageError, match="unknown config key 'L'"):
+            parse_config(argv)
 
     def test_bifurcation_grid_is_mu_major(self, tmp_path):
         spec = parse_config(["bifurcation", "--mu", "1,2", "--theta", "0.1,0.2",
@@ -147,6 +180,36 @@ class TestRunSweep:
             paths.append(spec.output_path)
         a, b = (open(p, "rb").read() for p in paths)
         assert a == b
+
+    def test_pool_sized_by_what_can_run(self, monkeypatch):
+        # a stand-in pool records its size and maps in-process: no worker
+        # process is started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        grid = [(L,) for L in range(6, 38, 4)]
+        want = run_sweep(SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv"))
+        for cpus, workers, points, size in ((4, 5000, 1, None), (4, 5000, 3, 3),
+                                            (4, 5000, 8, 4), (4, 2, 8, 2), (None, 5000, 8, None)):
+            sizes.clear()
+            monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+            spec = SweepSpec(kind="mu-critical", grid=grid[:points], output_path="m.csv",
+                             workers=workers)
+            assert run_sweep(spec) == want[:points]
+            assert sizes == ([] if size is None else [size])
 
     def test_rerun_identical(self, tmp_path):
         spec = SweepSpec(kind="mu-critical", grid=[(6,), (10,)],
@@ -245,6 +308,36 @@ class TestCliMain:
         assert main(["gap", "--mu", "2,250", "--out", str(out), "--workers", "1"]) == 0
         rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
         assert rows[0][6] == "ok" and rows[1][6].startswith("error: ")
+
+    def test_argv_parsed_once(self, monkeypatch, tmp_path):
+        calls = []
+        parse_args = cli._Parser.parse_args
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+        for argv in (["mu-critical", "--L", "6", "--out", str(tmp_path / "m.csv"),
+                      "--workers", "1"],
+                     ["solve", "--mu", "2", "--theta", "0.3", "--out", str(tmp_path / "s.csv")],
+                     ["constants", "--out", str(tmp_path / "c.csv")]):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1, argv
+
+    def test_solve_failure_is_the_sweep_error_row(self, monkeypatch, capsys, tmp_path):
+        def fail(params):
+            raise ConvergenceError("budget exhausted")
+
+        monkeypatch.setattr(thermodynamic, "minimize_dimer_thermo", fail)
+        assert main(["solve", "--mu", "2", "--theta", "0.1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["mu,theta,W,delta,value,status", "2,0.1,,,,error: budget exhausted"]
+        out = tmp_path / "b.csv"
+        assert main(["bifurcation", "--mu", "2", "--theta", "0.1", "--out", str(out),
+                     "--workers", "1"]) == 3
+        assert out.read_text(encoding="utf-8").splitlines() == lines
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["finite-thetac", "--mu", "1", "--L", "7", "--out", "x.csv"]) == 1
@@ -377,3 +470,22 @@ class TestReadmeGrids:
             assert main([*argv, "--out", str(out), "--workers", "1"]) == 0
             got = out.read_text(encoding="utf-8")
         assert got == README_GRIDS[command]
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv of each example in README's "Command line" block, optional
+    parts ([--L 8]) included."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [[tok.strip("[]") for tok in line.split()[1:]]
+            for line in block.splitlines() if line.startswith("peierls ")]
+
+
+class TestReadmeCommands:
+    def test_every_example_parses(self):
+        commands = _readme_commands()
+        assert [argv[0] for argv in commands] == [*SWEEP_KINDS, "solve", "constants"]
+        for argv in commands:
+            assert _build_parser().parse_args(argv).kind == argv[0]
+            if argv[0] in SWEEP_KINDS:
+                assert parse_config(argv).output_path == argv[-1]
