@@ -46,32 +46,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _value(tok: str, integer: bool = False):
+    """One finite number, an int where ``integer`` is set ('8.0' reads as 8)."""
+    try:
+        val = float(tok)
+    except ValueError:
+        raise UsageError(f"malformed number {tok!r}") from None
+    if not math.isfinite(val):
+        raise UsageError(f"expected a finite number, got {tok!r}")
+    if integer:
+        if val != int(val):
+            raise UsageError(f"expected an integer, got {tok!r}")
+        return int(val)
+    return val
+
+
 def _parse_range(text: str, integer: bool = False) -> list:
     """Expand '2', '3,4,5' or 'start:stop:step' (endpoints within half-step).
 
-    Every number, range parts included, must be finite, and an integer
-    where ``integer`` is set. A range longer than MAX_GRID_POINTS is
-    rejected before it is built.
+    Every number, range parts included, is read by :func:`_value`. A range
+    longer than MAX_GRID_POINTS is rejected before it is built.
     """
-    def one(tok: str):
-        try:
-            val = float(tok)
-        except ValueError:
-            raise UsageError(f"malformed number {tok!r}") from None
-        if not math.isfinite(val):
-            raise UsageError(f"expected a finite number, got {tok!r}")
-        if integer:
-            if val != int(val):
-                raise UsageError(f"expected an integer, got {tok!r}")
-            return int(val)
-        return val
-
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (one(p) for p in parts)
+        start, stop, step = (_value(p, integer) for p in parts)
         if step <= 0 or stop < start:
             raise UsageError(f"bad range {text!r}")
         if not (float(stop) - start) / step < MAX_GRID_POINTS:  # ints may overflow
@@ -84,7 +85,7 @@ def _parse_range(text: str, integer: bool = False) -> list:
             out.append(val)
             k += 1
         return out
-    return [one(tok) for tok in text.split(",") if tok != ""]
+    return [_value(tok, integer) for tok in text.split(",") if tok != ""]
 
 
 def _read_config(path: str, keys) -> dict:
@@ -140,16 +141,6 @@ def _parse(argv) -> tuple[str, dict]:
     return args.kind, opts
 
 
-def _number(opts, key, default=None, cast=float):
-    raw = opts.get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise UsageError(f"malformed value for --{key}: {raw!r}") from None
-
-
 def _sweep_spec(kind: str, opts: dict) -> SweepSpec:
     """A sweep command's options to a validated SweepSpec.
 
@@ -167,7 +158,8 @@ def _sweep_spec(kind: str, opts: dict) -> SweepSpec:
 
     if opts.get("out") is None:
         raise UsageError(f"{kind} requires --out")
-    workers = _number(opts, "workers", os.cpu_count() or 1, cast=int)
+    workers = opts.get("workers")
+    workers = (os.cpu_count() or 1) if workers is None else _value(workers, integer=True)
     try:
         return SweepSpec(kind=kind, grid=grid, output_path=opts["out"], workers=workers)
     except ValueError as err:
@@ -183,11 +175,10 @@ def parse_config(argv) -> SweepSpec:
 
 
 def _solve_rows(opts) -> list[ResultRow]:
-    mu = _number(opts, "mu")
-    theta = _number(opts, "theta")
-    if mu is None or theta is None:
+    if opts.get("mu") is None or opts.get("theta") is None:
         raise UsageError("solve requires --mu and --theta")
-    L = _number(opts, "L", cast=int)
+    mu, theta = _value(opts["mu"]), _value(opts["theta"])
+    L = None if opts.get("L") is None else _value(opts["L"], integer=True)
     if theta <= 0:
         raise UsageError(f"solve needs theta > 0, got {theta}")
     try:

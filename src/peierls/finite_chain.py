@@ -59,10 +59,10 @@ class ModelParams:
     L: int | None = None
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"stiffness must be positive, got {self.mu}")
-        if self.theta < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.theta}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"stiffness must be positive and finite, got {self.mu}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.theta}")
         if self.L is not None:
             _check_even_length(self.L)
 
@@ -222,12 +222,15 @@ def g_finite(s: DimerState, p: ModelParams) -> float:
 
 
 def _minimize_dimer(p: ModelParams, mean):
-    """(W, delta) quadrant search of the band energy with the ring's band
-    mean, delta snapping to 0 below DELTA_ZERO. Returns (DimerState, value).
+    """(W, delta) search of the band energy over W, delta >= 0 with the
+    ring's band mean, delta snapping to 0 below DELTA_ZERO. Returns
+    (DimerState, value).
 
-    The 2D search always races the best 1-periodic state: near and above
-    the transition the landscape is quartically flat in delta and a simplex
-    can stall at a tiny spurious delta, so the winner is decided by value.
+    numerics._polished_descent searches the quadrant from a fan of starts,
+    and the 1-periodic states (delta = 0) in a 1D search of their own: near
+    and above the transition the landscape is quartically flat in delta and
+    a simplex can stall at a tiny spurious delta, so the two race by value.
+    A simplex run that exhausts its iterations raises ConvergenceError.
     """
     g2 = lambda W, d: _band_energy(W, d, p.mu, p.theta, mean)
     w_guess = 1.0 + 4.0 / (math.pi * p.mu)
@@ -236,10 +239,10 @@ def _minimize_dimer(p: ModelParams, mean):
     # descending-delta fan of starts plus the 1-periodic candidate
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    x, fx = _polished_descent(f, starts, np.zeros(2), None, tol, steps)
+    x, fx = _polished_descent(f, starts, steps, tol)
     W, delta = float(x[0]), float(abs(x[1]))
     x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0), [(w_guess,), (W,)],
-                               np.zeros(1), None, tol, [(0.1,), (1e-4,)])
+                               [(0.1,), (1e-4,)], tol)
     tie = 4e-15 * (1.0 + abs(f1))
     if f1 <= fx + tie:
         return DimerState(W=float(x1[0]), delta=0.0), float(f1)

@@ -3,10 +3,10 @@
 One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
 periodic integrands whose error falls geometrically with the node count,
 on nodes mapped towards a sharp layer where the integrand's strip of
-analyticity is narrow. Then monotone root solving, box-constrained
-minimization (a derivative-free simplex, and damped Newton descent where
-the Hessian is known), and checked spectra of dense symmetric matrices by
-LAPACK's eigvalsh through numpy.
+analyticity is narrow. Then monotone root solving, minimization (a
+projected derivative-free simplex on the orthant x >= 0, and damped Newton
+descent on a box where the Hessian is known), and checked spectra of dense
+symmetric matrices by LAPACK's eigvalsh through numpy.
 Everything here is a pure function of its inputs and safe to call from many
 workers at once.
 """
@@ -248,55 +248,52 @@ def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
     return solve_increasing(f, target, Bracket(*sorted((u, u + step))), tol)
 
 
-def _clamp(x, lower, upper):
-    if lower is not None:
-        x = np.maximum(x, lower)
-    if upper is not None:
-        x = np.minimum(x, upper)
-    return x
+def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
+                 step: Sequence[float], tol: Tolerance):
+    """Minimize f over the orthant x >= 0 by a projected Nelder-Mead simplex.
 
-
-def _nelder_mead(f, x0, lower, upper, fatol, frtol, xatol, max_iter, step):
-    """Projected Nelder-Mead. Returns (x, fx, converged).
-
-    Candidates are clamped onto the box before evaluation. Uses the
-    dimension-adaptive expansion/contraction coefficients, which behave
-    better for d >= 4.
+    Returns ``(x, f(x))``. The initial simplex moves init by ``step[i]``
+    along coordinate i, or back by it where the moved vertex is np.allclose
+    to init: where the clamp undoes the move, or the step is below
+    allclose's 1e-5 relative tolerance. Every candidate is clamped onto
+    x >= 0 before it is evaluated. The expansion, contraction and shrink
+    coefficients adapt to the dimension d, which behaves better for d >= 4.
+    The search stops once the vertex values agree to ``abs_tol + rel_tol *
+    |best|`` and the vertices lie within max(1e-2 sqrt(abs_tol), 1e-12) of
+    the best one; after ``tol.max_iter`` iterations it raises
+    :class:`ConvergenceError` with ``best=(x, fx)``.
     """
-    d = len(x0)
-    alpha = 1.0
-    gamma = 1.0 + 2.0 / d
-    beta = 0.75 - 1.0 / (2.0 * d)
-    sigma = 1.0 - 1.0 / d
+    x0 = np.maximum(np.asarray(init, dtype=float), 0.0)
+    d = x0.size
+    gamma, beta, sigma = 1.0 + 2.0 / d, 0.75 - 1.0 / (2.0 * d), 1.0 - 1.0 / d
+    xatol = max(math.sqrt(tol.abs_tol) * 1e-2, 1e-12)
 
-    x0 = _clamp(np.asarray(x0, dtype=float), lower, upper)
     simplex = [x0]
     for i in range(d):
         v = x0.copy()
-        step_i = step[i] if np.ndim(step) else step
-        v[i] += step_i
-        v = _clamp(v, lower, upper)
+        v[i] += step[i]
+        v = np.maximum(v, 0.0)
         if np.allclose(v, x0):
             v = x0.copy()
-            v[i] -= step_i
-            v = _clamp(v, lower, upper)
+            v[i] -= step[i]
+            v = np.maximum(v, 0.0)
         simplex.append(v)
     fs = [f(v) for v in simplex]
 
-    for _ in range(max_iter):
+    for _ in range(tol.max_iter):
         order = np.argsort(fs, kind="stable")
         simplex = [simplex[i] for i in order]
         fs = [fs[i] for i in order]
         fbest, fworst = fs[0], fs[-1]
         spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if fworst - fbest <= fatol + frtol * abs(fbest) and spread <= xatol:
-            return simplex[0], fbest, True
+        if fworst - fbest <= tol.abs_tol + tol.rel_tol * abs(fbest) and spread <= xatol:
+            return simplex[0], fbest
 
         centroid = np.mean(simplex[:-1], axis=0)
-        xr = _clamp(centroid + alpha * (centroid - simplex[-1]), lower, upper)
+        xr = np.maximum(centroid + (centroid - simplex[-1]), 0.0)
         fr = f(xr)
         if fr < fs[0]:
-            xe = _clamp(centroid + gamma * (xr - centroid), lower, upper)
+            xe = np.maximum(centroid + gamma * (xr - centroid), 0.0)
             fe = f(xe)
             if fe < fr:
                 simplex[-1], fs[-1] = xe, fe
@@ -306,47 +303,20 @@ def _nelder_mead(f, x0, lower, upper, fatol, frtol, xatol, max_iter, step):
             simplex[-1], fs[-1] = xr, fr
         else:
             if fr < fs[-1]:
-                xc = _clamp(centroid + beta * (xr - centroid), lower, upper)
+                xc = np.maximum(centroid + beta * (xr - centroid), 0.0)
             else:
-                xc = _clamp(centroid + beta * (simplex[-1] - centroid), lower, upper)
+                xc = np.maximum(centroid + beta * (simplex[-1] - centroid), 0.0)
             fc = f(xc)
             if fc < min(fr, fs[-1]):
                 simplex[-1], fs[-1] = xc, fc
             else:
                 for i in range(1, d + 1):
-                    simplex[i] = _clamp(simplex[0] + sigma * (simplex[i] - simplex[0]),
-                                        lower, upper)
+                    simplex[i] = np.maximum(simplex[0] + sigma * (simplex[i] - simplex[0]), 0.0)
                     fs[i] = f(simplex[i])
-    order = np.argsort(fs, kind="stable")
-    return simplex[order[0]], fs[order[0]], False
-
-
-def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
-                 lower_bounds: Sequence[float] | None = None,
-                 tol: Tolerance | None = None, *,
-                 upper_bounds: Sequence[float] | None = None,
-                 initial_step: Sequence[float] | float | None = None):
-    """Minimize f over a box with a projected derivative-free simplex.
-
-    Returns ``(point, value)``. Raises :class:`ConvergenceError` (carrying
-    the best point found) if the iteration budget runs out first.
-    """
-    init = np.asarray(init, dtype=float)
-    d = init.size
-    if tol is None:
-        tol = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200 * d)
-    lower = None if lower_bounds is None else np.asarray(lower_bounds, dtype=float)
-    upper = None if upper_bounds is None else np.asarray(upper_bounds, dtype=float)
-    if initial_step is None:
-        initial_step = 0.1 * (1.0 + np.abs(init))
-    xatol = max(math.sqrt(tol.abs_tol) * 1e-2, 1e-12)
-    x, fx, ok = _nelder_mead(f, init, lower, upper, tol.abs_tol, tol.rel_tol,
-                             xatol, tol.max_iter, initial_step)
-    if not ok:
-        raise ConvergenceError(
-            f"simplex search did not converge in {tol.max_iter} iterations",
-            best=(x, fx))
-    return x, fx
+    i = np.argsort(fs, kind="stable")[0]
+    raise ConvergenceError(
+        f"simplex search did not converge in {tol.max_iter} iterations",
+        best=(simplex[i], fs[i]))
 
 
 # first primes, for the Kronecker (sqrt-prime) lattice of lattice_points
@@ -360,29 +330,21 @@ def lattice_points(n: int, d: int) -> np.ndarray:
     return np.modf(0.5 + np.arange(1, n + 1)[:, None] * alpha)[0]
 
 
-def _polished_descent(f, starts, lower, upper, tol, steps):
-    """Best simplex minimum over explicit starts, then restart-polished.
+def _polished_descent(f, starts, steps, tol):
+    """Best :func:`minimize_box` minimum over explicit starts, then restart-polished.
 
     The engine behind the dimer minimizers, with one initial simplex step
     per start in ``steps``. The best point is restarted with a fresh simplex
     of relative size 1e-6, at most 3 times, until the value stops improving
     by 1e-15: near a phase boundary the landscape is quartically flat and a
-    first run can stall short of the minimum. A run that exhausts its
-    iterations contributes its best point; any other exception from the
-    objective propagates.
+    first run can stall short of the minimum. Any exception, a simplex that
+    runs out of iterations included, propagates.
     """
-    def descend(x0, st):
-        try:
-            return minimize_box(f, x0, lower, tol, upper_bounds=upper, initial_step=st)
-        except ConvergenceError as err:
-            if not (isinstance(err.best, tuple) and len(err.best) == 2):
-                raise
-            return err.best
-
     # the first of the lowest, as min keeps its first item among equals
-    x, fx = min((descend(x0, st) for x0, st in zip(starts, steps)), key=lambda r: r[1])
+    x, fx = min((minimize_box(f, x0, st, tol) for x0, st in zip(starts, steps)),
+                key=lambda r: r[1])
     for _ in range(3):
-        xp, fp = descend(x, 1e-6 * (1.0 + np.abs(x)))
+        xp, fp = minimize_box(f, x, 1e-6 * (1.0 + np.abs(x)), tol)
         if fp >= fx - 1e-15:
             if fp < fx:
                 x, fx = xp, fp

@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import finite_chain, thermodynamic, zero_temperature
 
@@ -53,21 +54,16 @@ SWEEP_KINDS = {
 }
 
 
-def _validate_point(kind: str, point: tuple) -> None:
-    names = SWEEP_KINDS[kind][0]
-    if len(point) != len(names):
-        raise ValueError(f"{kind} expects parameters {names}, got {point}")
-    vals = dict(zip(names, point))
-    if "mu" in vals and not vals["mu"] > 0:
-        raise ValueError(f"mu must be positive, got {vals['mu']}")
-    if "theta" in vals and not vals["theta"] > 0:
-        raise ValueError(f"theta must be positive, got {vals['theta']}")
-    if "L" in vals:
-        L = vals["L"]
-        if L != int(L) or int(L) < 4 or int(L) % 2:
-            raise ValueError(f"L must be an even integer >= 4, got {L}")
-        if kind == "mu-critical" and int(L) % 4 != 2:
-            raise ValueError(f"mu-critical needs L = 2 mod 4, got {L}")
+def _check_column(kind: str, name: str, values) -> None:
+    """The values of a grid's input column ``name``, in order, against its domain."""
+    for val in values:
+        if name in ("mu", "theta") and not val > 0:
+            raise ValueError(f"{name} must be positive, got {val}")
+        if name == "L":
+            if val != int(val) or int(val) < 4 or int(val) % 2:
+                raise ValueError(f"L must be an even integer >= 4, got {val}")
+            if kind == "mu-critical" and int(val) % 4 != 2:
+                raise ValueError(f"mu-critical needs L = 2 mod 4, got {val}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,13 @@ class SweepSpec:
             raise ValueError("sweep grid must not be empty")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        names = SWEEP_KINDS[self.kind][0]
         for point in self.grid:
-            _validate_point(self.kind, tuple(point))
+            if len(point) != len(names):
+                raise ValueError(f"{self.kind} expects parameters {names}, got {tuple(point)}")
+        # a grid is mostly a product of ranges: each distinct value once
+        for j, name in enumerate(names):
+            _check_column(self.kind, name, dict.fromkeys(map(itemgetter(j), self.grid)))
 
 
 @dataclass(frozen=True)

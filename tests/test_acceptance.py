@@ -22,6 +22,7 @@ import math
 import time
 
 import numpy as np
+import scipy.optimize
 
 from peierls.finite_chain import (DimerState, HoppingConfig, ModelParams,
                                   build_hopping_matrix, chain_free_energy,
@@ -29,7 +30,7 @@ from peierls.finite_chain import (DimerState, HoppingConfig, ModelParams,
                                   minimize_dimer_finite, mu_critical,
                                   theta_critical_finite)
 from peierls.kernels import electron_free_energy, entropy, h_theta
-from peierls.numerics import Tolerance, eigenvalues_symmetric, minimize_box
+from peierls.numerics import eigenvalues_symmetric
 from peierls.sweep import SweepSpec, emit_csv, run_sweep
 from peierls.thermodynamic import (asymptotic_constants, bifurcation_data,
                                    g_thermo, minimize_dimer_thermo,
@@ -208,15 +209,14 @@ def test_criterion_09_bifurcation_sign_structure():
 
 def test_criterion_10_zero_temperature_closed_forms():
     t0 = time.perf_counter()
-    tol = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=600)
     ok = True
     for mu in (0.5, 2.0, 8.0):
         W1, f0_per = periodic_optimum_zero(mu)
-        f = lambda z, m=mu: g_zero(DimerState(W=max(z[0], 0.0), delta=0.0), m)
-        x, val = minimize_box(f, [1.2], [0.0], tol)
-        for step in (1e-5, 1e-7):  # restart polish for the flat 1D basin
-            x, val = minimize_box(f, x, [0.0], tol, initial_step=step)
-        ok &= abs(x[0] - W1) <= 1e-8 and abs(val - f0_per) <= 1e-8
+        # an independent 1-D minimizer of the uniform ring's energy
+        r = scipy.optimize.minimize_scalar(
+            lambda W, m=mu: g_zero(DimerState(W=W, delta=0.0), m),
+            method="bounded", bounds=(0.5, 5.0), options={"xatol": 1e-12})
+        ok &= abs(r.x - W1) <= 1e-8 and abs(r.fun - f0_per) <= 1e-8
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _report(10, "1-periodic optimum matches closed form to 1e-8",

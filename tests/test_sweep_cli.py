@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from peierls import cli, sweep, thermodynamic
+from peierls import cli, numerics, sweep, thermodynamic
 from peierls.cli import (MAX_GRID_POINTS, UsageError, _build_parser, _parse_range, main,
                          parse_config)
-from peierls.finite_chain import theta_critical_finite
+from peierls.finite_chain import ModelParams, theta_critical_finite
 from peierls.numerics import ConvergenceError
 from peierls.sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 
@@ -125,6 +125,20 @@ class TestSweepSpec:
             SweepSpec(kind="nonsense", grid=[(1.0,)], output_path="x.csv")
         with pytest.raises(ValueError):
             SweepSpec(kind="gap", grid=[], output_path="x.csv")
+
+    @pytest.mark.parametrize("kind, grid, message", [
+        ("bifurcation", [(2.0, 0.1), (2.0,)], "bifurcation expects parameters ('mu', 'theta'), "
+                                              "got (2.0,)"),
+        ("bifurcation", [(1.0, 0.1), (-1.0, 0.1), (-2.0, 0.1)], "mu must be positive, got -1.0"),
+        ("bifurcation", [(1.0, 0.1), (1.0, 0.0)], "theta must be positive, got 0.0"),
+        ("finite-thetac", [(1.0, 8), (1.0, 7)], "L must be an even integer >= 4, got 7"),
+        ("finite-thetac", [(1.0, 8), (1.0, 8.5)], "L must be an even integer >= 4, got 8.5"),
+        ("mu-critical", [(6,), (8,)], "mu-critical needs L = 2 mod 4, got 8")])
+    def test_domain_messages(self, kind, grid, message):
+        # each distinct value of a column is checked once, in grid order
+        with pytest.raises(ValueError) as err:
+            SweepSpec(kind=kind, grid=grid, output_path="x.csv")
+        assert str(err.value) == message
 
 
 class TestRunSweep:
@@ -342,6 +356,35 @@ class TestCliMain:
     def test_usage_error_exit_1(self, capsys):
         assert main(["finite-thetac", "--mu", "1", "--L", "7", "--out", "x.csv"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--mu", "inf", "--theta", "0.1"],
+                                      ["--mu", "nan", "--theta", "0.1"],
+                                      ["--mu", "2", "--theta", "inf"],
+                                      ["--mu", "2", "--theta", "0.1", "--L", "8.5"]])
+    def test_solve_reads_numbers_as_sweeps_do(self, argv, capsys):
+        assert main(["solve", *argv]) == 1
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_solve_integral_float_length(self, capsys):
+        assert main(["solve", "--mu", "2", "--theta", "0.05", "--L", "8.0"]) == 0
+        as_float = capsys.readouterr().out
+        assert main(["solve", "--mu", "2", "--theta", "0.05", "--L", "8"]) == 0
+        assert as_float == capsys.readouterr().out
+        assert as_float.splitlines()[1].startswith("2,0.05,8,")
+
+    def test_exhausted_simplex_is_an_error_row(self, monkeypatch, tmp_path):
+        # a dimer search whose simplex runs out of iterations raises, and
+        # the sweep point becomes an error row
+        real = numerics.minimize_box
+        monkeypatch.setattr(numerics, "minimize_box", lambda f, init, step, tol: real(
+            f, init, step, numerics.Tolerance(tol.abs_tol, tol.rel_tol, max_iter=3)))
+        with pytest.raises(ConvergenceError):
+            thermodynamic.minimize_dimer_thermo(ModelParams(mu=2.0, theta=0.1))
+        spec = SweepSpec(kind="bifurcation", grid=[(2.0, 0.1)],
+                         output_path=str(tmp_path / "b.csv"))
+        (row,) = run_sweep(spec)
+        assert row.status == "error: simplex search did not converge in 3 iterations"
+        assert row.outputs == {"W": "", "delta": "", "value": ""}
 
     def test_solve_odd_length_exit_1(self, capsys):
         assert main(["solve", "--mu", "1", "--theta", "0.1", "--L", "7"]) == 1

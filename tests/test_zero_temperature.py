@@ -5,12 +5,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 
 import peierls.numerics
 from peierls.finite_chain import DimerState, ModelParams
 from peierls.kernels import elliptic_side
-from peierls.numerics import Tolerance, minimize_box
 from peierls.thermodynamic import g_thermo
 from peierls.zero_temperature import (dimer_optimum_zero, g_zero,
                                       gap_rate_fit, periodic_optimum_zero)
@@ -123,15 +123,14 @@ class TestPeriodicOptimum:
         assert f0_per == pytest.approx(-4 / math.pi, abs=1e-7)
 
     def test_agrees_with_1d_minimization(self):
-        tol = Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=600)
+        # scipy's bounded Brent search as the independent reference
         for mu in (0.5, 2.0, 8.0):
             W1, f0_per = periodic_optimum_zero(mu)
-            f = lambda z, m=mu: g_zero(DimerState(W=max(z[0], 0.0), delta=0.0), m)
-            x, val = minimize_box(f, [1.2], [0.0], tol)
-            for step in (1e-5, 1e-7):  # restarts unstick the shrunken simplex
-                x, val = minimize_box(f, x, [0.0], tol, initial_step=step)
-            assert x[0] == pytest.approx(W1, abs=1e-8)
-            assert val == pytest.approx(f0_per, abs=1e-8)
+            r = scipy.optimize.minimize_scalar(
+                lambda W, m=mu: g_zero(DimerState(W=W, delta=0.0), m),
+                method="bounded", bounds=(0.5, 5.0), options={"xatol": 1e-12})
+            assert r.x == pytest.approx(W1, abs=1e-8)
+            assert r.fun == pytest.approx(f0_per, abs=1e-8)
 
 
 class TestDimerOptimum:
