@@ -77,6 +77,14 @@ def _mode_nodes(n: int, midpoints: bool = False) -> np.ndarray:
     return (np.arange(n) - (n - midpoints) / 2) * (np.pi / n)
 
 
+@functools.lru_cache(maxsize=None)
+def _start_grid(n: int) -> np.ndarray:
+    # n start nodes, then their midpoints; read-only, as every call shares it
+    grid = np.concatenate((_mode_nodes(n), _mode_nodes(n, midpoints=True)))
+    grid.flags.writeable = False
+    return grid
+
+
 def _start_nodes(eta: float) -> int:
     # the power of two N >= 15/eta (at least 8): predicted error e^(-2 eta N)
     # ~ 1e-13 at the first estimate, so one doubling verifies it
@@ -149,8 +157,11 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     band integrands do (see :func:`_node_map`). N starts at the power of
     two N0 >= 15/eta of the (mapped) strip, where the predicted error is
     ~1e-13, and doubles with the old nodes reused: the new estimate is the
-    mean of the old one and the mean over the midpoints. The finer estimate
-    is returned once two agree to ``abs_tol + rel_tol * |est|``.
+    mean of the old one and that over the midpoints. The start level and
+    its first doubling are one call of f on a cached read-only grid, the N0
+    nodes then their midpoints; each later doubling is one call on the new
+    midpoints. The finer estimate is returned once two agree to
+    ``abs_tol + rel_tol * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a
     costly factor: the k means converge together, each to the tolerance,
     and come back as a list of k floats; a 1-D f gives one float.
@@ -169,17 +180,19 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     g = f if p == 1 else _mapped(f, p)
     # sum / n is np.mean's arithmetic without its per-call overhead; one
     # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
-    s = g(_mode_nodes(n)).sum(axis=-1)
+    v = g(_start_grid(n))
+    s, mid = v[..., :n].sum(axis=-1), v[..., n:]
     rows = s.ndim
     est = s / n if rows else float(s) / n
-    while 2 * n <= tol.max_iter:
-        s = g(_mode_nodes(n, midpoints=True)).sum(axis=-1)
+    while mid is not None:
+        s = mid.sum(axis=-1)
         new = 0.5 * (est + (s / n if rows else float(s) / n))
         n *= 2
         close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
         if close.all() if rows else close:
             return new.tolist() if rows else new
         est = new
+        mid = g(_mode_nodes(n, midpoints=True)) if 2 * n <= tol.max_iter else None
     best = est.tolist() if rows else est
     raise ConvergenceError(
         f"mode mean did not converge within {tol.max_iter} nodes "

@@ -17,6 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
 from . import finite_chain, thermodynamic, zero_temperature
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS"]
@@ -54,18 +56,6 @@ SWEEP_KINDS = {
 }
 
 
-def _check_column(kind: str, name: str, values) -> None:
-    """The values of a grid's input column ``name``, in order, against its domain."""
-    for val in values:
-        if name in ("mu", "theta") and not val > 0:
-            raise ValueError(f"{name} must be positive, got {val}")
-        if name == "L":
-            if val != int(val) or int(val) < 4 or int(val) % 2:
-                raise ValueError(f"L must be an even integer >= 4, got {val}")
-            if kind == "mu-critical" and int(val) % 4 != 2:
-                raise ValueError(f"mu-critical needs L = 2 mod 4, got {val}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A validated sweep: kind, grid, destination, worker count."""
@@ -86,10 +76,19 @@ class SweepSpec:
         for point in self.grid:
             if len(point) != len(names):
                 raise ValueError(f"{self.kind} expects parameters {names}, got {tuple(point)}")
-        # a grid is mostly a product of ranges: each distinct value once
+        # each input column in one vectorized pass; its first bad value is reported
         for j, name in enumerate(names):
-            _check_column(self.kind, name, dict.fromkeys(map(itemgetter(j), self.grid)))
-
+            col = np.fromiter(map(itemgetter(j), self.grid), dtype=float, count=len(self.grid))
+            m = 4 if self.kind == "mu-critical" else 2  # a good L is m - 2 mod m
+            with np.errstate(invalid="ignore"):  # inf % m is nan: a bad L
+                bad = ~(col > 0) if name != "L" else (col < 4) | (col % m != m - 2)
+            if bad.any():
+                val = self.grid[int(bad.argmax())][j]
+                if name != "L":
+                    raise ValueError(f"{name} must be positive, got {val}")
+                if val % 2 or val < 4:
+                    raise ValueError(f"L must be an even integer >= 4, got {val}")
+                raise ValueError(f"mu-critical needs L = 2 mod 4, got {val}")
 
 @dataclass(frozen=True)
 class ResultRow:

@@ -5,12 +5,33 @@ import math
 import numpy as np
 import pytest
 
+from peierls import numerics, sweep
+from peierls.kernels import _h_prime
 from peierls.numerics import (Bracket, ConvergenceError, Tolerance,
                               _polished_descent, eigenvalues_symmetric,
                               lattice_points, minimize_box, mode_mean,
                               solve_increasing)
 
 TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
+
+
+def _two_call_mode_mean(f, eta, tol):
+    # the mode mean with the start level and its first doubling in two
+    # calls, on fresh nodes: the reference the shared start call must match
+    p, n = numerics._node_map(eta)
+    g = f if p == 1 else numerics._mapped(f, p)
+    s = g(numerics._mode_nodes(n)).sum(axis=-1)
+    rows = s.ndim
+    est = s / n if rows else float(s) / n
+    while 2 * n <= tol.max_iter:
+        s = g(numerics._mode_nodes(n, midpoints=True)).sum(axis=-1)
+        new = 0.5 * (est + (s / n if rows else float(s) / n))
+        n *= 2
+        close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
+        if close.all() if rows else close:
+            return new.tolist() if rows else new
+        est = new
+    raise ConvergenceError("the reference mode mean did not converge")
 
 
 class TestTolerance:
@@ -41,12 +62,13 @@ class TestModeMean:
     def test_trig_polynomial_exact_at_start(self):
         # N nodes integrate e^(2iks) exactly for |k| < N: the first estimate
         # is exact, so one doubling confirms it. An entire f has eta = inf
-        # and starts at the smallest N, 8
+        # and starts at the smallest N, 8: one call on the 8 start nodes and
+        # their 8 midpoints
         f, sizes = self._recording(
             lambda s: 1.5 + 0.3 * np.cos(2 * s) - 0.7 * np.sin(6 * s) + 0.2 * np.cos(14 * s))
         val = mode_mean(f, math.inf, TOL)
         assert val == pytest.approx(1.5, abs=1e-15)
-        assert sizes == [8, 8]
+        assert sizes == [16]
 
     def test_doublings_predicted_by_strip_width(self):
         # mean 1/(a - cos 2s) = 1/sqrt(a^2 - 1); the poles at cos 2s = a lie
@@ -58,30 +80,72 @@ class TestModeMean:
         err = lambda n: 2.0 * exact * math.exp(-2 * eta * n) / (1 - math.exp(-2 * eta * n))
         f = lambda s: 1.0 / (a - np.cos(2 * s))
         tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1024)
-        # the true eta starts at the power of two >= 15/eta, verified by one doubling
+        # the true eta starts at the power of two >= 15/eta, verified by one
+        # doubling: a single call on the 64 start nodes and their midpoints
         g, sizes = self._recording(f)
         assert mode_mean(g, eta, tol) == pytest.approx(exact, rel=1e-15)
-        assert sizes == [64, 64]
+        assert sizes == [128]
         # an eta claimed too wide (15/8) starts at N = 8, and N doubles until
-        # the error the true eta predicts passes; the finer estimate is returned
+        # the error the true eta predicts passes; the finer estimate is
+        # returned. Each doubling after the first is a call on the midpoints
         n0, n = 8, 8
         while err(n) > TOL.abs_tol + TOL.rel_tol * exact:
             n *= 2
         g, sizes = self._recording(f)
         assert mode_mean(g, 15.0 / n0, tol) == pytest.approx(exact, rel=1e-15)
-        assert sizes == [n0] + [n0 * 2 ** k for k in range(int(math.log2(n // n0)) + 1)]
+        assert sizes == [2 * n0] + [n0 * 2 ** k for k in range(1, int(math.log2(n // n0)) + 1)]
         assert n == 64
 
     def test_band_centre_layer_closed_form(self):
         # mean 1/(eps + 2 sin^2 t) = mean 1/(1 + eps - cos 2t) = 1/sqrt(eps (2 + eps)):
         # a layer of width ~sqrt(eps) at t = 0, with eta = acosh(1 + eps)/2.
         # Unmapped, N0 >= 15/eta would be 2^15 and 2^25 nodes; the mapped
-        # nodes start below 1024, and one doubling verifies the start
+        # nodes start below 1024, and one doubling verifies the start: one
+        # call on the start nodes and their midpoints
         for eps in (1e-6, 1e-12):
             f, sizes = self._recording(lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2))
             val = mode_mean(f, 0.5 * math.acosh(1.0 + eps), TOL)
             assert val == pytest.approx(1.0 / math.sqrt(eps * (2.0 + eps)), rel=1e-12)
-            assert sizes[0] <= 1024 and sizes == [sizes[0]] * 2
+            assert len(sizes) == 1 and sizes[0] // 2 <= 1024
+
+    def test_shared_start_call_is_bit_identical(self):
+        # one call on the start nodes and their midpoints sums the same
+        # nodes in the same order as two calls: 1-D, a (3, N) stack and
+        # mapped (p > 1) nodes, converging at the first doubling or later
+        a, eps, x = 1.25, 1e-6, 1e3
+        stack = lambda s: np.stack((1.0 / (a - np.cos(2 * s)),
+                                    np.cos(2 * s) / (a - np.cos(2 * s)),
+                                    np.sin(s) ** 2 / (a - np.cos(2 * s))))
+        band = lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2)
+        tanh = lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t)
+        cases = [(lambda s: 1.0 / (a - np.cos(2 * s)), 0.5 * math.acosh(a)),
+                 (lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8),
+                 (stack, 0.5 * math.acosh(a)), (stack, 15.0 / 8),
+                 (band, 0.5 * math.acosh(1.0 + eps)),
+                 (lambda t: np.stack((band(t), np.cos(t) ** 2 * band(t))),
+                  0.5 * math.acosh(1.0 + eps)),
+                 (tanh, math.asinh(0.5 * math.pi / x))]
+        assert numerics._node_map(cases[-1][1])[0] > 1  # the premise: mapped nodes
+        for f, eta in cases:
+            assert mode_mean(f, eta, TOL) == _two_call_mode_mean(f, eta, TOL)
+
+    def test_start_nodes_are_read_only(self):
+        # the cached start grid is shared by every call: writing into it raises
+        def f(s):
+            s *= 2.0
+            return np.cos(s)
+        with pytest.raises(ValueError):
+            mode_mean(f, math.inf, TOL)
+
+    def test_start_grid_cache_stays_small(self, tmp_path):
+        # the cache is keyed by the power-of-two N0 (8 to 8192), not by a
+        # ring length or a stiffness
+        for kind, grid in (("finite-thetac", [(2.0, L) for L in range(4, 402, 2)]),
+                           ("phase-diagram", [(mu,) for mu in (0.5, 2, 8, 20, 50, 200)])):
+            rows = sweep.run_sweep(sweep.SweepSpec(kind=kind, grid=grid,
+                                                   output_path=str(tmp_path / "x.csv")))
+            assert all(row.status == "ok" for row in rows)
+        assert 0 < numerics._start_grid.cache_info().currsize <= 12
 
     def test_node_cap_raises(self):
         a = 1.25

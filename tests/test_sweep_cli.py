@@ -133,9 +133,12 @@ class TestSweepSpec:
         ("bifurcation", [(1.0, 0.1), (1.0, 0.0)], "theta must be positive, got 0.0"),
         ("finite-thetac", [(1.0, 8), (1.0, 7)], "L must be an even integer >= 4, got 7"),
         ("finite-thetac", [(1.0, 8), (1.0, 8.5)], "L must be an even integer >= 4, got 8.5"),
-        ("mu-critical", [(6,), (8,)], "mu-critical needs L = 2 mod 4, got 8")])
+        ("mu-critical", [(6,), (8,)], "mu-critical needs L = 2 mod 4, got 8"),
+        ("mu-critical", [(6,), (10,), (3,), (4,)], "L must be an even integer >= 4, got 3"),
+        ("finite-thetac", [(1.0, 8), (1.0, 2)], "L must be an even integer >= 4, got 2"),
+        ("phase-diagram", [(1.0,), (math.nan,), (-1.0,)], "mu must be positive, got nan")])
     def test_domain_messages(self, kind, grid, message):
-        # each distinct value of a column is checked once, in grid order
+        # the first bad value of a column, in grid order, is reported
         with pytest.raises(ValueError) as err:
             SweepSpec(kind=kind, grid=grid, output_path="x.csv")
         assert str(err.value) == message
@@ -445,8 +448,10 @@ class TestCliMain:
 
 
 # CSV text of the README's grids but the bifurcation one, as written at
-# --workers 1 (sweeps) or to stdout (solve, constants). The printed digits
-# are the package's behaviour: a change to any of them is a change of result.
+# --workers 1 (sweeps) or to stdout (solve, constants), plus a slice of the
+# bifurcation grid (the dimer search) and a phase diagram on mapped mode-mean
+# nodes (mu >= 12, x > 1e4). The printed digits are the package's
+# behaviour: a change to any of them is a change of result.
 README_GRIDS = {
     "phase-diagram --mu 0.5:8:0.5": (
         "mu,theta_c,W_star,x,status\n"
@@ -485,6 +490,22 @@ README_GRIDS = {
         "6,0.333333333333,ok\n"
         "10,0.694427191,ok\n"
         "14,0.918226210224,ok\n"
+    ),
+    "bifurcation --mu 2 --theta 0.15:0.25:0.02": (
+        "mu,theta,W,delta,value,status\n"
+        "2,0.15,1.6293430093,0.155911689278,-1.68719155296,ok\n"
+        "2,0.17,1.63015158312,0.133828713066,-1.68850310033,ok\n"
+        "2,0.19,1.63110117831,0.0995128434858,-1.69032227421,ok\n"
+        "2,0.21,1.63217556145,0.0152266471088,-1.6927222113,ok\n"
+        "2,0.23,1.63131746554,0,-1.69557779836,ok\n"
+        "2,0.25,1.63032330608,0,-1.69870232209,ok\n"
+    ),
+    "phase-diagram --mu 12,20,50,200": (
+        "mu,theta_c,W_star,x,status\n"
+        "12,5.47897544321e-05,1.10610329529,20188.1411361,ok\n"
+        "20,9.8390823206e-08,1.06366197724,10810581.1353,ok\n"
+        "50,5.5494387088e-18,1.02546479089,1.84787118969e+17,ok\n"
+        "200,3.73225301552e-69,1.00636619772,2.6964040046e+68,ok\n"
     ),
     "solve --mu 2 --theta 0.1": (
         "mu,theta,W,delta,value,status\n"
