@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import _h_prime, _tanh_eta, h_theta
 from .numerics import (Tolerance, _mode_nodes, _newton_box, _polished_descent,
-                       eigenvalues_symmetric, lattice_points, solve_from_estimate)
+                       lattice_points, solve_from_estimate)
 
 __all__ = [
     "ModelParams",
@@ -41,6 +41,9 @@ DELTA_ZERO = 1e-8
 T_BOX = (0.05, 3.0)
 # Newton steps per start of minimize_chain_full (~55 at theta_c, where F is quartic)
 _NEWTON_STEPS = 100
+# smallest validated stiffness of a critical point: J ~ x^3/6 is summed from
+# terms of size x, so x is off by ~eps/x^2, 2.3e-11 here (4.6e-6 at 1e-16)
+_MU_MIN = 1e-8
 
 
 def _check_even_length(L) -> int:
@@ -129,6 +132,9 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
     mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the sin^2 equation
     mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
     """
+    if not _MU_MIN <= mu < math.inf:  # NaN and inf never bracket the root
+        raise ValueError(
+            f"critical temperatures are validated for finite mu >= {_MU_MIN:g}, got {mu}")
     # dJ/du tends to J at small x and to 4/pi at large x, so stopping at
     # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
     tol = Tolerance(abs_tol=1e-12 * min(1.0, target), rel_tol=0.0, max_iter=100)
@@ -166,7 +172,7 @@ def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
     """(mu/2) sum (t_i - 1)^2 - sum_i h_theta(eps_i^2) over the T spectrum."""
     if p.theta <= 0:
         raise ValueError("use chain_energy_zero for theta = 0")
-    eps = eigenvalues_symmetric(build_hopping_matrix(cfg))
+    eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
     distortion = 0.5 * p.mu * float(np.sum((cfg.t - 1.0) ** 2))
     return distortion - float(np.sum(h_theta(eps * eps, p.theta)))
 
@@ -175,7 +181,7 @@ def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
     """Zero-temperature energy: (mu/2) sum (t_i - 1)^2 - sum |eps_i|."""
     if mu <= 0:
         raise ValueError(f"stiffness must be positive, got {mu}")
-    eps = eigenvalues_symmetric(build_hopping_matrix(cfg))
+    eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
     return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - float(np.sum(np.abs(eps)))
 
 
@@ -358,7 +364,7 @@ def mu_critical(L: int) -> float:
 
 
 def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
-    """Critical temperature of the even ring, or None when it is zero.
+    """Critical temperature of the even ring, mu >= 1e-8, or None when zero.
 
     The Euler-Lagrange difference of the ring is J_finite for L = 0 mod 4
     but 2 * J_finite for L = 2 mod 4 (the closed-form normalization of

@@ -3,12 +3,13 @@
 One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
 periodic integrands whose error falls geometrically with the node count,
 on nodes mapped towards a sharp layer where the integrand's strip of
-analyticity is narrow. Then monotone root solving, minimization (a
-projected derivative-free simplex on the orthant x >= 0, and damped Newton
-descent on a box where the Hessian is known), and checked spectra of dense
-symmetric matrices by LAPACK's eigvalsh through numpy.
-Everything here is a pure function of its inputs and safe to call from many
-workers at once.
+analyticity is narrow. Then one monotone root solver, which walks from an
+estimate to a bracket and finishes by safeguarded secant, and minimization
+(a projected derivative-free simplex on the orthant x >= 0, and damped
+Newton descent on a box where the Hessian is known). Ring spectra need no
+primitive here: the model calls numpy's eigvalsh on matrices it builds
+symmetric. Everything here is a pure function of its inputs and safe to
+call from many workers at once.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ import numpy as np
 
 __all__ = [
     "Tolerance",
-    "Bracket",
     "ConvergenceError",
     "mode_mean",
-    "solve_increasing",
     "solve_from_estimate",
     "minimize_box",
-    "eigenvalues_symmetric",
 ]
 
 
@@ -51,16 +49,6 @@ class Tolerance:
             raise ValueError("abs_tol + rel_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-
-
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 class ConvergenceError(RuntimeError):
@@ -144,7 +132,7 @@ def _mapped(f, p: int):
 
 
 def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
-              tol: Tolerance | None = None) -> float | list[float]:
+              tol: Tolerance) -> float | list[float]:
     """Mean of a vectorized pi-periodic f over one period, by the trapezoid rule.
 
     f maps an array of nodes to the array of its values, and is analytic in
@@ -168,8 +156,6 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     ``tol.max_iter`` caps N; past it, or when N0 leaves no room for a
     doubling, :class:`ConvergenceError` is raised.
     """
-    if tol is None:
-        tol = Tolerance(max_iter=1 << 14)
     if not eta > 0:
         raise ValueError(f"mode_mean needs a strip half-width eta > 0, got {eta}")
     p, n = _node_map(eta)
@@ -199,24 +185,26 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         f"(estimate {best!r} at N = {n})", best=best)
 
 
-def solve_increasing(f: Callable[[float], float], target: float,
-                     bracket: Bracket, tol: Tolerance) -> float:
-    """Solve f(x) = target for f strictly increasing on the bracket.
+def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
+    """Solve f(u) = target for f increasing, from an estimate u of the root.
 
-    The secant through the last two iterates wherever it lands strictly
-    inside the bracket, else bisection; the bracket must straddle the
-    target. No margin keeps the secant off the ends: once it converges, it
-    lands next to the end it last moved. Stops when |f(x) - target| <=
-    abs_tol, at an end of the bracket too, or the bracket width drops below
-    rel_tol * |x|.
+    For a log variable u: the bracket [u, u +- ln 2] moves by ln 2 until it
+    straddles the target. Inside it, the secant through the last two
+    iterates wherever it lands strictly inside the bracket, else bisection.
+    No margin keeps the secant off the ends: once it converges, it lands
+    next to the end it last moved. Stops when |f(x) - target| <= abs_tol,
+    at an end of the bracket too, or the bracket width drops below
+    rel_tol * |x|. f is cached, so the solve does not pay again for the
+    bracket's ends.
     """
-    lo, hi = bracket.lo, bracket.hi
+    f = functools.lru_cache(maxsize=None)(f)
+    step = math.log(2.0) if f(u) < target else -math.log(2.0)
+    while (f(u + step) < target) == (step > 0):
+        u += step
+    # the walk leaves f(lo) < target <= f(hi)
+    lo, hi = sorted((u, u + step))
     flo = f(lo) - target
     fhi = f(hi) - target
-    if flo > 0 or fhi < 0:
-        raise ValueError(
-            f"bracket [{lo}, {hi}] does not straddle the target: "
-            f"f(lo)-target={flo:.3e}, f(hi)-target={fhi:.3e}")
     if abs(flo) <= tol.abs_tol:
         return lo
     if abs(fhi) <= tol.abs_tol:
@@ -245,20 +233,6 @@ def solve_increasing(f: Callable[[float], float], target: float,
     raise ConvergenceError(
         f"root solve did not converge in {tol.max_iter} iterations "
         f"(x={x!r}, residual={fx:.3e})", best=x)
-
-
-def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
-    """Solve f(u) = target for f increasing, from an estimate u of the root.
-
-    For a log variable u: the bracket [u, u +- ln 2] moves by ln 2 until it
-    straddles the target, and :func:`solve_increasing` finishes inside it.
-    f is cached, so the solve does not pay again for the bracket's ends.
-    """
-    f = functools.lru_cache(maxsize=None)(f)
-    step = math.log(2.0) if f(u) < target else -math.log(2.0)
-    while (f(u + step) < target) == (step > 0):
-        u += step
-    return solve_increasing(f, target, Bracket(*sorted((u, u + step))), tol)
 
 
 def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
@@ -405,22 +379,3 @@ def _newton_box(fgh, x, lower: float, upper: float, max_steps: int):
         x, F, g, H = xn, Fn, gn, Hn
     raise ConvergenceError(
         f"Newton descent did not converge in {max_steps} steps", best=(x, F))
-
-
-def eigenvalues_symmetric(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric matrix, by LAPACK's eigvalsh.
-
-    Raises ValueError unless M is square, finite and symmetric to within
-    1e-12 * max(1, ||M||_F); the mean of M and its transpose is what gets
-    diagonalized.
-    """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    norm = float(np.linalg.norm(A))
-    asym = float(np.max(np.abs(A - A.T), initial=0.0))
-    if asym > 1e-12 * max(norm, 1.0):
-        raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
-    return np.linalg.eigvalsh(0.5 * (A + A.T))

@@ -98,10 +98,11 @@ class ResultRow:
 
 
 def _row(inputs: dict, out_names: tuple, call, *args) -> ResultRow:
-    """``call(*args)`` under ``out_names``; a ValueError or RuntimeError: an error row."""
+    """``call(*args)`` under ``out_names``; a ValueError, ArithmeticError or
+    RuntimeError: an error row."""
     try:
         return ResultRow(inputs=inputs, outputs=dict(zip(out_names, call(*args))))
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, ArithmeticError, RuntimeError) as err:
         return ResultRow(inputs=inputs, outputs=dict.fromkeys(out_names, ""),
                          status=f"error: {err}")
 

@@ -91,7 +91,7 @@ def J_thermo(x: float) -> float:
 
 
 def theta_critical_thermo(mu: float) -> CriticalPoint:
-    """Critical temperature of the infinite ring, for 0 < mu <= 200.
+    """Critical temperature of the infinite ring, for 1e-8 <= mu <= 200.
 
     x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
     1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and theta_c

@@ -30,9 +30,9 @@ __all__ = [
     "gap_rate_fit",
 ]
 
-# largest stiffness dimer_optimum_zero accepts, the top of the tests'
-# mpmath checks (the gap there is 3.4e-138; it underflows near mu = 450)
-_MU_MAX = 200.0
+# the stiffnesses dimer_optimum_zero accepts, the span of the tests' mpmath
+# checks (the gap is 3.4e-138 at the top; W1^2 overflows below 1e-154)
+_MU_MIN, _MU_MAX = 1e-8, 200.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _e_minus_one(q: float, E: float) -> float:
 
 
 def dimer_optimum_zero(mu: float) -> GapResult:
-    """Full (W, delta) optimum and the periodicity-breaking gain, 0 < mu <= 200.
+    """Full (W, delta) optimum and the periodicity-breaking gain, 1e-8 <= mu <= 200.
 
     With q = delta/W, and K and E of the modulus sqrt(1 - q^2), the
     Euler-Lagrange equations are mu (W - 1) = (4/pi)(E - q^2 K)/(1 - q^2)
@@ -95,9 +95,9 @@ def dimer_optimum_zero(mu: float) -> GapResult:
     v = ln(1/q), from the law delta ~ 4 W1 e^(-2 - pi mu/4). The gain,
     ~ (16/pi) e^-4 W1 e^(-pi mu/2), is summed from terms of its own size.
     """
-    if not 0 < mu <= _MU_MAX:  # a NaN would never bracket the root
+    if not _MU_MIN <= mu <= _MU_MAX:  # a NaN would never bracket the root
         raise ValueError(
-            f"dimer_optimum_zero is validated for 0 < mu <= {_MU_MAX:g}, got {mu}")
+            f"dimer_optimum_zero is validated for {_MU_MIN:g} <= mu <= {_MU_MAX:g}, got {mu}")
     W1, f0_per = periodic_optimum_zero(mu)
 
     def difference(u):  # (4/pi)[(1 + q^2) K - 2E]/(1 - q^2) at v = e^u

@@ -16,7 +16,7 @@ from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
 from peierls import finite_chain, numerics, thermodynamic
 from peierls.finite_chain import T_BOX, _ring_derivatives
 from peierls.kernels import h_theta
-from peierls.numerics import ConvergenceError, eigenvalues_symmetric
+from peierls.numerics import ConvergenceError
 
 # independently solved reference values (Brent root of J + explicit sums,
 # cross-checked against a 1e-15 scipy solve)
@@ -79,13 +79,13 @@ class TestTypes:
 class TestHoppingMatrix:
     def test_uniform_ring_is_circulant(self):
         T = build_hopping_matrix(ring(1, 1, 1, 1))
-        eigs = eigenvalues_symmetric(T)
+        eigs = np.linalg.eigvalsh(T)
         assert np.allclose(eigs, [-2, 0, 0, 2], atol=1e-12)
 
     def test_alternating_ring_spectrum(self):
         a, b = 0.7, 1.3
         T = build_hopping_matrix(ring(a, b, a, b))
-        eigs2 = np.sort(eigenvalues_symmetric(T) ** 2)
+        eigs2 = np.sort(np.linalg.eigvalsh(T) ** 2)
         k = np.arange(1, 5)
         want = np.sort(a * a + b * b + 2 * a * b * np.cos(4 * k * np.pi / 4))
         assert np.allclose(eigs2, want, atol=1e-10)
@@ -95,17 +95,26 @@ class TestHoppingMatrix:
         for L in (4, 5, 8, 11):
             T = build_hopping_matrix(HoppingConfig(rng.uniform(0.2, 2.0, L)))
             assert np.trace(T) == 0.0
-            assert np.allclose(T, T.T)
+            # exactly symmetric: eigvalsh sees the matrix the model built
+            assert np.array_equal(T, T.T)
 
     def test_spectrum_symmetric_about_zero(self):
         rng = np.random.default_rng(17)
         for L in (4, 6, 8, 12):
             T = build_hopping_matrix(HoppingConfig(rng.uniform(0.3, 2.0, L)))
-            eigs = eigenvalues_symmetric(T)
+            eigs = np.linalg.eigvalsh(T)
             assert np.allclose(eigs, -eigs[::-1], atol=1e-8)
 
 
 class TestChainEnergies:
+    def test_uniform_ring_band_energy(self):
+        # the uniform ring's levels are 2 cos(2 pi k / L): its band energy
+        # is their absolute sum, and the distortion term vanishes
+        for L in (4, 64, 128):
+            want = np.sum(np.abs(2 * np.cos(2 * np.pi * np.arange(L) / L)))
+            val = chain_energy_zero(HoppingConfig(np.ones(L)), 1.0)
+            assert val == pytest.approx(-want, rel=1e-14, abs=1e-12)
+
     def test_uniform_free_energy_closed_form(self):
         p = ModelParams(mu=1.0, theta=0.5, L=4)
         val = chain_free_energy(ring(1, 1, 1, 1), p)
@@ -484,6 +493,24 @@ class TestThetaCriticalFinite:
             theta_critical_finite(0.5, L)
             assert len(calls) == 1
 
+    def test_domain(self):
+        # NaN and inf stiffnesses made the bracket walk loop forever
+        for bad in (0.0, -1.0, 1e-9, 1e-30, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                theta_critical_finite(bad, 8)
+
+    def test_smallest_stiffness_against_mpmath(self):
+        # x at mu = 1e-8, the bottom of the domain, from 50-digit mpmath
+        # roots of J (the quadrature for L = inf, the node sum for a ring).
+        # J ~ x^3/6 is summed from terms of size x; measured 1.9e-11 (inf),
+        # 4.7e-12 (L = 8) and 9.9e-12 (L = 10), bound 5e-11
+        refs = {None: 0.003914875641187729447, 8: 0.003914875641184627693,
+                10: 0.003914875641187729451}
+        for L, x in refs.items():
+            cp = (thermodynamic.theta_critical_thermo(1e-8) if L is None
+                  else theta_critical_finite(1e-8, L))
+            assert cp.x == pytest.approx(x, rel=5e-11, abs=0)
+
     def test_fields_are_python_floats(self):
         for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024)):
             cp = theta_critical_finite(mu, L)
@@ -553,3 +580,44 @@ class TestCriticalPointHessian:
                 xtol=1e-14)
             H = _ring_derivatives(np.full(6, W), mu, theta)[2]
             assert sign * (s @ H @ s) > 2e-5
+
+
+class TestThermodynamicLimit:
+    """theta_c(L) -> theta_c(inf) at the trapezoid rule's exponential rate.
+
+    J_finite is the L/2-node trapezoid rule of J_thermo's integrand (half
+    of it on the shifted nodes for L = 2 mod 4), whose poles at
+    t = +-i eta, eta = asinh(pi / (2 x)), set its error: so
+    theta_c(L) / theta_c(inf) - 1 = +-K(mu) e^(-eta L), + for L = 0 mod 4.
+    The two routines share _critical_point but neither J nor the band mean.
+
+    Each window runs over L = 0 mod 4 until e^(eta L) ~ 1e10, where one ulp
+    of theta_c moves K by ~2e-6; past it the rounding floor takes over
+    (K(1) reads 5.21402 at L = 60). Measured: K(0.5) = 7.308750-7.308790
+    (spread 3.9e-5), K(1) = 5.213653-5.213866 (2.13e-4), K(2) =
+    4.246115-4.246676 (5.61e-4), and -4.246676 at L = 102. The bound is
+    twice the spread. J_finite scaled by 1 + 1e-10 moves K at each
+    window's top by 0.41, 1.3 and 0.97.
+    """
+
+    # mu -> (window of L, K, measured spread of K over the window)
+    LAW = {0.5: (range(24, 33, 4), 7.30879, 3.9e-5),
+           1.0: (range(32, 53, 4), 5.21387, 2.13e-4),
+           2.0: (range(64, 113, 4), 4.24667, 5.61e-4)}
+
+    @staticmethod
+    def _K(mu, L):
+        inf = thermodynamic.theta_critical_thermo(mu)
+        eta = math.asinh(math.pi / (2 * inf.x))
+        return (theta_critical_finite(mu, L).theta_c / inf.theta_c - 1) * math.exp(eta * L)
+
+    @pytest.mark.parametrize("mu", sorted(LAW))
+    def test_exponential_approach(self, mu):
+        Ls, K, spread = self.LAW[mu]
+        ks = [self._K(mu, L) for L in Ls]
+        assert max(ks) - min(ks) <= 2 * spread
+        assert all(abs(k - K) <= 2 * spread for k in ks)
+
+    def test_2_mod_4_ring_approaches_from_below(self):
+        _, K, spread = self.LAW[2.0]
+        assert abs(self._K(2.0, 102) + K) <= 2 * spread

@@ -7,10 +7,9 @@ import pytest
 
 from peierls import numerics, sweep
 from peierls.kernels import _h_prime
-from peierls.numerics import (Bracket, ConvergenceError, Tolerance,
-                              _polished_descent, eigenvalues_symmetric,
+from peierls.numerics import (ConvergenceError, Tolerance, _polished_descent,
                               lattice_points, minimize_box, mode_mean,
-                              solve_increasing)
+                              solve_from_estimate)
 
 TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
 
@@ -42,10 +41,6 @@ class TestTolerance:
             Tolerance(abs_tol=-1e-3)
         with pytest.raises(ValueError):
             Tolerance(max_iter=0)
-
-    def test_bracket_order(self):
-        with pytest.raises(ValueError):
-            Bracket(2.0, 2.0)
 
 
 class TestModeMean:
@@ -215,33 +210,66 @@ class TestModeMean:
 
 
 class TestSolveIncreasing:
+    """solve_from_estimate on increasing functions: the ln 2 walk, then
+    the safeguarded secant inside the bracket it leaves."""
+
+    @staticmethod
+    def _recording(f):
+        calls = []
+        return lambda t: calls.append(t) or f(t), calls
+
     def test_identity(self):
-        x = solve_increasing(lambda t: t, 3.0, Bracket(0.0, 10.0), TOL)
+        x = solve_from_estimate(lambda t: t, 3.0, 2.5, TOL)
         assert x == pytest.approx(3.0, abs=1e-10)
 
     def test_tanh_inverse(self):
         # a converged secant step lands next to the endpoint it last moved,
         # and must still be taken rather than replaced by a bisection
-        calls = []
-        x = solve_increasing(lambda t: calls.append(t) or math.tanh(t), 0.5,
-                             Bracket(0.0, 5.0), TOL)
+        f, calls = self._recording(math.tanh)
+        x = solve_from_estimate(f, 0.5, 0.3, TOL)
         assert x == pytest.approx(math.atanh(0.5), abs=1e-10)
         assert len(calls) <= 12
 
     def test_cube_root(self):
-        x = solve_increasing(lambda t: t ** 3, 8.0, Bracket(0.0, 3.0), TOL)
+        x = solve_from_estimate(lambda t: t ** 3, 8.0, 1.0, TOL)
         assert x == pytest.approx(2.0, abs=1e-10)
 
     def test_monotone_consistency(self):
         f = lambda t: t + math.sin(t) / 2
         target = 2.3
-        x = solve_increasing(f, target, Bracket(0.0, 5.0), TOL)
+        x = solve_from_estimate(f, target, 0.0, TOL)
         eps = 10 * (TOL.abs_tol + TOL.rel_tol)
         assert f(x - eps) < target < f(x + eps)
 
-    def test_bracket_must_straddle(self):
-        with pytest.raises(ValueError):
-            solve_increasing(lambda t: t, 20.0, Bracket(0.0, 10.0), TOL)
+    def test_downward_walk(self):
+        # an estimate above the root: the bracket steps down by ln 2 until
+        # f falls below the target, and each point is evaluated once
+        f, calls = self._recording(lambda t: t)
+        x = solve_from_estimate(f, -3.0, 2.0, TOL)
+        assert x == pytest.approx(-3.0, abs=1e-10)
+        walk = [2.0 - k * math.log(2.0) for k in range(9)]
+        assert calls[:9] == pytest.approx(walk, abs=1e-14)
+        assert len(calls) == len(set(calls))
+        assert calls[8] < -3.0 < calls[7]
+
+    @pytest.mark.parametrize("target, u, root, walked", [
+        (math.log(2.0), 0.0, math.log(2.0), 2),  # on the upper end
+        (0.0, 0.0, 0.0, 2),                      # on the estimate, walked down
+        (0.0, math.log(2.0), 0.0, 3),            # one step of walk first
+        (1e-13, 0.0, 0.0, 2),                    # within abs_tol of the lower end
+    ])
+    def test_root_on_bracket_end(self, target, u, root, walked):
+        # a root on an end of the walked bracket is returned as that end,
+        # from the walk's evaluations alone
+        f, calls = self._recording(lambda t: t)
+        assert solve_from_estimate(f, target, u, TOL) == root
+        assert len(calls) == walked
+
+    def test_iteration_budget_raises_with_best(self):
+        tol = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=1)
+        with pytest.raises(ConvergenceError) as err:
+            solve_from_estimate(math.tanh, 0.5, 0.3, tol)
+        assert 0.3 < err.value.best < 0.3 + math.log(2.0)
 
 
 SIMPLEX_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=400)
@@ -367,56 +395,3 @@ class TestMultistart:
         pts = lattice_points(64, 16)
         assert pts.shape == (64, 16)
         assert np.all(pts >= 0) and np.all(pts < 1)
-
-
-class TestEigenvalues:
-    def test_identity(self):
-        assert np.allclose(eigenvalues_symmetric(np.eye(3)), [1, 1, 1])
-
-    def test_diagonal_sorted(self):
-        assert np.allclose(eigenvalues_symmetric(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
-
-    def test_uniform_ring_circulant(self):
-        from peierls.finite_chain import HoppingConfig, build_hopping_matrix
-        for L in (4, 64, 128):
-            T = build_hopping_matrix(HoppingConfig(np.ones(L)))
-            want = np.sort(2 * np.cos(2 * np.pi * np.arange(L) / L))
-            assert np.allclose(eigenvalues_symmetric(T), want, atol=1e-12)
-
-    def test_trace_and_frobenius_invariants(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 5, 8, 17, 32, 64, 128):
-            M = rng.standard_normal((n, n))
-            M = M + M.T
-            lam = eigenvalues_symmetric(M)
-            assert np.all(np.diff(lam) >= -1e-12)
-            tr = np.trace(M)
-            assert abs(lam.sum() - tr) <= 1e-8 * max(1.0, abs(tr))
-            fro2 = np.sum(M * M)
-            assert abs(np.sum(lam ** 2) - fro2) <= 1e-8 * fro2
-
-    def test_matches_lapack(self):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((12, 12))
-        M = M + M.T
-        assert np.allclose(eigenvalues_symmetric(M), np.linalg.eigvalsh(M), atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        M = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(M)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, bad):
-        # a symmetric NaN slips past the symmetry bound (nan > b is False)
-        M = np.eye(3)
-        M[0, 2] = M[2, 0] = bad
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(M)
-
-    def test_shape_check_and_trivial_matrices(self):
-        for M in (np.zeros((2, 3)), np.ones(3)):
-            with pytest.raises(ValueError):
-                eigenvalues_symmetric(M)
-        assert eigenvalues_symmetric([[-2.5]]).tolist() == [-2.5]
-        assert eigenvalues_symmetric(np.zeros((5, 5))).tolist() == [0.0] * 5

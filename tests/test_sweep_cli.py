@@ -187,6 +187,19 @@ class TestRunSweep:
         assert rows[1].status.startswith("error:")
         assert rows[1].outputs["theta_c"] == ""
 
+    def test_arithmetic_error_becomes_error_row(self, monkeypatch, tmp_path):
+        # a point whose arithmetic fails, as the critical point's once did
+        # at mu = 1e-300, is an error row beside the others, not an abort
+        real = thermodynamic.theta_critical_thermo
+        monkeypatch.setattr(thermodynamic, "theta_critical_thermo",
+                            lambda mu: real(mu) if mu > 1 else mu / 0.0)
+        spec = SweepSpec(kind="phase-diagram", grid=[(0.5,), (2.0,)],
+                         output_path=str(tmp_path / "pd.csv"))
+        rows = run_sweep(spec)
+        assert rows[0].status == "error: float division by zero"
+        assert rows[0].outputs["theta_c"] == ""
+        assert rows[1].status == "ok"
+
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         grid = [(m, L) for m in (0.5, 1.0, 1.5) for L in (8, 12)]
         paths = []
@@ -325,6 +338,22 @@ class TestCliMain:
         assert main(["gap", "--mu", "2,250", "--out", str(out), "--workers", "1"]) == 0
         rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
         assert rows[0][6] == "ok" and rows[1][6].startswith("error: ")
+
+    @pytest.mark.parametrize("kind, tiny, width", [("phase-diagram", "1e-300", 3),
+                                                   ("phase-diagram", "1e-30", 3),
+                                                   ("gap", "1e-160", 5)])
+    def test_tiny_stiffness_is_error_row(self, tmp_path, kind, tiny, width):
+        # below the validated mu = 1e-8 the critical point's x is lost to
+        # rounding (wrong by 100 % at 1e-30, a division by zero at 1e-300)
+        # and the zero-temperature W1 ~ 1/mu overflows when squared below
+        # ~1e-154: each is an error row beside the valid mu = 2 row, never
+        # an abort or an ok row
+        out = tmp_path / f"{kind}.csv"
+        assert main([kind, "--mu", f"{tiny},2", "--out", str(out), "--workers", "1"]) == 0
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+        assert rows[0][:1 + width] == [tiny] + [""] * width
+        assert rows[0][-1].startswith("error: ")
+        assert rows[1][0] == "2" and rows[1][-1] == "ok"
 
     def test_argv_parsed_once(self, monkeypatch, tmp_path):
         calls = []

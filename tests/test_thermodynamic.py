@@ -237,8 +237,12 @@ class TestThetaCritical:
         assert gaps[2] < 1e-3
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            theta_critical_thermo(0.0)
+        # a NaN stiffness made the bracket walk loop forever
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                theta_critical_thermo(bad)
+        with pytest.raises(ValueError, match="validated for finite mu >= 1e-08"):
+            theta_critical_thermo(0.99e-8)
         with pytest.raises(ValueError):
             theta_critical_thermo(1e6)
         # the largest mu of THETA_C_LARGE_MU bounds the domain

@@ -229,6 +229,8 @@ class TestDimerOptimumExact:
 
     def test_domain(self):
         assert dimer_optimum_zero(200.0).gap > 0
-        for bad in (0.0, -1.0, 200.5, math.inf, math.nan):
+        assert dimer_optimum_zero(1e-8).gap > 0
+        # 1e-160 would overflow to an all-nan result
+        for bad in (0.0, -1.0, 0.99e-8, 1e-160, 200.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 dimer_optimum_zero(bad)
