@@ -12,7 +12,7 @@ from .finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                            minimize_chain_full, minimize_dimer_finite,
                            mu_critical, theta_critical_finite)
 from .kernels import electron_free_energy, elliptic_side, entropy, h_theta
-from .numerics import (ConvergenceError, Tolerance, minimize_box, mode_mean,
+from .numerics import (ConvergenceError, minimize_box, mode_mean,
                        solve_from_estimate)
 from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 from .thermodynamic import (AsymptoticConstants, BifurcationData, J_thermo,
@@ -24,7 +24,7 @@ from .zero_temperature import (GapResult, dimer_optimum_zero, g_zero,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tolerance", "ConvergenceError",
+    "ConvergenceError",
     "mode_mean", "solve_from_estimate", "minimize_box",
     "entropy", "h_theta", "electron_free_energy", "elliptic_side",
     "ModelParams", "HoppingConfig", "DimerState", "CriticalPoint",

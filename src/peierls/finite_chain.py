@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _h_prime, _tanh_eta, h_theta
-from .numerics import (Tolerance, _mode_nodes, _newton_box, _polished_descent,
+from .numerics import (_mode_nodes, _newton_box, _polished_descent,
                        lattice_points, solve_from_estimate)
 
 __all__ = [
@@ -47,10 +47,10 @@ _MU_MIN = 1e-8
 
 
 def _check_even_length(L) -> int:
-    L = int(L)
-    if L < 4 or L % 2:
-        raise ValueError(f"chain length must be even and >= 4, got {L}")
-    return L
+    # the sweeps' rule, L reported as given: 8.0 is 8; None, inf and 8.5 fail
+    if L is None or not math.isfinite(L) or L != int(L) or L < 4 or L % 2:
+        raise ValueError(f"L must be an even integer >= 4, got {L}")
+    return int(L)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
             f"critical temperatures are validated for finite mu >= {_MU_MIN:g}, got {mu}")
     # dJ/du tends to J at small x and to 4/pi at large x, so stopping at
     # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
-    tol = Tolerance(abs_tol=1e-12 * min(1.0, target), rel_tol=0.0, max_iter=100)
-    x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u, tol))
+    x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u,
+                                     1e-12 * min(1.0, target)))
 
     def moments(t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
         sin_t = np.sin(t)
@@ -179,8 +179,8 @@ def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
 
 def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
     """Zero-temperature energy: (mu/2) sum (t_i - 1)^2 - sum |eps_i|."""
-    if mu <= 0:
-        raise ValueError(f"stiffness must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"stiffness must be positive and finite, got {mu}")
     eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
     return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - float(np.sum(np.abs(eps)))
 
@@ -240,15 +240,14 @@ def _minimize_dimer(p: ModelParams, mean):
     """
     g2 = lambda W, d: _band_energy(W, d, p.mu, p.theta, mean)
     w_guess = 1.0 + 4.0 / (math.pi * p.mu)
-    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=2000)
     f = lambda z: g2(z[0], z[1])
     # descending-delta fan of starts plus the 1-periodic candidate
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    x, fx = _polished_descent(f, starts, steps, tol)
+    x, fx = _polished_descent(f, starts, steps)
     W, delta = float(x[0]), float(abs(x[1]))
     x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0), [(w_guess,), (W,)],
-                               [(0.1,), (1e-4,)], tol)
+                               [(0.1,), (1e-4,)])
     tie = 4e-15 * (1.0 + abs(f1))
     if f1 <= fx + tie:
         return DimerState(W=float(x1[0]), delta=0.0), float(f1)
@@ -373,8 +372,8 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     there; brute-force minimization confirms both statements. theta_c
     follows by _critical_point with the ring's band mean, as in g_finite.
     """
-    if mu <= 0:
-        raise ValueError(f"stiffness must be positive, got {mu}")
+    if not 0 < mu < math.inf:  # before the 2-mod-4 threshold, which inf passes
+        raise ValueError(f"stiffness must be positive and finite, got {mu}")
     L = _check_even_length(L)
     target = mu
     if L % 4 == 2:

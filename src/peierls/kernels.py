@@ -46,8 +46,8 @@ def h_theta(x, theta: float):
     Equals sqrt(x) + 2 theta ln(1 + e^{-sqrt(x)/theta}), hence always >= sqrt(x).
     A float x must be >= 0 and gives a float; an array is not checked.
     """
-    if theta <= 0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
     scalar = not isinstance(x, np.ndarray)
     if scalar and x < 0:
         raise ValueError(f"argument must be non-negative, got {x}")
@@ -98,8 +98,8 @@ def electron_free_energy(eigs, theta: float):
     For ring hopping matrices sum(eps) vanishes and the closed form is just
     -sum h_theta(eps^2). Returns (value, occupations).
     """
-    if theta <= 0:
-        raise ValueError(f"temperature must be positive, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {theta}")
     eigs = np.asarray(eigs, dtype=float).ravel()
     u = eigs / theta
     z = np.exp(-np.abs(u))  # the occupation without overflow

@@ -9,46 +9,24 @@ estimate to a bracket and finishes by safeguarded secant, and minimization
 Newton descent on a box where the Hessian is known). Ring spectra need no
 primitive here: the model calls numpy's eigvalsh on matrices it builds
 symmetric. Everything here is a pure function of its inputs and safe to
-call from many workers at once.
+call from many workers at once. The mode mean and the root solve take the
+one accuracy their callers vary, abs_tol; the rest is a module constant.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tolerance",
     "ConvergenceError",
     "mode_mean",
     "solve_from_estimate",
     "minimize_box",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy request: absolute and relative targets plus an iteration cap.
-
-    ``max_iter`` is interpreted per operation (mode-mean nodes, solver
-    iterations, simplex iterations).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol + self.rel_tol <= 0:
-            raise ValueError("abs_tol + rel_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 class ConvergenceError(RuntimeError):
@@ -86,6 +64,11 @@ def _start_nodes(eta: float) -> int:
 # ones. On J_thermo (2-vCPU Xeon, numpy 2.4) both took 0.15 ms where the
 # unmapped N0 is 1024, and 0.14 ms mapped against 0.23 ms where it is 2048
 _UNMAPPED_N0_MAX = 1024
+# the mode mean's relative target: two estimates agree at abs_tol + this |est|
+_MEAN_REL_TOL = 1e-12
+# the mode mean's cap on N. thermodynamic._MU_MAX stops at mu = 200, where
+# the mapped start is N0 = 4096: the cap leaves room for its one doubling
+_MEAN_MAX_NODES = 8192
 
 
 def _node_map(eta: float) -> tuple[int, int]:
@@ -132,7 +115,7 @@ def _mapped(f, p: int):
 
 
 def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
-              tol: Tolerance) -> float | list[float]:
+              abs_tol: float) -> float | list[float]:
     """Mean of a vectorized pi-periodic f over one period, by the trapezoid rule.
 
     f maps an array of nodes to the array of its values, and is analytic in
@@ -149,20 +132,21 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     its first doubling are one call of f on a cached read-only grid, the N0
     nodes then their midpoints; each later doubling is one call on the new
     midpoints. The finer estimate is returned once two agree to
-    ``abs_tol + rel_tol * |est|``.
+    ``abs_tol + _MEAN_REL_TOL * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a
     costly factor: the k means converge together, each to the tolerance,
     and come back as a list of k floats; a 1-D f gives one float.
-    ``tol.max_iter`` caps N; past it, or when N0 leaves no room for a
+    _MEAN_MAX_NODES caps N; past it, or when N0 leaves no room for a
     doubling, :class:`ConvergenceError` is raised.
     """
-    if not eta > 0:
-        raise ValueError(f"mode_mean needs a strip half-width eta > 0, got {eta}")
+    if not (eta > 0 and abs_tol >= 0):
+        raise ValueError("mode_mean needs a strip half-width eta > 0 and "
+                         f"abs_tol >= 0, got eta = {eta}, abs_tol = {abs_tol}")
     p, n = _node_map(eta)
-    if 2 * n > tol.max_iter:
+    if 2 * n > _MEAN_MAX_NODES:
         raise ConvergenceError(
             f"mode mean needs {n} nodes and a doubling for eta = {eta:.3e}, "
-            f"beyond the cap of {tol.max_iter}")
+            f"beyond the cap of {_MEAN_MAX_NODES}")
     g = f if p == 1 else _mapped(f, p)
     # sum / n is np.mean's arithmetic without its per-call overhead; one
     # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
@@ -174,18 +158,21 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         s = mid.sum(axis=-1)
         new = 0.5 * (est + (s / n if rows else float(s) / n))
         n *= 2
-        close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
+        close = abs(new - est) <= abs_tol + _MEAN_REL_TOL * abs(new)
         if close.all() if rows else close:
             return new.tolist() if rows else new
         est = new
-        mid = g(_mode_nodes(n, midpoints=True)) if 2 * n <= tol.max_iter else None
+        mid = g(_mode_nodes(n, midpoints=True)) if 2 * n <= _MEAN_MAX_NODES else None
     best = est.tolist() if rows else est
     raise ConvergenceError(
-        f"mode mean did not converge within {tol.max_iter} nodes "
+        f"mode mean did not converge within {_MEAN_MAX_NODES} nodes "
         f"(estimate {best!r} at N = {n})", best=best)
 
 
-def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
+_SOLVE_MAX_ITER = 100  # the root solve's secant steps inside the bracket
+
+
+def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
     """Solve f(u) = target for f increasing, from an estimate u of the root.
 
     For a log variable u: the bracket [u, u +- ln 2] moves by ln 2 until it
@@ -193,10 +180,12 @@ def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
     iterates wherever it lands strictly inside the bracket, else bisection.
     No margin keeps the secant off the ends: once it converges, it lands
     next to the end it last moved. Stops when |f(x) - target| <= abs_tol,
-    at an end of the bracket too, or the bracket width drops below
-    rel_tol * |x|. f is cached, so the solve does not pay again for the
-    bracket's ends.
+    at an end of the bracket too, or at machine resolution; after
+    _SOLVE_MAX_ITER steps it raises :class:`ConvergenceError`. f is
+    cached, so the solve does not pay again for the bracket's ends.
     """
+    if not abs_tol >= 0:
+        raise ValueError(f"abs_tol must be >= 0, got {abs_tol}")
     f = functools.lru_cache(maxsize=None)(f)
     step = math.log(2.0) if f(u) < target else -math.log(2.0)
     while (f(u + step) < target) == (step > 0):
@@ -205,14 +194,14 @@ def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
     lo, hi = sorted((u, u + step))
     flo = f(lo) - target
     fhi = f(hi) - target
-    if abs(flo) <= tol.abs_tol:
+    if abs(flo) <= abs_tol:
         return lo
-    if abs(fhi) <= tol.abs_tol:
+    if abs(fhi) <= abs_tol:
         return hi
 
     x, fx = hi, fhi
     x_prev, fx_prev = lo, flo
-    for _ in range(tol.max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         # secant proposal, safeguarded to land strictly inside the bracket
         trial = 0.5 * (lo + hi)
         if fx != fx_prev:
@@ -226,17 +215,22 @@ def solve_from_estimate(f, target: float, u: float, tol: Tolerance) -> float:
             lo = trial
         else:
             hi = trial
-        if abs(ft) <= tol.abs_tol or (hi - lo) <= tol.rel_tol * abs(trial):
+        if abs(ft) <= abs_tol:
             return trial
         if (hi - lo) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
             return 0.5 * (lo + hi)  # machine-resolution bracket
     raise ConvergenceError(
-        f"root solve did not converge in {tol.max_iter} iterations "
+        f"root solve did not converge in {_SOLVE_MAX_ITER} iterations "
         f"(x={x!r}, residual={fx:.3e})", best=x)
 
 
+# the dimer searches' accuracy: the simplex's value tolerance and budget
+_SIMPLEX_TOL = 1e-13
+_SIMPLEX_MAX_ITER = 2000
+
+
 def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
-                 step: Sequence[float], tol: Tolerance):
+                 step: Sequence[float]):
     """Minimize f over the orthant x >= 0 by a projected Nelder-Mead simplex.
 
     Returns ``(x, f(x))``. The initial simplex moves init by ``step[i]``
@@ -245,15 +239,15 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
     allclose's 1e-5 relative tolerance. Every candidate is clamped onto
     x >= 0 before it is evaluated. The expansion, contraction and shrink
     coefficients adapt to the dimension d, which behaves better for d >= 4.
-    The search stops once the vertex values agree to ``abs_tol + rel_tol *
-    |best|`` and the vertices lie within max(1e-2 sqrt(abs_tol), 1e-12) of
-    the best one; after ``tol.max_iter`` iterations it raises
+    With tol = _SIMPLEX_TOL, it stops once the vertex values agree to ``tol
+    + tol * |best|`` and the vertices lie within max(1e-2 sqrt(tol), 1e-12)
+    of the best one; after _SIMPLEX_MAX_ITER iterations it raises
     :class:`ConvergenceError` with ``best=(x, fx)``.
     """
     x0 = np.maximum(np.asarray(init, dtype=float), 0.0)
     d = x0.size
     gamma, beta, sigma = 1.0 + 2.0 / d, 0.75 - 1.0 / (2.0 * d), 1.0 - 1.0 / d
-    xatol = max(math.sqrt(tol.abs_tol) * 1e-2, 1e-12)
+    xatol = max(math.sqrt(_SIMPLEX_TOL) * 1e-2, 1e-12)
 
     simplex = [x0]
     for i in range(d):
@@ -267,13 +261,13 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
         simplex.append(v)
     fs = [f(v) for v in simplex]
 
-    for _ in range(tol.max_iter):
+    for _ in range(_SIMPLEX_MAX_ITER):
         order = np.argsort(fs, kind="stable")
         simplex = [simplex[i] for i in order]
         fs = [fs[i] for i in order]
         fbest, fworst = fs[0], fs[-1]
         spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if fworst - fbest <= tol.abs_tol + tol.rel_tol * abs(fbest) and spread <= xatol:
+        if fworst - fbest <= _SIMPLEX_TOL + _SIMPLEX_TOL * abs(fbest) and spread <= xatol:
             return simplex[0], fbest
 
         centroid = np.mean(simplex[:-1], axis=0)
@@ -302,7 +296,7 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
                     fs[i] = f(simplex[i])
     i = np.argsort(fs, kind="stable")[0]
     raise ConvergenceError(
-        f"simplex search did not converge in {tol.max_iter} iterations",
+        f"simplex search did not converge in {_SIMPLEX_MAX_ITER} iterations",
         best=(simplex[i], fs[i]))
 
 
@@ -317,7 +311,7 @@ def lattice_points(n: int, d: int) -> np.ndarray:
     return np.modf(0.5 + np.arange(1, n + 1)[:, None] * alpha)[0]
 
 
-def _polished_descent(f, starts, steps, tol):
+def _polished_descent(f, starts, steps):
     """Best :func:`minimize_box` minimum over explicit starts, then restart-polished.
 
     The engine behind the dimer minimizers, with one initial simplex step
@@ -328,10 +322,10 @@ def _polished_descent(f, starts, steps, tol):
     runs out of iterations included, propagates.
     """
     # the first of the lowest, as min keeps its first item among equals
-    x, fx = min((minimize_box(f, x0, st, tol) for x0, st in zip(starts, steps)),
+    x, fx = min((minimize_box(f, x0, st) for x0, st in zip(starts, steps)),
                 key=lambda r: r[1])
     for _ in range(3):
-        xp, fp = minimize_box(f, x, 1e-6 * (1.0 + np.abs(x)), tol)
+        xp, fp = minimize_box(f, x, 1e-6 * (1.0 + np.abs(x)))
         if fp >= fx - 1e-15:
             if fp < fx:
                 x, fx = xp, fp

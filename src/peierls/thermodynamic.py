@@ -6,9 +6,9 @@ integral is a mean over a period, computed by the mode mean
 (``numerics.mode_mean``): the finite ring's own trapezoid rule with the
 mode count N doubling to convergence. Its error falls like e^(-2 eta N),
 eta being the distance of the integrand's nearest complex singularity from
-the real axis, and each integrand here hands it that eta. For x = W/theta
-past ~100 the tanh layer at the band center is so sharp that the mode mean
-maps its nodes towards it.
+the real axis, and each integrand here hands it that eta and _ABS_TOL.
+For x = W/theta past ~100 the tanh layer at the band center is so sharp
+that the mode mean maps its nodes towards it.
 
 The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
 its full relative precision at the band center. The band energy and the
@@ -22,7 +22,7 @@ with a coefficient assembled from three h'' moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .finite_chain import (CriticalPoint, DimerState, ModelParams,
                            _band_energy, _critical_point, _minimize_dimer)
 from .kernels import _h_prime, _h_second, _tanh_eta
-from .numerics import Tolerance, mode_mean
+from .numerics import mode_mean
 
 __all__ = [
     "BifurcationData",
@@ -43,17 +43,16 @@ __all__ = [
     "bifurcation_data",
 ]
 
-# accuracy of all integrals in this module; max_iter caps the mode-mean
-# nodes, and leaves room for the start N0 = 4096 and its doubling that the
-# mapped nodes need near mu = _MU_MAX
-_QUAD_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=8192)
+# absolute accuracy of the integrals in this module (the mode mean adds a
+# relative 1e-12, numerics._MEAN_REL_TOL); the h'' moments scale it by x^-3
+_ABS_TOL = 1e-12
 # largest stiffness theta_critical_thermo accepts: the tests validate it up
 # to here (x = W/theta_c ~ 3e68), and from mu ~ 205 on the mapped nodes
-# would start at N0 = 8192, whose doubling passes the cap
+# would start at N0 = 8192, whose doubling passes numerics._MEAN_MAX_NODES
 _MU_MAX = 200.0
 # the infinite ring's band mean(f, eta): the L -> infinity limit of
 # finite_chain._ring_mean, the mode mean at this module's accuracy
-_band_mean = partial(mode_mean, tol=_QUAD_TOL)
+_band_mean = partial(mode_mean, abs_tol=_ABS_TOL)
 
 
 def g_thermo(s: DimerState, p: ModelParams) -> float:
@@ -87,7 +86,7 @@ def J_thermo(x: float) -> float:
         return 0.0
     return 2.0 * mode_mean(
         lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
-        _tanh_eta(x), _QUAD_TOL)
+        _tanh_eta(x), _ABS_TOL)
 
 
 def theta_critical_thermo(mu: float) -> CriticalPoint:
@@ -98,8 +97,6 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
     follows by finite_chain._critical_point with the band mean _band_mean:
     [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
     """
-    if mu <= 0:
-        raise ValueError(f"stiffness must be positive, got {mu}")
     if mu > _MU_MAX:
         raise ValueError(
             f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
@@ -173,9 +170,6 @@ def bifurcation_data(mu: float) -> BifurcationData:
     cp = theta_critical_thermo(mu)
     ratio = cp.W_star / cp.theta_c
 
-    # the moments scale like x^-3, so they converge relative to that size
-    mtol = replace(_QUAD_TOL, abs_tol=_QUAD_TOL.abs_tol / ratio ** 3)
-
     def moments(t):
         # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds for p = 0, 1,
         # 2, in t; h'' transitions on the same cos s ~ 1/x layer as the tanh
@@ -184,7 +178,9 @@ def bifurcation_data(mu: float) -> BifurcationData:
         hpp = _h_second(ratio * ratio * sn2)
         return np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
 
-    A, B, C_int = (2.0 * m for m in mode_mean(moments, _tanh_eta(ratio), mtol))
+    # the moments scale like x^-3, so they converge relative to that size
+    A, B, C_int = (2.0 * m for m in mode_mean(moments, _tanh_eta(ratio),
+                                               _ABS_TOL / ratio ** 3))
 
     W, th = cp.W_star, cp.theta_c
     det_J = -mu / (W * W * th) * C_int + 2.0 * W / th ** 4 * (A * C_int - B * B)

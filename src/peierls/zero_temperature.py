@@ -20,7 +20,7 @@ import numpy as np
 
 from .finite_chain import DimerState
 from .kernels import _EPS, _elliptic_ke, elliptic_side
-from .numerics import Tolerance, solve_from_estimate
+from .numerics import solve_from_estimate
 
 __all__ = [
     "GapResult",
@@ -57,8 +57,8 @@ def _g_zero_raw(W: float, delta: float, mu: float) -> float:
 
 def g_zero(s: DimerState, mu: float) -> float:
     """Zero-temperature energy per atom of a 2-periodic configuration."""
-    if mu <= 0:
-        raise ValueError(f"stiffness must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"stiffness must be positive and finite, got {mu}")
     return _g_zero_raw(s.W, s.delta, mu)
 
 
@@ -67,8 +67,8 @@ def periodic_optimum_zero(mu: float):
 
     W1 = 1 + 4/(pi mu) and f0_per = -4/pi - 8/(pi^2 mu).
     """
-    if mu <= 0:
-        raise ValueError(f"stiffness must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"stiffness must be positive and finite, got {mu}")
     return 1.0 + 4.0 / (math.pi * mu), -4.0 / math.pi - 8.0 / (math.pi ** 2 * mu)
 
 
@@ -106,10 +106,10 @@ def dimer_optimum_zero(mu: float) -> GapResult:
         K, _, tail = _elliptic_ke(math.exp(-2.0 * v))
         return 8.0 / math.pi * K * tail / -math.expm1(-2.0 * v)
 
-    # it grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
-    tol = Tolerance(abs_tol=4.0 * _EPS * max(1.0, mu), rel_tol=0.0, max_iter=100)
     v0 = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
-    v = math.exp(solve_from_estimate(difference, mu, math.log(v0), tol))
+    # it grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
+    v = math.exp(solve_from_estimate(difference, mu, math.log(v0),
+                                     4.0 * _EPS * max(1.0, mu)))
     q, a = math.exp(-v), math.exp(-2.0 * v)
     K, E, tail = _elliptic_ke(a)
     e1 = _e_minus_one(q, E)

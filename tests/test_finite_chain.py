@@ -65,6 +65,38 @@ class TestTypes:
         assert np.allclose(sorted(t[:2]), [1.0, 2.0])
         assert np.allclose(t, np.roll(t, 2))
 
+    def test_non_integral_length_rejected(self):
+        # int(L) used to truncate each of these to the ring below; L is
+        # reported as given
+        cases = [(lambda: mu_critical(6.9), 6.9),
+                 (lambda: J_finite(1.0, 8.5), 8.5),
+                 (lambda: theta_critical_finite(2.0, 8.5), 8.5),
+                 (lambda: ModelParams(mu=1.0, theta=0.1, L=8.5), 8.5),
+                 (lambda: DimerState(1.2, 0.1).hoppings(9.9), 9.9)]
+        for call, L in cases:
+            with pytest.raises(ValueError, match=f"^L must be an even integer >= 4, got {L}$"):
+                call()
+        # an integral float is its integer
+        assert mu_critical(6.0) == mu_critical(6)
+        assert J_finite(1.0, 8.0) == J_finite(1.0, 8)
+        assert DimerState(1.2, 0.1).hoppings(8.0).t.size == 8
+
+    @pytest.mark.parametrize("L", [None, math.inf, math.nan])
+    def test_length_must_be_a_finite_integer(self, L):
+        with pytest.raises(ValueError, match=f"^L must be an even integer >= 4, got {L}$"):
+            J_finite(1.0, L)
+        if L is not None:  # None is the infinite ring's L
+            with pytest.raises(ValueError):
+                ModelParams(mu=1.0, theta=0.1, L=L)
+
+    @pytest.mark.parametrize("call", [minimize_dimer_finite, minimize_chain_full,
+                                      lambda p: g_finite(DimerState(1.0, 0.1), p)])
+    def test_finite_ring_calls_need_a_length(self, call):
+        # a ModelParams without L raised TypeError from int(None), which a
+        # sweep does not turn into an error row
+        with pytest.raises(ValueError, match="got None"):
+            call(ModelParams(mu=1.0, theta=0.1))
+
     def test_degenerate_dimer_has_no_hoppings(self):
         with pytest.raises(ValueError):
             DimerState(W=1.0, delta=1.0).hoppings(4)
@@ -151,6 +183,9 @@ class TestChainEnergies:
 
     def test_zero_temperature_energy(self):
         assert chain_energy_zero(ring(1, 1, 1, 1), 1.0) == pytest.approx(-4.0, abs=1e-12)
+        for mu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                chain_energy_zero(ring(1, 1, 1, 1), mu)
 
     def test_homogeneous_scaling(self):
         W, mu, L = 1.3, 0.7, 8
@@ -494,10 +529,12 @@ class TestThetaCriticalFinite:
             assert len(calls) == 1
 
     def test_domain(self):
-        # NaN and inf stiffnesses made the bracket walk loop forever
+        # NaN and inf stiffnesses made the bracket walk loop forever, and
+        # an infinite one passed the L = 2 mod 4 threshold as "no transition"
         for bad in (0.0, -1.0, 1e-9, 1e-30, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                theta_critical_finite(bad, 8)
+            for L in (6, 8):
+                with pytest.raises(ValueError):
+                    theta_critical_finite(bad, L)
 
     def test_smallest_stiffness_against_mpmath(self):
         # x at mu = 1e-8, the bottom of the domain, from 50-digit mpmath

@@ -151,8 +151,11 @@ class TestHTheta:
             assert 0.0 <= gap <= 2 * th * math.log(2) + 1e-14
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            h_theta(1.0, 0.0)
+        for theta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                h_theta(1.0, theta)
+            with pytest.raises(ValueError, match="positive and finite"):
+                electron_free_energy([0.0], theta)
         with pytest.raises(ValueError):
             h_theta(-1.0, 0.5)
 

@@ -7,14 +7,16 @@ import pytest
 
 from peierls import numerics, sweep
 from peierls.kernels import _h_prime
-from peierls.numerics import (ConvergenceError, Tolerance, _polished_descent,
+from peierls.numerics import (ConvergenceError, _polished_descent,
                               lattice_points, minimize_box, mode_mean,
                               solve_from_estimate)
 
-TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=2000)
+# the absolute tolerance of the infinite ring's integrals, for the mode mean
+# and the root solve
+TOL = 1e-12
 
 
-def _two_call_mode_mean(f, eta, tol):
+def _two_call_mode_mean(f, eta, abs_tol):
     # the mode mean with the start level and its first doubling in two
     # calls, on fresh nodes: the reference the shared start call must match
     p, n = numerics._node_map(eta)
@@ -22,25 +24,26 @@ def _two_call_mode_mean(f, eta, tol):
     s = g(numerics._mode_nodes(n)).sum(axis=-1)
     rows = s.ndim
     est = s / n if rows else float(s) / n
-    while 2 * n <= tol.max_iter:
+    while 2 * n <= numerics._MEAN_MAX_NODES:
         s = g(numerics._mode_nodes(n, midpoints=True)).sum(axis=-1)
         new = 0.5 * (est + (s / n if rows else float(s) / n))
         n *= 2
-        close = abs(new - est) <= tol.abs_tol + tol.rel_tol * abs(new)
+        close = abs(new - est) <= abs_tol + numerics._MEAN_REL_TOL * abs(new)
         if close.all() if rows else close:
             return new.tolist() if rows else new
         est = new
     raise ConvergenceError("the reference mode mean did not converge")
 
 
-class TestTolerance:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=0.0, rel_tol=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=-1e-3)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
+@pytest.mark.parametrize("abs_tol", [-1e-3, math.nan])
+def test_engines_reject_bad_abs_tol(abs_tol):
+    # a negative or NaN tolerance is refused before f is evaluated
+    def f(s):
+        raise AssertionError("evaluated")
+    with pytest.raises(ValueError, match="abs_tol"):
+        mode_mean(f, math.inf, abs_tol)
+    with pytest.raises(ValueError, match="abs_tol"):
+        solve_from_estimate(f, 0.5, 0.3, abs_tol)
 
 
 class TestModeMean:
@@ -74,20 +77,19 @@ class TestModeMean:
         eta = 0.5 * math.acosh(a)
         err = lambda n: 2.0 * exact * math.exp(-2 * eta * n) / (1 - math.exp(-2 * eta * n))
         f = lambda s: 1.0 / (a - np.cos(2 * s))
-        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1024)
         # the true eta starts at the power of two >= 15/eta, verified by one
         # doubling: a single call on the 64 start nodes and their midpoints
         g, sizes = self._recording(f)
-        assert mode_mean(g, eta, tol) == pytest.approx(exact, rel=1e-15)
+        assert mode_mean(g, eta, TOL) == pytest.approx(exact, rel=1e-15)
         assert sizes == [128]
         # an eta claimed too wide (15/8) starts at N = 8, and N doubles until
         # the error the true eta predicts passes; the finer estimate is
         # returned. Each doubling after the first is a call on the midpoints
         n0, n = 8, 8
-        while err(n) > TOL.abs_tol + TOL.rel_tol * exact:
+        while err(n) > TOL + numerics._MEAN_REL_TOL * exact:
             n *= 2
         g, sizes = self._recording(f)
-        assert mode_mean(g, 15.0 / n0, tol) == pytest.approx(exact, rel=1e-15)
+        assert mode_mean(g, 15.0 / n0, TOL) == pytest.approx(exact, rel=1e-15)
         assert sizes == [2 * n0] + [n0 * 2 ** k for k in range(1, int(math.log2(n // n0)) + 1)]
         assert n == 64
 
@@ -142,16 +144,17 @@ class TestModeMean:
             assert all(row.status == "ok" for row in rows)
         assert 0 < numerics._start_grid.cache_info().currsize <= 12
 
-    def test_node_cap_raises(self):
+    def test_node_cap_raises(self, monkeypatch):
         a = 1.25
+        monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 32)
         with pytest.raises(ConvergenceError) as err:
-            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8,
-                      Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=32))
+            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8, TOL)
         assert err.value.best == pytest.approx(1.0 / math.sqrt(a * a - 1.0), rel=1e-6)
         # a start that leaves no room for a doubling raises before evaluating
+        monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 64)
         f, sizes = self._recording(lambda s: 1.0 / (a - np.cos(2 * s)))
         with pytest.raises(ConvergenceError) as err:
-            mode_mean(f, 0.5 * math.acosh(a), Tolerance(max_iter=64))
+            mode_mean(f, 0.5 * math.acosh(a), TOL)
         assert sizes == [] and err.value.best is None
 
     def test_strip_width_must_be_positive(self):
@@ -160,8 +163,11 @@ class TestModeMean:
                 mode_mean(lambda s: s, eta, TOL)
 
     def test_nan_never_converges(self):
+        # NaN estimates never agree: N doubles up to the cap, then it raises
+        f, sizes = self._recording(lambda s: np.full_like(s, np.nan))
         with pytest.raises(ConvergenceError):
-            mode_mean(lambda s: np.full_like(s, np.nan), math.inf, TOL)
+            mode_mean(f, math.inf, TOL)
+        assert sizes[-1] == numerics._MEAN_MAX_NODES // 2
 
     def test_one_dimensional_mean_is_python_float(self):
         val = mode_mean(lambda s: 1.0 + np.cos(2 * s), math.inf, TOL)
@@ -200,7 +206,7 @@ class TestModeMean:
         assert sizes[-1] == 256
         for val, (c, scale) in zip(vals, rows):
             exact = scale / math.sqrt(c * c - 1.0)
-            assert abs(val - exact) <= TOL.abs_tol + TOL.rel_tol * exact
+            assert abs(val - exact) <= TOL + numerics._MEAN_REL_TOL * exact
 
     def test_nan_row_never_converges(self):
         f = lambda s: np.stack((np.ones_like(s), np.full_like(s, np.nan)))
@@ -238,7 +244,7 @@ class TestSolveIncreasing:
         f = lambda t: t + math.sin(t) / 2
         target = 2.3
         x = solve_from_estimate(f, target, 0.0, TOL)
-        eps = 10 * (TOL.abs_tol + TOL.rel_tol)
+        eps = 2e-11
         assert f(x - eps) < target < f(x + eps)
 
     def test_downward_walk(self):
@@ -265,14 +271,11 @@ class TestSolveIncreasing:
         assert solve_from_estimate(f, target, u, TOL) == root
         assert len(calls) == walked
 
-    def test_iteration_budget_raises_with_best(self):
-        tol = Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=1)
+    def test_iteration_budget_raises_with_best(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_SOLVE_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_from_estimate(math.tanh, 0.5, 0.3, tol)
+            solve_from_estimate(math.tanh, 0.5, 0.3, 1e-15)
         assert 0.3 < err.value.best < 0.3 + math.log(2.0)
-
-
-SIMPLEX_TOL = Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=400)
 
 
 class TestMinimizeBox:
@@ -280,13 +283,13 @@ class TestMinimizeBox:
 
     def test_quadratic_bowl(self):
         x, val = minimize_box(lambda z: (z[0] - 1) ** 2 + z[1] ** 2,
-                              [2.0, 1.0], [0.3, 0.2], SIMPLEX_TOL)
+                              [2.0, 1.0], [0.3, 0.2])
         assert np.allclose(x, [1.0, 0.0], atol=1e-5)
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_shifted_bowl(self):
         x, val = minimize_box(lambda z: (z[0] - 1) ** 2 + (z[1] - 0.3) ** 2,
-                              [0.5, 0.5], [0.15, 0.15], SIMPLEX_TOL)
+                              [0.5, 0.5], [0.15, 0.15])
         assert np.allclose(x, [1.0, 0.3], atol=1e-5)
         assert val == pytest.approx(0.0, abs=1e-9)
 
@@ -296,7 +299,7 @@ class TestMinimizeBox:
         def f(z):
             seen.append(z.min())
             return (z[0] + 1) ** 2 + (z[1] - 2) ** 2
-        x, _ = minimize_box(f, [0.5, 1.0], [0.4, 0.4], SIMPLEX_TOL)
+        x, _ = minimize_box(f, [0.5, 1.0], [0.4, 0.4])
         assert min(seen) >= 0.0
         assert x[0] == 0.0 and x[1] == pytest.approx(2.0, abs=1e-5)
 
@@ -309,16 +312,15 @@ class TestMinimizeBox:
         def f(z):
             return g_zero(DimerState(W=max(z), delta=min(z)), 2.0)
 
-        x, val = minimize_box(f, [1.0, 0.5], [0.2, 0.15],
-                              Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=800))
+        x, val = minimize_box(f, [1.0, 0.5], [0.2, 0.15])
         f0_per = -4 / math.pi - 8 / (math.pi ** 2 * 2.0)
         assert x[1] > 0.05
         assert val < f0_per
 
-    def test_budget_exhaustion_reports_best(self):
+    def test_budget_exhaustion_reports_best(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_SIMPLEX_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            minimize_box(lambda z: (z[0] - 1) ** 2, [50.0], [5.1],
-                         Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=3))
+            minimize_box(lambda z: (z[0] - 1) ** 2, [50.0], [5.1])
         x, fx = err.value.best
         assert fx < (50.0 - 1) ** 2 and fx == (x[0] - 1) ** 2
 
@@ -327,8 +329,7 @@ def lattice_descent(f, lo, hi, n_starts):
     """_polished_descent from n_starts lattice points of [lo, hi], each with
     a simplex step of a fifth of the interval."""
     starts = lo + (hi - lo) * lattice_points(n_starts, 1)
-    return _polished_descent(f, list(starts), [(0.2 * (hi - lo),)] * n_starts,
-                             Tolerance(abs_tol=1e-10, rel_tol=1e-12, max_iter=200))
+    return _polished_descent(f, list(starts), [(0.2 * (hi - lo),)] * n_starts)
 
 
 class TestMultistart:
@@ -349,7 +350,7 @@ class TestMultistart:
         f = lambda z: math.cos(3 * z[0]) + 0.1 * z[0]
         _, best = lattice_descent(f, 0.0, 4.0, 8)
         for x0 in (0.1, 1.0, 3.5):
-            _, val = minimize_box(f, [x0], [0.1 * (1 + x0)], SIMPLEX_TOL)
+            _, val = minimize_box(f, [x0], [0.1 * (1 + x0)])
             assert best <= val + 1e-12
 
     def test_ring_minimizer_is_2_periodic(self):
@@ -374,14 +375,14 @@ class TestMultistart:
             lattice_descent(f, 0.0, 2.0, 3)
         assert err.value is exc
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         def f(z):
             calls.append(1)
             return (z[0] - 0.7) ** 2
         calls = []
+        monkeypatch.setattr(numerics, "_SIMPLEX_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            _polished_descent(f, [np.array([1.9])], [(0.4,)],
-                              Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=3))
+            _polished_descent(f, [np.array([1.9])], [(0.4,)])
         x, val = err.value.best
         assert val < (1.9 - 0.7) ** 2 and len(calls) > 1
 

@@ -407,9 +407,7 @@ class TestCliMain:
     def test_exhausted_simplex_is_an_error_row(self, monkeypatch, tmp_path):
         # a dimer search whose simplex runs out of iterations raises, and
         # the sweep point becomes an error row
-        real = numerics.minimize_box
-        monkeypatch.setattr(numerics, "minimize_box", lambda f, init, step, tol: real(
-            f, init, step, numerics.Tolerance(tol.abs_tol, tol.rel_tol, max_iter=3)))
+        monkeypatch.setattr(numerics, "_SIMPLEX_MAX_ITER", 3)
         with pytest.raises(ConvergenceError):
             thermodynamic.minimize_dimer_thermo(ModelParams(mu=2.0, theta=0.1))
         spec = SweepSpec(kind="bifurcation", grid=[(2.0, 0.1)],

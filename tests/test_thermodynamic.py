@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ import scipy.integrate
 import peierls.numerics as numerics
 import peierls.thermodynamic as thermodynamic
 from peierls.finite_chain import DimerState, ModelParams, g_finite
-from peierls.numerics import Tolerance
 from peierls.sweep import SweepSpec, run_sweep
 from peierls.thermodynamic import (J_thermo, asymptotic_constants,
                                    bifurcation_data, g_thermo,
@@ -40,16 +38,10 @@ THETA_C_LARGE_MU = {30.0: 3.74336082908025573638905028009e-11,
 # 30-digit bifurcation coefficients; the moment A is -9.6e-10 at mu = 8, -7.7e-14 at 12
 BIFURCATION_COEFF = {8.0: 0.0558301959974501144490521535808,
                      12.0: 0.0113371274276400429433500650054}
-# room for the unmapped mode mean past its usual starting-N cap
-WIDE_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=1 << 17)
-
-
 def _by_each_rule(monkeypatch, fn):
     """fn() by default, forced onto unmapped nodes, forced onto mapped nodes,
-    with the module's integrals given room for the unmapped nodes."""
-    monkeypatch.setattr(thermodynamic, "_QUAD_TOL", WIDE_TOL)
-    monkeypatch.setattr(thermodynamic, "_band_mean",
-                        partial(numerics.mode_mean, tol=WIDE_TOL))
+    with the mode mean's node cap raised to make room for the unmapped nodes."""
+    monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 1 << 17)
     default = fn()
     monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 1 << 20)
     unmapped = fn()
@@ -175,14 +167,14 @@ class TestThetaCritical:
         # both equations, mu (W* - 1) = 2 <x h'(x^2 sin^2 t) sin^2 t> and
         # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here
         from peierls.kernels import _h_prime
-        from peierls.thermodynamic import _QUAD_TOL, _tanh_eta
+        from peierls.thermodynamic import _ABS_TOL, _tanh_eta
         for mu in (1.0, 2.0, 6.0):
             cp = theta_critical_thermo(mu)
             x = cp.x
 
             def mean(trig):
                 f = lambda t: x * _h_prime((x * np.sin(t)) ** 2) * trig(t) ** 2
-                return numerics.mode_mean(f, _tanh_eta(x), _QUAD_TOL)
+                return numerics.mode_mean(f, _tanh_eta(x), _ABS_TOL)
             r1 = mu * (cp.W_star - 1) - 2.0 * mean(np.sin)
             r2 = mu * cp.W_star - 2.0 * mean(np.cos)
             assert abs(r1) <= 1e-8
@@ -248,6 +240,17 @@ class TestThetaCritical:
         # the largest mu of THETA_C_LARGE_MU bounds the domain
         with pytest.raises(ValueError, match="validated up to mu = 200"):
             theta_critical_thermo(200.5)
+
+    def test_node_cap_fits_the_largest_stiffness(self):
+        # _MU_MAX and numerics._MEAN_MAX_NODES are set for each other: at
+        # theta_c(_MU_MAX) the mapped nodes start at N0 = 4096 and the cap
+        # leaves room for one doubling; at x = 1.6 e^(pi 210/4), past
+        # _MU_MAX, they start at 8192 and it does not
+        x = theta_critical_thermo(thermodynamic._MU_MAX).x
+        _, n0 = numerics._node_map(thermodynamic._tanh_eta(x))
+        assert n0 == 4096 and 2 * n0 <= numerics._MEAN_MAX_NODES
+        _, n0 = numerics._node_map(thermodynamic._tanh_eta(1.6 * math.exp(math.pi * 210 / 4)))
+        assert n0 == 8192 and 2 * n0 > numerics._MEAN_MAX_NODES
 
 
 class TestConstants:

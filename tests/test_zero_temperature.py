@@ -107,8 +107,12 @@ class TestGZero:
         assert _g_zero_raw(0.0, 0.0, mu) == mu / 2
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            g_zero(DimerState(W=1.0, delta=0.0), 0.0)
+        # a NaN stiffness returned nan, and periodic_optimum_zero(inf) a value
+        for mu in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                g_zero(DimerState(W=1.0, delta=0.0), mu)
+            with pytest.raises(ValueError, match="positive and finite"):
+                periodic_optimum_zero(mu)
 
 
 class TestPeriodicOptimum:
