@@ -333,10 +333,10 @@ def J_finite(x: float, L: int) -> float:
     The root is taken at mu for L = 0 mod 4 and at mu/2 for L = 2 mod 4
     (see theta_critical_finite for the normalization). For L = 4n the mode
     grid hits the band center and contributes the linear x/n term; for
-    L = 4n + 2 the function saturates at mu_critical(L).
+    L = 4n + 2 the function saturates at mu_critical(L). x must be finite.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     L = _check_even_length(L)
     a, b = _node_terms(L)
     total = float(np.sum(np.tanh(x * a) * b))

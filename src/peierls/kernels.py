@@ -44,13 +44,13 @@ def h_theta(x, theta: float):
     """theta * h(x / (4 theta^2)); the per-mode free energy of a squared level.
 
     Equals sqrt(x) + 2 theta ln(1 + e^{-sqrt(x)/theta}), hence always >= sqrt(x).
-    A float x must be >= 0 and gives a float; an array is not checked.
+    A float x must be finite and >= 0, and gives a float; arrays are not checked.
     """
     if not 0 < theta < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {theta}")
     scalar = not isinstance(x, np.ndarray)
-    if scalar and x < 0:
-        raise ValueError(f"argument must be non-negative, got {x}")
+    if scalar and not 0 <= x < math.inf:
+        raise ValueError(f"argument must be finite and non-negative, got {x}")
     r = np.sqrt(x)
     out = r + 2.0 * theta * np.log1p(np.exp(-r / theta))
     return float(out) if scalar else out

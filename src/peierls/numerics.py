@@ -9,8 +9,10 @@ estimate to a bracket and finishes by safeguarded secant, and minimization
 Newton descent on a box where the Hessian is known). Ring spectra need no
 primitive here: the model calls numpy's eigvalsh on matrices it builds
 symmetric. Everything here is a pure function of its inputs and safe to
-call from many workers at once. The mode mean and the root solve take the
-one accuracy their callers vary, abs_tol; the rest is a module constant.
+call from many workers at once; the mode mean's start nodes, mapped with
+their weights, are cached read-only per (p, N0). The mode mean and the
+root solve take the one accuracy their callers vary, abs_tol; the rest is
+a module constant.
 """
 
 from __future__ import annotations
@@ -60,9 +62,10 @@ def _start_nodes(eta: float) -> int:
     return n
 
 
-# largest starting N left unmapped: a mapped node costs about two unmapped
-# ones. On J_thermo (2-vCPU Xeon, numpy 2.4) both took 0.15 ms where the
-# unmapped N0 is 1024, and 0.14 ms mapped against 0.23 ms where it is 2048
+# largest starting N left unmapped, a power of two >= 8 (so n eta is exact
+# in _node_map's test): a mapped node costs about two unmapped ones. On
+# J_thermo (2-vCPU Xeon, numpy 2.4) both took 0.15 ms where the unmapped N0
+# is 1024, and 0.14 ms mapped against 0.23 ms where it is 2048
 _UNMAPPED_N0_MAX = 1024
 # the mode mean's relative target: two estimates agree at abs_tol + this |est|
 _MEAN_REL_TOL = 1e-12
@@ -78,40 +81,49 @@ def _node_map(eta: float) -> tuple[int, int]:
     +-pi/2, a strip of half-width eta^(1/p) sin(pi/2p); the map is analytic
     within atanh(sin(pi/2p))/2 of the real axis. The p with the widest of
     these minima is taken, unless the unmapped rule (p = 1) starts at no
-    more than _UNMAPPED_N0_MAX nodes.
+    more than _UNMAPPED_N0_MAX nodes, i.e. eta _UNMAPPED_N0_MAX >= 15.
     """
-    n0 = _start_nodes(eta)
-    if n0 <= _UNMAPPED_N0_MAX:
-        return 1, n0
+    if eta * _UNMAPPED_N0_MAX >= 15.0:
+        return 1, _start_nodes(eta)
 
     def width(p):
         s = math.sin(math.pi / (2 * p))
         return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
 
-    p = 3
-    while width(p + 2) > width(p):
-        p += 2
-    return p, _start_nodes(width(p))
+    p, w = 3, width(3)
+    while (w_next := width(p + 2)) > w:
+        p, w = p + 2, w_next
+    return p, _start_nodes(w)
 
 
-def _mapped(f, p: int):
-    """u -> f(t(u)) dt/du for tan t = tan^p u, which has the same mean as f.
+def _map_nodes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, dt/du) on nodes u for tan t = tan^p u: f(t) dt/du has f's mean.
 
     With a = |sin u|, b = |cos u| and r = min(a, b)/max(a, b) <= 1, t is
     sign(u) atan(r^p) where a <= b and sign(u) (pi/2 - atan(r^p)) elsewhere,
     and dt/du = p r^(p-1) / (max(a, b)^2 (1 + r^(2p))): no overflow, no 0/0
     at u = 0 or +-pi/2, and t keeps full relative precision near 0.
     """
-    def g(u):
-        a, b = np.abs(np.sin(u)), np.abs(np.cos(u))
-        big = np.maximum(a, b)
-        r = np.minimum(a, b) / big
-        r_pm1 = r ** (p - 1)
-        r_p = r_pm1 * r
-        t = np.arctan(r_p)
-        t = np.copysign(np.where(a <= b, t, 0.5 * np.pi - t), u)
-        return f(t) * (p * r_pm1 / (big * big * (1.0 + r_p * r_p)))
-    return g
+    a, b = np.abs(np.sin(u)), np.abs(np.cos(u))
+    big = np.maximum(a, b)
+    r = np.minimum(a, b) / big
+    r_pm1 = r ** (p - 1)
+    r_p = r_pm1 * r
+    t = np.arctan(r_p)
+    t = np.copysign(np.where(a <= b, t, 0.5 * np.pi - t), u)
+    return t, p * r_pm1 / (big * big * (1.0 + r_p * r_p))
+
+
+# mapped start grids kept, per (p, N0): an entry is 128 KB at N0 = 4096
+_MAPPED_START_CACHE = 32
+
+
+@functools.lru_cache(maxsize=_MAPPED_START_CACHE)
+def _mapped_start(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # _start_grid(n) mapped by p, read-only like the grid itself
+    t, dt = _map_nodes(_start_grid(n), p)
+    t.flags.writeable = dt.flags.writeable = False
+    return t, dt
 
 
 def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
@@ -129,9 +141,10 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     two N0 >= 15/eta of the (mapped) strip, where the predicted error is
     ~1e-13, and doubles with the old nodes reused: the new estimate is the
     mean of the old one and that over the midpoints. The start level and
-    its first doubling are one call of f on a cached read-only grid, the N0
-    nodes then their midpoints; each later doubling is one call on the new
-    midpoints. The finer estimate is returned once two agree to
+    its first doubling are one call of f on a read-only grid cached per
+    (p, N0), the N0 nodes then their midpoints, mapped ones with their
+    weights dt/du; each later doubling is one call on the new midpoints,
+    mapped afresh. The finer estimate is returned once two agree to
     ``abs_tol + _MEAN_REL_TOL * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a
     costly factor: the k means converge together, each to the tolerance,
@@ -147,10 +160,11 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         raise ConvergenceError(
             f"mode mean needs {n} nodes and a doubling for eta = {eta:.3e}, "
             f"beyond the cap of {_MEAN_MAX_NODES}")
-    g = f if p == 1 else _mapped(f, p)
+    mapped = lambda t, dt: f(t) * dt  # f on mapped nodes t, times dt/du
+    g = f if p == 1 else lambda u: mapped(*_map_nodes(u, p))
+    v = f(_start_grid(n)) if p == 1 else mapped(*_mapped_start(n, p))
     # sum / n is np.mean's arithmetic without its per-call overhead; one
     # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
-    v = g(_start_grid(n))
     s, mid = v[..., :n].sum(axis=-1), v[..., n:]
     rows = s.ndim
     est = s / n if rows else float(s) / n

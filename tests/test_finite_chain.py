@@ -401,6 +401,12 @@ class TestRingDerivatives:
 
 
 class TestJFinite:
+    @pytest.mark.parametrize("x", [-0.5, math.nan, math.inf])
+    def test_x_must_be_finite_and_non_negative(self, x):
+        # as J_thermo: NaN and inf are refused, not summed into nan and inf
+        with pytest.raises(ValueError, match="x must be finite and >= 0"):
+            J_finite(x, 8)
+
     def test_zero_at_origin(self):
         for L in (4, 6, 8, 10, 12, 20):
             assert J_finite(0.0, L) == pytest.approx(0.0, abs=1e-14)

@@ -156,8 +156,11 @@ class TestHTheta:
                 h_theta(1.0, theta)
             with pytest.raises(ValueError, match="positive and finite"):
                 electron_free_energy([0.0], theta)
-        with pytest.raises(ValueError):
-            h_theta(-1.0, 0.5)
+        # a float x must be finite and >= 0; an array is not checked
+        for x in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                h_theta(x, 0.5)
+        assert np.isnan(h_theta(np.array([math.nan]), 0.5)).all()
 
 
 class TestElectronFreeEnergy:

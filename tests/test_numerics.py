@@ -20,7 +20,12 @@ def _two_call_mode_mean(f, eta, abs_tol):
     # the mode mean with the start level and its first doubling in two
     # calls, on fresh nodes: the reference the shared start call must match
     p, n = numerics._node_map(eta)
-    g = f if p == 1 else numerics._mapped(f, p)
+
+    def g(u):
+        if p == 1:
+            return f(u)
+        t, dt = numerics._map_nodes(u, p)
+        return f(t) * dt
     s = g(numerics._mode_nodes(n)).sum(axis=-1)
     rows = s.ndim
     est = s / n if rows else float(s) / n
@@ -33,6 +38,24 @@ def _two_call_mode_mean(f, eta, abs_tol):
             return new.tolist() if rows else new
         est = new
     raise ConvergenceError("the reference mode mean did not converge")
+
+
+def _loop_node_map(eta):
+    # the node map chosen by loops: the unmapped test doubles N from 8, and
+    # the search for p evaluates two widths per step. The closed-form test
+    # and the one-width search must choose the same (p, N0)
+    n0 = numerics._start_nodes(eta)
+    if n0 <= numerics._UNMAPPED_N0_MAX:
+        return 1, n0
+
+    def width(p):
+        s = math.sin(math.pi / (2 * p))
+        return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
+
+    p = 3
+    while width(p + 2) > width(p):
+        p += 2
+    return p, numerics._start_nodes(width(p))
 
 
 @pytest.mark.parametrize("abs_tol", [-1e-3, math.nan])
@@ -133,6 +156,50 @@ class TestModeMean:
             return np.cos(s)
         with pytest.raises(ValueError):
             mode_mean(f, math.inf, TOL)
+
+    def test_node_map_matches_the_loops(self):
+        # a log grid from the x of mu = 200 (eta ~ 6e-69) past the unmapped
+        # switch, the switch eta = 15/1024 itself and its two neighbours
+        switch = 15.0 / numerics._UNMAPPED_N0_MAX
+        etas = list(np.logspace(-70, 1, 1001)) + [
+            switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)]
+        for eta in etas:
+            assert numerics._node_map(float(eta)) == _loop_node_map(float(eta)), eta
+        assert numerics._node_map(switch) == (1, 1024)
+        assert numerics._node_map(float(np.nextafter(switch, 0.0)))[0] > 1
+
+    def test_mapped_start_is_read_only(self):
+        # the cached mapped nodes and weights are shared by every call
+        t, dt = numerics._mapped_start(256, 5)
+        for arr in (t, dt):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+        def f(t):
+            t *= 2.0
+            return np.cos(t)
+        eta = 1e-6
+        assert numerics._node_map(eta)[0] > 1  # the premise: mapped nodes
+        with pytest.raises(ValueError):
+            mode_mean(f, eta, TOL)
+
+    def test_mapped_start_cache_is_bounded(self, tmp_path, monkeypatch):
+        # a phase diagram over mu = 0.5..200 maps its start nodes under more
+        # distinct (p, N0) than the cache keeps; the cache stays at its bound
+        keys, node_map = set(), numerics._node_map
+
+        def recording(eta):
+            key = node_map(eta)
+            keys.add(key)
+            return key
+        monkeypatch.setattr(numerics, "_node_map", recording)
+        grid = [(0.5 * k,) for k in range(1, 401)]
+        rows = sweep.run_sweep(sweep.SweepSpec(kind="phase-diagram", grid=grid,
+                                               output_path=str(tmp_path / "x.csv")))
+        assert all(row.status == "ok" for row in rows)
+        info = numerics._mapped_start.cache_info()
+        assert info.maxsize == numerics._MAPPED_START_CACHE <= 32
+        assert len({k for k in keys if k[0] > 1}) > info.maxsize >= info.currsize
 
     def test_start_grid_cache_stays_small(self, tmp_path):
         # the cache is keyed by the power-of-two N0 (8 to 8192), not by a

@@ -45,7 +45,7 @@ def _by_each_rule(monkeypatch, fn):
     default = fn()
     monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 1 << 20)
     unmapped = fn()
-    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 4)
+    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 0)  # no start is unmapped
     mapped = fn()
     monkeypatch.undo()
     return default, unmapped, mapped
