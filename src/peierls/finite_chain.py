@@ -307,8 +307,8 @@ def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
     L = _check_even_length(p.L)
     if L > 16:
         raise ValueError(f"full-chain search is limited to L <= 16, got {L}")
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
+    if not (n_starts >= 1 and n_starts % 1 == 0):
+        raise ValueError(f"n_starts must be a whole number >= 1, got {n_starts}")
     lo, hi = T_BOX
     runs = (_newton_box(lambda t: _ring_derivatives(t, p.mu, p.theta), x0, lo, hi, _NEWTON_STEPS)
             for x0 in lo + (hi - lo) * lattice_points(n_starts, L))

@@ -2,8 +2,8 @@
 
 One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
 periodic integrands whose error falls geometrically with the node count,
-on nodes mapped towards a sharp layer where the integrand's strip of
-analyticity is narrow. Then one monotone root solver, which walks from an
+on nodes mapped towards a sharp layer wherever that widens the integrand's
+strip of analyticity. Then one monotone root solver, which walks from an
 estimate to a bracket and finishes by safeguarded secant, and minimization
 (a projected derivative-free simplex on the orthant x >= 0, and damped
 Newton descent on a box where the Hessian is known). Ring spectra need no
@@ -45,14 +45,6 @@ def _mode_nodes(n: int, midpoints: bool = False) -> np.ndarray:
     return (np.arange(n) - (n - midpoints) / 2) * (np.pi / n)
 
 
-@functools.lru_cache(maxsize=None)
-def _start_grid(n: int) -> np.ndarray:
-    # n start nodes, then their midpoints; read-only, as every call shares it
-    grid = np.concatenate((_mode_nodes(n), _mode_nodes(n, midpoints=True)))
-    grid.flags.writeable = False
-    return grid
-
-
 def _start_nodes(eta: float) -> int:
     # the power of two N >= 15/eta (at least 8): predicted error e^(-2 eta N)
     # ~ 1e-13 at the first estimate, so one doubling verifies it
@@ -62,11 +54,6 @@ def _start_nodes(eta: float) -> int:
     return n
 
 
-# largest starting N left unmapped, a power of two >= 8 (so n eta is exact
-# in _node_map's test): a mapped node costs about two unmapped ones. On
-# J_thermo (2-vCPU Xeon, numpy 2.4) both took 0.15 ms where the unmapped N0
-# is 1024, and 0.14 ms mapped against 0.23 ms where it is 2048
-_UNMAPPED_N0_MAX = 1024
 # the mode mean's relative target: two estimates agree at abs_tol + this |est|
 _MEAN_REL_TOL = 1e-12
 # the mode mean's cap on N. thermodynamic._MU_MAX stops at mu = 200, where
@@ -80,17 +67,14 @@ def _node_map(eta: float) -> tuple[int, int]:
     Under tan t = tan^p u a strip |Im t| < eta becomes, near u = 0 and
     +-pi/2, a strip of half-width eta^(1/p) sin(pi/2p); the map is analytic
     within atanh(sin(pi/2p))/2 of the real axis. The p with the widest of
-    these minima is taken, unless the unmapped rule (p = 1) starts at no
-    more than _UNMAPPED_N0_MAX nodes, i.e. eta _UNMAPPED_N0_MAX >= 15.
+    these minima is taken, p = 1 (no map) counting as eta itself: so every
+    eta below atanh(1/2)/2 = 0.2747 is mapped.
     """
-    if eta * _UNMAPPED_N0_MAX >= 15.0:
-        return 1, _start_nodes(eta)
-
     def width(p):
         s = math.sin(math.pi / (2 * p))
         return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
 
-    p, w = 3, width(3)
+    p, w = 1, eta
     while (w_next := width(p + 2)) > w:
         p, w = p + 2, w_next
     return p, _start_nodes(w)
@@ -120,8 +104,8 @@ _MAPPED_START_CACHE = 32
 
 @functools.lru_cache(maxsize=_MAPPED_START_CACHE)
 def _mapped_start(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # _start_grid(n) mapped by p, read-only like the grid itself
-    t, dt = _map_nodes(_start_grid(n), p)
+    # the n start nodes then their midpoints, mapped by p; read-only, shared
+    t, dt = _map_nodes(np.concatenate((_mode_nodes(n), _mode_nodes(n, True))), p)
     t.flags.writeable = dt.flags.writeable = False
     return t, dt
 
@@ -134,17 +118,17 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
     the strip |Im t| < eta; the error on N equally spaced nodes then falls
     like e^(-2 eta N). The nodes u_j = -pi/2 + pi j/N of [-pi/2, pi/2) carry
     full relative precision near 0; by periodicity the mean is that over
-    [0, pi). Where eta is small the nodes are mapped by tan t = tan^p u
-    with an odd p, which crowds them towards t = 0 and +-pi/2: that widens
-    the strip when f's nearest singularities lie there, as those of the
-    band integrands do (see :func:`_node_map`). N starts at the power of
-    two N0 >= 15/eta of the (mapped) strip, where the predicted error is
-    ~1e-13, and doubles with the old nodes reused: the new estimate is the
-    mean of the old one and that over the midpoints. The start level and
-    its first doubling are one call of f on a read-only grid cached per
-    (p, N0), the N0 nodes then their midpoints, mapped ones with their
-    weights dt/du; each later doubling is one call on the new midpoints,
-    mapped afresh. The finer estimate is returned once two agree to
+    [0, pi). The nodes are mapped by tan t = tan^p u with the odd p that
+    widens the strip most (see :func:`_node_map`): p > 1 crowds them
+    towards t = 0 and +-pi/2, where the band integrands' singularities
+    lie, and p = 1 leaves them in place to about an ulp. N starts at the
+    power of two N0 >= 15/eta of the mapped strip, where the predicted
+    error is ~1e-13, and doubles with the old nodes reused: the new
+    estimate is the mean of the old one and that over the midpoints. The
+    start level and its first doubling are one call of f on the N0 nodes
+    then their midpoints, mapped with their weights dt/du, read-only and
+    cached per (p, N0); each later doubling maps its new midpoints and is
+    one call. The finer estimate is returned once two agree to
     ``abs_tol + _MEAN_REL_TOL * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a
     costly factor: the k means converge together, each to the tolerance,
@@ -161,8 +145,7 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
             f"mode mean needs {n} nodes and a doubling for eta = {eta:.3e}, "
             f"beyond the cap of {_MEAN_MAX_NODES}")
     mapped = lambda t, dt: f(t) * dt  # f on mapped nodes t, times dt/du
-    g = f if p == 1 else lambda u: mapped(*_map_nodes(u, p))
-    v = f(_start_grid(n)) if p == 1 else mapped(*_mapped_start(n, p))
+    v = mapped(*_mapped_start(n, p))
     # sum / n is np.mean's arithmetic without its per-call overhead; one
     # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
     s, mid = v[..., :n].sum(axis=-1), v[..., n:]
@@ -176,14 +159,14 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         if close.all() if rows else close:
             return new.tolist() if rows else new
         est = new
-        mid = g(_mode_nodes(n, midpoints=True)) if 2 * n <= _MEAN_MAX_NODES else None
+        mid = mapped(*_map_nodes(_mode_nodes(n, True), p)) if 2 * n <= _MEAN_MAX_NODES else None
     best = est.tolist() if rows else est
     raise ConvergenceError(
         f"mode mean did not converge within {_MEAN_MAX_NODES} nodes "
         f"(estimate {best!r} at N = {n})", best=best)
 
 
-_SOLVE_MAX_ITER = 100  # the root solve's secant steps inside the bracket
+_SOLVE_MAX_ITER = 100  # the root solve's ln 2 steps to a bracket, then its secant steps
 
 
 def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
@@ -194,16 +177,22 @@ def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
     iterates wherever it lands strictly inside the bracket, else bisection.
     No margin keeps the secant off the ends: once it converges, it lands
     next to the end it last moved. Stops when |f(x) - target| <= abs_tol,
-    at an end of the bracket too, or at machine resolution; after
-    _SOLVE_MAX_ITER steps it raises :class:`ConvergenceError`. f is
-    cached, so the solve does not pay again for the bracket's ends.
+    at an end of the bracket too, or at machine resolution. The walk and
+    the secant have _SOLVE_MAX_ITER steps each, then raise
+    :class:`ConvergenceError`, as on a NaN f or a target f never reaches;
+    a non-finite target is a ValueError. f is cached, so the solve does
+    not pay again for the bracket's ends.
     """
-    if not abs_tol >= 0:
-        raise ValueError(f"abs_tol must be >= 0, got {abs_tol}")
+    if not (abs_tol >= 0 and math.isfinite(target)):
+        raise ValueError(f"need abs_tol >= 0 and a finite target, got {abs_tol}, {target}")
     f = functools.lru_cache(maxsize=None)(f)
     step = math.log(2.0) if f(u) < target else -math.log(2.0)
-    while (f(u + step) < target) == (step > 0):
+    for _ in range(_SOLVE_MAX_ITER):
+        if (f(u + step) < target) != (step > 0):
+            break
         u += step
+    else:
+        raise ConvergenceError(f"no bracket within {_SOLVE_MAX_ITER} steps of ln 2", best=u)
     # the walk leaves f(lo) < target <= f(hi)
     lo, hi = sorted((u, u + step))
     flo = f(lo) - target

@@ -7,8 +7,8 @@ integral is a mean over a period, computed by the mode mean
 mode count N doubling to convergence. Its error falls like e^(-2 eta N),
 eta being the distance of the integrand's nearest complex singularity from
 the real axis, and each integrand here hands it that eta and _ABS_TOL.
-For x = W/theta past ~100 the tanh layer at the band center is so sharp
-that the mode mean maps its nodes towards it.
+For x = W/theta past ~5.7 the mode mean maps its nodes towards the tanh
+layer at the band center, as that widens the strip.
 
 The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
 its full relative precision at the band center. The band energy and the

@@ -288,7 +288,7 @@ def test_dimer_search_path(monkeypatch):
         return real(g, *args)
 
     monkeypatch.setattr(numerics, "minimize_box", counted)
-    for minimize, p, evals in ((thermodynamic.minimize_dimer_thermo, ModelParams(2.0, 0.1), 634),
+    for minimize, p, evals in ((thermodynamic.minimize_dimer_thermo, ModelParams(2.0, 0.1), 623),
                                (minimize_dimer_finite, ModelParams(2.0, 0.1, 8), 679)):
         counts.update(calls=0, evals=0)
         minimize(p)
@@ -324,8 +324,10 @@ class TestFullChainMinimization:
             minimize_chain_full(ModelParams(mu=1.0, theta=0.1, L=18))
 
     def test_needs_a_start(self):
-        with pytest.raises(ValueError):
-            minimize_chain_full(ModelParams(mu=1.0, theta=0.1, L=4), n_starts=0)
+        # a whole number of starts: 1.5 would run two (np.arange(1, 2.5))
+        for n_starts in (0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="n_starts"):
+                minimize_chain_full(ModelParams(mu=1.0, theta=0.1, L=4), n_starts=n_starts)
 
     def test_largest_ring_is_2_periodic(self):
         t = minimize_chain_full(ModelParams(mu=2.0, theta=0.05, L=16), n_starts=2).t

@@ -18,12 +18,10 @@ TOL = 1e-12
 
 def _two_call_mode_mean(f, eta, abs_tol):
     # the mode mean with the start level and its first doubling in two
-    # calls, on fresh nodes: the reference the shared start call must match
+    # calls, on freshly mapped nodes: the reference the cached start must match
     p, n = numerics._node_map(eta)
 
     def g(u):
-        if p == 1:
-            return f(u)
         t, dt = numerics._map_nodes(u, p)
         return f(t) * dt
     s = g(numerics._mode_nodes(n)).sum(axis=-1)
@@ -40,21 +38,16 @@ def _two_call_mode_mean(f, eta, abs_tol):
     raise ConvergenceError("the reference mode mean did not converge")
 
 
-def _loop_node_map(eta):
-    # the node map chosen by loops: the unmapped test doubles N from 8, and
-    # the search for p evaluates two widths per step. The closed-form test
-    # and the one-width search must choose the same (p, N0)
-    n0 = numerics._start_nodes(eta)
-    if n0 <= numerics._UNMAPPED_N0_MAX:
-        return 1, n0
-
+def _argmax_node_map(eta):
+    # the node map by brute force, independent of _node_map's walk: the odd
+    # p < 400 whose mapped strip is widest, p = 1 (no map) counting as eta
     def width(p):
+        if p == 1:
+            return eta
         s = math.sin(math.pi / (2 * p))
         return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
 
-    p = 3
-    while width(p + 2) > width(p):
-        p += 2
+    p = max(range(1, 400, 2), key=width)
     return p, numerics._start_nodes(width(p))
 
 
@@ -129,9 +122,9 @@ class TestModeMean:
             assert len(sizes) == 1 and sizes[0] // 2 <= 1024
 
     def test_shared_start_call_is_bit_identical(self):
-        # one call on the start nodes and their midpoints sums the same
-        # nodes in the same order as two calls: 1-D, a (3, N) stack and
-        # mapped (p > 1) nodes, converging at the first doubling or later
+        # one call on the cached start nodes and their midpoints sums the
+        # same nodes in the same order as two calls: 1-D and a (3, N) stack,
+        # at p = 1 and p > 1, converging at the first doubling or later
         a, eps, x = 1.25, 1e-6, 1e3
         stack = lambda s: np.stack((1.0 / (a - np.cos(2 * s)),
                                     np.cos(2 * s) / (a - np.cos(2 * s)),
@@ -145,12 +138,14 @@ class TestModeMean:
                  (lambda t: np.stack((band(t), np.cos(t) ** 2 * band(t))),
                   0.5 * math.acosh(1.0 + eps)),
                  (tanh, math.asinh(0.5 * math.pi / x))]
-        assert numerics._node_map(cases[-1][1])[0] > 1  # the premise: mapped nodes
+        # the premise: the first case starts unmapped (p = 1), the last mapped
+        assert numerics._node_map(cases[0][1])[0] == 1 < numerics._node_map(cases[-1][1])[0]
         for f, eta in cases:
             assert mode_mean(f, eta, TOL) == _two_call_mode_mean(f, eta, TOL)
 
     def test_start_nodes_are_read_only(self):
-        # the cached start grid is shared by every call: writing into it raises
+        # the cached start nodes (here p = 1) are shared by every call:
+        # writing into them raises
         def f(s):
             s *= 2.0
             return np.cos(s)
@@ -158,22 +153,21 @@ class TestModeMean:
             mode_mean(f, math.inf, TOL)
 
     def test_node_map_matches_the_loops(self):
-        # a log grid from the x of mu = 200 (eta ~ 6e-69) past the unmapped
-        # switch, the switch eta = 15/1024 itself and its two neighbours
-        switch = 15.0 / numerics._UNMAPPED_N0_MAX
-        etas = list(np.logspace(-70, 1, 1001)) + [
-            switch, np.nextafter(switch, 0.0), np.nextafter(switch, 1.0)]
-        for eta in etas:
-            assert numerics._node_map(float(eta)) == _loop_node_map(float(eta)), eta
-        assert numerics._node_map(switch) == (1, 1024)
-        assert numerics._node_map(float(np.nextafter(switch, 0.0)))[0] > 1
+        # a log grid from the x of mu = 200 (eta ~ 6e-69) to past the widest
+        # p = 3 strip, atanh(1/2)/2, which is where the map starts to serve
+        for eta in np.logspace(-70, 1, 1001):
+            assert numerics._node_map(float(eta)) == _argmax_node_map(float(eta)), eta
+        assert numerics._node_map(0.27)[0] == 3
+        assert numerics._node_map(0.28)[0] == 1
 
     def test_mapped_start_is_read_only(self):
-        # the cached mapped nodes and weights are shared by every call
-        t, dt = numerics._mapped_start(256, 5)
-        for arr in (t, dt):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        # the cached mapped nodes and weights are shared by every call, the
+        # unmapped (p = 1) start's too
+        for n, p in ((256, 5), (64, 1)):
+            t, dt = numerics._mapped_start(n, p)
+            for arr in (t, dt):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
         def f(t):
             t *= 2.0
@@ -199,17 +193,7 @@ class TestModeMean:
         assert all(row.status == "ok" for row in rows)
         info = numerics._mapped_start.cache_info()
         assert info.maxsize == numerics._MAPPED_START_CACHE <= 32
-        assert len({k for k in keys if k[0] > 1}) > info.maxsize >= info.currsize
-
-    def test_start_grid_cache_stays_small(self, tmp_path):
-        # the cache is keyed by the power-of-two N0 (8 to 8192), not by a
-        # ring length or a stiffness
-        for kind, grid in (("finite-thetac", [(2.0, L) for L in range(4, 402, 2)]),
-                           ("phase-diagram", [(mu,) for mu in (0.5, 2, 8, 20, 50, 200)])):
-            rows = sweep.run_sweep(sweep.SweepSpec(kind=kind, grid=grid,
-                                                   output_path=str(tmp_path / "x.csv")))
-            assert all(row.status == "ok" for row in rows)
-        assert 0 < numerics._start_grid.cache_info().currsize <= 12
+        assert len(keys) > info.maxsize >= info.currsize
 
     def test_node_cap_raises(self, monkeypatch):
         a = 1.25
@@ -343,6 +327,22 @@ class TestSolveIncreasing:
         with pytest.raises(ConvergenceError) as err:
             solve_from_estimate(math.tanh, 0.5, 0.3, 1e-15)
         assert 0.3 < err.value.best < 0.3 + math.log(2.0)
+
+    def test_bad_input_ends(self):
+        # a NaN f, and a target that f never reaches, spend the walk's budget
+        # of ln 2 steps and raise with the last estimate; a non-finite
+        # target is refused before f is evaluated
+        for f, target in ((lambda u: math.nan, 1.0), (math.atan, 2.0)):
+            f, calls = self._recording(f)
+            with pytest.raises(ConvergenceError) as err:
+                solve_from_estimate(f, target, 0.0, 1e-12)
+            assert len(calls) == numerics._SOLVE_MAX_ITER + 1
+            assert abs(err.value.best) == pytest.approx(numerics._SOLVE_MAX_ITER * math.log(2.0))
+        f, calls = self._recording(math.atan)
+        for target in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="target"):
+                solve_from_estimate(f, target, 0.0, 1e-12)
+        assert calls == []
 
 
 class TestMinimizeBox:

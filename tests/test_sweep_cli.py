@@ -520,12 +520,12 @@ README_GRIDS = {
     ),
     "bifurcation --mu 2 --theta 0.15:0.25:0.02": (
         "mu,theta,W,delta,value,status\n"
-        "2,0.15,1.6293430093,0.155911689278,-1.68719155296,ok\n"
-        "2,0.17,1.63015158312,0.133828713066,-1.68850310033,ok\n"
-        "2,0.19,1.63110117831,0.0995128434858,-1.69032227421,ok\n"
-        "2,0.21,1.63217556145,0.0152266471088,-1.6927222113,ok\n"
-        "2,0.23,1.63131746554,0,-1.69557779836,ok\n"
-        "2,0.25,1.63032330608,0,-1.69870232209,ok\n"
+        "2,0.15,1.6293430106,0.155911694191,-1.68719155296,ok\n"
+        "2,0.17,1.63015158243,0.13382869089,-1.68850310033,ok\n"
+        "2,0.19,1.6311011746,0.0995128625571,-1.69032227421,ok\n"
+        "2,0.21,1.63217557197,0.0152263814134,-1.6927222113,ok\n"
+        "2,0.23,1.63131746238,0,-1.69557779836,ok\n"
+        "2,0.25,1.63032330459,0,-1.69870232209,ok\n"
     ),
     "phase-diagram --mu 12,20,50,200": (
         "mu,theta_c,W_star,x,status\n"

@@ -38,14 +38,27 @@ THETA_C_LARGE_MU = {30.0: 3.74336082908025573638905028009e-11,
 # 30-digit bifurcation coefficients; the moment A is -9.6e-10 at mu = 8, -7.7e-14 at 12
 BIFURCATION_COEFF = {8.0: 0.0558301959974501144490521535808,
                      12.0: 0.0113371274276400429433500650054}
+
+
+def _widest_mapped(eta):
+    # (p, N0) of the odd p >= 3 whose mapped strip is widest
+    def width(p):
+        s = math.sin(math.pi / (2 * p))
+        return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
+
+    p = max(range(3, 400, 2), key=width)
+    return p, numerics._start_nodes(width(p))
+
+
 def _by_each_rule(monkeypatch, fn):
-    """fn() by default, forced onto unmapped nodes, forced onto mapped nodes,
-    with the mode mean's node cap raised to make room for the unmapped nodes."""
+    """fn() by default, forced onto unmapped nodes (p = 1), forced onto the
+    widest mapped nodes (p >= 3), with the mode mean's node cap raised to
+    make room for the unmapped nodes."""
     monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 1 << 17)
     default = fn()
-    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 1 << 20)
+    monkeypatch.setattr(numerics, "_node_map", lambda eta: (1, numerics._start_nodes(eta)))
     unmapped = fn()
-    monkeypatch.setattr(numerics, "_UNMAPPED_N0_MAX", 0)  # no start is unmapped
+    monkeypatch.setattr(numerics, "_node_map", _widest_mapped)
     mapped = fn()
     monkeypatch.undo()
     return default, unmapped, mapped
@@ -93,10 +106,11 @@ class TestGThermo:
 
     def test_rules_agree_across_switch(self, monkeypatch):
         # with delta = 0 the strip half-width is asinh(pi theta / (2 W)); the
-        # nodes stay unmapped while their starting N, >= 15/eta, is <= 1024,
-        # so the mapped nodes take the colder side of the switch
+        # nodes stay unmapped while it is at least the widest mapped strip,
+        # atanh(1/2)/2, so the mapped nodes take the colder side of the
+        # switch
         W = 1.2
-        switch = 2.0 * W * math.sinh(15.0 / 1024) / math.pi
+        switch = 2.0 * W * math.sinh(0.5 * math.atanh(0.5)) / math.pi
         for theta, delta, rule in ((0.97 * switch, 0.0, 2), (1.03 * switch, 0.0, 1),
                                    (0.97 * switch, 1e-4, 2), (1.03 * switch, 1e-4, 1)):
             s, p = DimerState(W=W, delta=delta), ModelParams(mu=2.0, theta=theta)
@@ -143,9 +157,9 @@ class TestJThermo:
             assert J_thermo(x) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_rules_agree_across_switch(self, monkeypatch):
-        # the nodes stay unmapped while their starting N, the power of two
-        # >= 15 / asinh(pi / (2x)), is <= 1024: up to x = 107.2
-        for x, rule in ((100.0, 1), (115.0, 2)):
+        # the nodes stay unmapped while asinh(pi / (2x)) is at least the
+        # widest mapped strip, atanh(1/2)/2: up to x = 5.65
+        for x, rule in ((5.5, 1), (5.8, 2), (100.0, 2), (115.0, 2)):
             vals = _by_each_rule(monkeypatch, lambda: J_thermo(x))
             assert vals[0] == vals[rule]
             assert vals[1] == pytest.approx(vals[2], rel=1e-12, abs=0)
