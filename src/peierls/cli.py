@@ -77,14 +77,8 @@ def _parse_range(text: str, integer: bool = False) -> list:
             raise UsageError(f"bad range {text!r}")
         if not (float(stop) - start) / step < MAX_GRID_POINTS:  # ints may overflow
             raise UsageError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
-        out, k = [], 0
-        while True:
-            val = start + k * step
-            if val > stop + step / 2:
-                break
-            out.append(val)
-            k += 1
-        return out
+        return list(itertools.takewhile(lambda val: val <= stop + step / 2,
+                                        (start + k * step for k in itertools.count())))
     return [_value(tok, integer) for tok in text.split(",") if tok != ""]
 
 

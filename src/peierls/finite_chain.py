@@ -140,10 +140,9 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
     x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u,
                                      1e-12 * min(1.0, target)))
 
-    def moments(t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
-        sin_t = np.sin(t)
+    def moments(sin_t, cos_t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
         xhp = x * _h_prime((x * sin_t) ** 2)
-        return np.stack((xhp * sin_t ** 2, xhp * np.cos(t) ** 2))
+        return np.stack((xhp * sin_t ** 2, xhp * cos_t ** 2))
 
     sin2, cos2 = mean(moments, _tanh_eta(x))
     theta = (mu + 2.0 * sin2) / (mu * x)
@@ -188,22 +187,23 @@ def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
 def _dimer_band(W: float, delta: float, theta: float):
     """h_theta of the squared levels 4 W^2 cos^2 s + 4 delta^2 sin^2 s, vectorized.
 
-    A function of t = s - pi/2, so that |cos s| = |sin t| keeps full
-    precision at the band center t = 0. Its mean over a period is the band
-    part of the energy per atom: the L ring modes give it on the L/2 mode
-    nodes (cos^2 has period pi, so the modes pair up), and the infinite ring
-    in the limit.
+    A function of (sin t, cos t) for t = s - pi/2, so that |cos s| = |sin t|
+    keeps full precision at the band center t = 0. Its mean over a period is
+    the band part of the energy per atom: the L ring modes give it on the
+    L/2 mode nodes (cos^2 has period pi, so the modes pair up), and the
+    infinite ring in the limit.
     """
     w2, d2 = 4.0 * W * W, 4.0 * delta * delta
-    return lambda t: h_theta(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
+    return lambda sin_t, cos_t: h_theta(w2 * sin_t ** 2 + d2 * cos_t ** 2, theta)
 
 
 def _ring_mean(L: int):
-    """The band mean mean(f, eta) of a ring of L atoms: np.mean's sum / N over
-    its L/2 mode nodes, per row of a stack. It ignores the strip eta that
-    its L -> infinity limit, thermodynamic._band_mean, needs."""
+    """The band mean mean(f, eta) of a ring of L atoms: np.mean's sum / N of
+    f(sin t, cos t) over its L/2 mode nodes t, per row of a stack, without
+    the strip eta its L -> infinity limit, thermodynamic._band_mean, needs."""
     nodes = _mode_nodes(L // 2)
-    return lambda f, eta: (f(nodes).sum(axis=-1) / nodes.size).tolist()
+    sin_t, cos_t = np.sin(nodes), np.cos(nodes)
+    return lambda f, eta: (f(sin_t, cos_t).sum(axis=-1) / nodes.size).tolist()
 
 
 def _band_energy(W: float, delta: float, mu: float, theta: float, mean) -> float:

@@ -57,15 +57,12 @@ def h_theta(x, theta: float):
 
 
 def _h_prime(y: np.ndarray) -> np.ndarray:
-    # h'(y) = tanh(sqrt y)/sqrt y, h'(0) = 1, with the series guard
+    # h'(y) = tanh(sqrt y)/sqrt y, h'(0) = 1: its series on every node, then
+    # tanh(r)/r over it from the cutoff up (y^2 overflows past y ~ 1e154)
     y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    small = y < _SERIES_CUTOFF
-    ys = y[small]
-    out[small] = 1.0 - ys / 3.0 + 2.0 * ys * ys / 15.0
-    r = np.sqrt(y[~small])
-    out[~small] = np.tanh(r) / r
-    return out
+    r = np.sqrt(y)
+    return np.divide(np.tanh(r), r, out=1.0 - y / 3.0 + 2.0 * y * y / 15.0,
+                     where=y >= _SERIES_CUTOFF)
 
 
 def _h_second(y: np.ndarray) -> np.ndarray:

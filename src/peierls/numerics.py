@@ -1,18 +1,18 @@
 """Model-agnostic numerical primitives.
 
 One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
-periodic integrands whose error falls geometrically with the node count,
-on nodes mapped towards a sharp layer wherever that widens the integrand's
-strip of analyticity. Then one monotone root solver, which walks from an
-estimate to a bracket and finishes by safeguarded secant, and minimization
-(a projected derivative-free simplex on the orthant x >= 0, and damped
-Newton descent on a box where the Hessian is known). Ring spectra need no
-primitive here: the model calls numpy's eigvalsh on matrices it builds
-symmetric. Everything here is a pure function of its inputs and safe to
-call from many workers at once; the mode mean's start nodes, mapped with
-their weights, are cached read-only per (p, N0). The mode mean and the
-root solve take the one accuracy their callers vary, abs_tol; the rest is
-a module constant.
+periodic integrands f(sin t, cos t), whose error falls geometrically with
+the node count, on nodes mapped towards a sharp layer wherever that widens
+the integrand's strip of analyticity. Then one monotone root solver, which
+walks from an estimate to a bracket and finishes by safeguarded secant, and
+minimization (a projected derivative-free simplex on the orthant x >= 0,
+and damped Newton descent on a box where the Hessian is known). Ring
+spectra need no primitive here: the model calls numpy's eigvalsh on
+matrices it builds symmetric. Everything here is a pure function of its
+inputs and safe to call from many workers at once; the mode mean's mapped
+nodes, as sin t, cos t and dt/du, are cached read-only per (p, N) level,
+at most 6 MB. The mode mean and the root solve take the one accuracy their
+callers vary, abs_tol; the rest is a module constant.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ _MEAN_REL_TOL = 1e-12
 _MEAN_MAX_NODES = 8192
 
 
+def _strip_width(eta: float, p: int) -> float:
+    s = math.sin(math.pi / (2 * p))  # for odd p >= 3, see _node_map
+    return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
+
+
 def _node_map(eta: float) -> tuple[int, int]:
     """(p, N0): the odd power of the node map and the starting node count.
 
@@ -68,14 +73,14 @@ def _node_map(eta: float) -> tuple[int, int]:
     +-pi/2, a strip of half-width eta^(1/p) sin(pi/2p); the map is analytic
     within atanh(sin(pi/2p))/2 of the real axis. The p with the widest of
     these minima is taken, p = 1 (no map) counting as eta itself: so every
-    eta below atanh(1/2)/2 = 0.2747 is mapped.
+    eta below atanh(1/2)/2 = 0.2747 is mapped. The walk up the odd p starts
+    at 1, or below eta = 1e-3 two under the peak of eta^(1/p) sin(pi/2p).
     """
-    def width(p):
-        s = math.sin(math.pi / (2 * p))
-        return min(eta ** (1.0 / p) * s, 0.5 * math.atanh(s))
-
     p, w = 1, eta
-    while (w_next := width(p + 2)) > w:
+    if eta < 1e-3:  # the peak is near p = pi / (2 atan(pi / (2 ln(1/eta))))
+        p = 2 * round(0.25 * math.pi / math.atan(0.5 * math.pi / -math.log(eta)) - 0.5) - 1
+        w = _strip_width(eta, p)
+    while (w_next := _strip_width(eta, p + 2)) > w:
         p, w = p + 2, w_next
     return p, _start_nodes(w)
 
@@ -98,37 +103,40 @@ def _map_nodes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return t, p * r_pm1 / (big * big * (1.0 + r_p * r_p))
 
 
-# mapped start grids kept, per (p, N0): an entry is 128 KB at N0 = 4096
-_MAPPED_START_CACHE = 32
+# mapped levels kept; an entry is at most 192 KB (the start at N0 = 4096)
+_MAPPED_CACHE = 32
 
 
-@functools.lru_cache(maxsize=_MAPPED_START_CACHE)
-def _mapped_start(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    # the n start nodes then their midpoints, mapped by p; read-only, shared
-    t, dt = _map_nodes(np.concatenate((_mode_nodes(n), _mode_nodes(n, True))), p)
-    t.flags.writeable = dt.flags.writeable = False
-    return t, dt
+@functools.lru_cache(maxsize=_MAPPED_CACHE)
+def _mapped_nodes(n: int, p: int, start: bool):
+    # read-only sin t, cos t, dt/du on the start's nodes then midpoints, or midpoints
+    u = _mode_nodes(n, True)
+    t, dt = _map_nodes(np.concatenate((_mode_nodes(n), u)) if start else u, p)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    sin_t.flags.writeable = cos_t.flags.writeable = dt.flags.writeable = False
+    return sin_t, cos_t, dt
 
 
-def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
+def mode_mean(f: Callable[[np.ndarray, np.ndarray], np.ndarray], eta: float,
               abs_tol: float) -> float | list[float]:
     """Mean of a vectorized pi-periodic f over one period, by the trapezoid rule.
 
-    f maps an array of nodes to the array of its values, and is analytic in
-    the strip |Im t| < eta; the error on N equally spaced nodes then falls
-    like e^(-2 eta N). The nodes u_j = -pi/2 + pi j/N of [-pi/2, pi/2) carry
-    full relative precision near 0; by periodicity the mean is that over
-    [0, pi). The nodes are mapped by tan t = tan^p u with the odd p that
-    widens the strip most (see :func:`_node_map`): p > 1 crowds them
-    towards t = 0 and +-pi/2, where the band integrands' singularities
-    lie, and p = 1 leaves them in place to about an ulp. N starts at the
-    power of two N0 >= 15/eta of the mapped strip, where the predicted
-    error is ~1e-13, and doubles with the old nodes reused: the new
-    estimate is the mean of the old one and that over the midpoints. The
-    start level and its first doubling are one call of f on the N0 nodes
-    then their midpoints, mapped with their weights dt/du, read-only and
-    cached per (p, N0); each later doubling maps its new midpoints and is
-    one call. The finer estimate is returned once two agree to
+    f(sin t, cos t) maps the sines and cosines of an array of nodes t to
+    its values, and is analytic in the strip |Im t| < eta; the error on N
+    equally spaced nodes then falls like e^(-2 eta N). The nodes u_j = -pi/2
+    + pi j/N of [-pi/2, pi/2) carry full relative precision near 0; by
+    periodicity the mean is that over [0, pi). The nodes are mapped by
+    tan t = tan^p u with the odd p that widens the strip most (see
+    :func:`_node_map`): p > 1 crowds them towards t = 0 and +-pi/2, where
+    the band integrands' singularities lie, and p = 1 leaves them in place
+    to about an ulp. N starts at the power of two N0 >= 15/eta of the mapped
+    strip, where the predicted error is ~1e-13, and doubles with the old
+    nodes reused: the new estimate is the mean of the old one and that over
+    the midpoints. The start level and its first doubling are one call of f
+    on the N0 nodes then their midpoints, each later doubling one call on
+    its midpoints; every level's sin t, cos t and dt/du are cached read-only
+    per (p, N), _MAPPED_CACHE levels and at most 6 MB, so a warm mean does
+    no trig. The finer estimate is returned once two agree to
     ``abs_tol + _MEAN_REL_TOL * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a
     costly factor: the k means converge together, each to the tolerance,
@@ -144,8 +152,8 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         raise ConvergenceError(
             f"mode mean needs {n} nodes and a doubling for eta = {eta:.3e}, "
             f"beyond the cap of {_MEAN_MAX_NODES}")
-    mapped = lambda t, dt: f(t) * dt  # f on mapped nodes t, times dt/du
-    v = mapped(*_mapped_start(n, p))
+    mapped = lambda sin_t, cos_t, dt: f(sin_t, cos_t) * dt  # f(t) dt/du on mapped t
+    v = mapped(*_mapped_nodes(n, p, True))
     # sum / n is np.mean's arithmetic without its per-call overhead; one
     # integrand's mean (rows = 0) stays a Python float, cheaper than numpy's
     s, mid = v[..., :n].sum(axis=-1), v[..., n:]
@@ -159,7 +167,7 @@ def mode_mean(f: Callable[[np.ndarray], np.ndarray], eta: float,
         if close.all() if rows else close:
             return new.tolist() if rows else new
         est = new
-        mid = mapped(*_map_nodes(_mode_nodes(n, True), p)) if 2 * n <= _MEAN_MAX_NODES else None
+        mid = mapped(*_mapped_nodes(n, p, False)) if 2 * n <= _MEAN_MAX_NODES else None
     best = est.tolist() if rows else est
     raise ConvergenceError(
         f"mode mean did not converge within {_MEAN_MAX_NODES} nodes "

@@ -10,13 +10,13 @@ the real axis, and each integrand here hands it that eta and _ABS_TOL.
 For x = W/theta past ~5.7 the mode mean maps its nodes towards the tanh
 layer at the band center, as that widens the strip.
 
-The integrands are functions of t = s - pi/2, where |cos s| = |sin t| keeps
-its full relative precision at the band center. The band energy and the
-critical point are the finite ring's routines, given this ring's band
-mean (``_band_mean``); the latter inverts the strictly increasing J(x),
-the Euler-Lagrange difference, in ln x from x ~ e^(pi mu/4). Around
-theta_c the dimerization amplitude bifurcates like sqrt(theta_c - theta),
-with a coefficient assembled from three h'' moments.
+The integrands are functions of sin t and cos t, t = s - pi/2, as
+|cos s| = |sin t| keeps its full relative precision at the band center.
+The band energy and the critical point are the finite ring's routines,
+given this ring's band mean (``_band_mean``); the latter inverts the
+strictly increasing J(x), the Euler-Lagrange difference, in ln x from
+x ~ e^(pi mu/4). Around theta_c the dimerization amplitude bifurcates like
+sqrt(theta_c - theta), with a coefficient assembled from three h'' moments.
 """
 
 from __future__ import annotations
@@ -78,14 +78,15 @@ def J_thermo(x: float) -> float:
     Strictly increasing from 0 to infinity; the apparent s = pi/2 blowup
     cancels against tanh and is evaluated through the series form. As a
     mean in t = s - pi/2, with tanh(x c)/c = x h'(x^2 c^2) and
-    cos 2s = -cos 2t, this is 2 <x h'(x^2 sin^2 t) cos 2t>.
+    cos 2s = -cos 2t, this is 2 <x h'(x^2 sin^2 t) cos 2t>, with cos 2t as
+    (cos t - sin t)(cos t + sin t).
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0:
         return 0.0
     return 2.0 * mode_mean(
-        lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t),
+        lambda s, c: x * _h_prime((x * s) ** 2) * ((c - s) * (c + s)),
         _tanh_eta(x), _ABS_TOL)
 
 
@@ -170,11 +171,11 @@ def bifurcation_data(mu: float) -> BifurcationData:
     cp = theta_critical_thermo(mu)
     ratio = cp.W_star / cp.theta_c
 
-    def moments(t):
+    def moments(sin_t, cos_t):
         # (4/pi) int h''(x^2 cos^2 s) cos^(4-2p) s sin^(2p) s ds for p = 0, 1,
         # 2, in t; h'' transitions on the same cos s ~ 1/x layer as the tanh
         # kernels
-        sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
+        sn2, cs2 = sin_t ** 2, cos_t ** 2
         hpp = _h_second(ratio * ratio * sn2)
         return np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
 

@@ -74,6 +74,18 @@ class TestHEval:
         assert np.all(np.diff(hps) < 0)
         assert np.all(hps <= 1.0)
 
+    def test_h_prime_piecewise_bits(self):
+        # the series below the 1e-6 cutoff and tanh(r)/r from it up, bit for
+        # bit, at 0, on both sides of the cutoff and up to y = 1e150
+        ys = np.concatenate(([0.0, 1e-6], np.logspace(-12, 150, 163)))
+        small = ys < 1e-6
+        want = np.empty_like(ys)
+        y = ys[small]
+        want[small] = 1.0 - y / 3.0 + 2.0 * y * y / 15.0
+        r = np.sqrt(ys[~small])
+        want[~small] = np.tanh(r) / r
+        assert np.array_equal(_h_prime(ys), want)
+
     def test_h_second_matches_finite_differences(self):
         ys = np.logspace(-2, 2, 25)
         step = 1e-4 * ys

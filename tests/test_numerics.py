@@ -18,12 +18,13 @@ TOL = 1e-12
 
 def _two_call_mode_mean(f, eta, abs_tol):
     # the mode mean with the start level and its first doubling in two
-    # calls, on freshly mapped nodes: the reference the cached start must match
+    # calls, on freshly mapped nodes and their sines and cosines: the
+    # reference the cached levels must match
     p, n = numerics._node_map(eta)
 
     def g(u):
         t, dt = numerics._map_nodes(u, p)
-        return f(t) * dt
+        return f(np.sin(t), np.cos(t)) * dt
     s = g(numerics._mode_nodes(n)).sum(axis=-1)
     rows = s.ndim
     est = s / n if rows else float(s) / n
@@ -54,7 +55,7 @@ def _argmax_node_map(eta):
 @pytest.mark.parametrize("abs_tol", [-1e-3, math.nan])
 def test_engines_reject_bad_abs_tol(abs_tol):
     # a negative or NaN tolerance is refused before f is evaluated
-    def f(s):
+    def f(*args):
         raise AssertionError("evaluated")
     with pytest.raises(ValueError, match="abs_tol"):
         mode_mean(f, math.inf, abs_tol)
@@ -68,9 +69,9 @@ class TestModeMean:
         # f plus the node-array sizes it was called with
         sizes = []
 
-        def g(s):
-            sizes.append(s.size)
-            return f(s)
+        def g(sn, cs):
+            sizes.append(sn.size)
+            return f(sn, cs)
         return g, sizes
 
     def test_trig_polynomial_exact_at_start(self):
@@ -78,8 +79,10 @@ class TestModeMean:
         # is exact, so one doubling confirms it. An entire f has eta = inf
         # and starts at the smallest N, 8: one call on the 8 start nodes and
         # their 8 midpoints
-        f, sizes = self._recording(
-            lambda s: 1.5 + 0.3 * np.cos(2 * s) - 0.7 * np.sin(6 * s) + 0.2 * np.cos(14 * s))
+        def trig(sn, cs):  # cos 2kt and sin 2kt from e^(2ikt) = (cos t + i sin t)^(2k)
+            z = cs + 1j * sn
+            return 1.5 + 0.3 * (z ** 2).real - 0.7 * (z ** 6).imag + 0.2 * (z ** 14).real
+        f, sizes = self._recording(trig)
         val = mode_mean(f, math.inf, TOL)
         assert val == pytest.approx(1.5, abs=1e-15)
         assert sizes == [16]
@@ -92,7 +95,7 @@ class TestModeMean:
         exact = 1.0 / math.sqrt(a * a - 1.0)
         eta = 0.5 * math.acosh(a)
         err = lambda n: 2.0 * exact * math.exp(-2 * eta * n) / (1 - math.exp(-2 * eta * n))
-        f = lambda s: 1.0 / (a - np.cos(2 * s))
+        f = lambda sn, cs: 1.0 / (a - (cs - sn) * (cs + sn))
         # the true eta starts at the power of two >= 15/eta, verified by one
         # doubling: a single call on the 64 start nodes and their midpoints
         g, sizes = self._recording(f)
@@ -116,7 +119,7 @@ class TestModeMean:
         # nodes start below 1024, and one doubling verifies the start: one
         # call on the start nodes and their midpoints
         for eps in (1e-6, 1e-12):
-            f, sizes = self._recording(lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2))
+            f, sizes = self._recording(lambda sn, cs: 1.0 / (eps + 2.0 * sn ** 2))
             val = mode_mean(f, 0.5 * math.acosh(1.0 + eps), TOL)
             assert val == pytest.approx(1.0 / math.sqrt(eps * (2.0 + eps)), rel=1e-12)
             assert len(sizes) == 1 and sizes[0] // 2 <= 1024
@@ -126,16 +129,16 @@ class TestModeMean:
         # same nodes in the same order as two calls: 1-D and a (3, N) stack,
         # at p = 1 and p > 1, converging at the first doubling or later
         a, eps, x = 1.25, 1e-6, 1e3
-        stack = lambda s: np.stack((1.0 / (a - np.cos(2 * s)),
-                                    np.cos(2 * s) / (a - np.cos(2 * s)),
-                                    np.sin(s) ** 2 / (a - np.cos(2 * s))))
-        band = lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2)
-        tanh = lambda t: x * _h_prime((x * np.sin(t)) ** 2) * np.cos(2.0 * t)
-        cases = [(lambda s: 1.0 / (a - np.cos(2 * s)), 0.5 * math.acosh(a)),
-                 (lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8),
+        cos2 = lambda sn, cs: (cs - sn) * (cs + sn)
+        pole = lambda sn, cs: 1.0 / (a - cos2(sn, cs))
+        stack = lambda sn, cs: np.stack((pole(sn, cs), cos2(sn, cs) * pole(sn, cs),
+                                         sn ** 2 * pole(sn, cs)))
+        band = lambda sn, cs: 1.0 / (eps + 2.0 * sn ** 2)
+        tanh = lambda sn, cs: x * _h_prime((x * sn) ** 2) * cos2(sn, cs)
+        cases = [(pole, 0.5 * math.acosh(a)), (pole, 15.0 / 8),
                  (stack, 0.5 * math.acosh(a)), (stack, 15.0 / 8),
                  (band, 0.5 * math.acosh(1.0 + eps)),
-                 (lambda t: np.stack((band(t), np.cos(t) ** 2 * band(t))),
+                 (lambda sn, cs: np.stack((band(sn, cs), cs ** 2 * band(sn, cs))),
                   0.5 * math.acosh(1.0 + eps)),
                  (tanh, math.asinh(0.5 * math.pi / x))]
         # the premise: the first case starts unmapped (p = 1), the last mapped
@@ -145,10 +148,10 @@ class TestModeMean:
 
     def test_start_nodes_are_read_only(self):
         # the cached start nodes (here p = 1) are shared by every call:
-        # writing into them raises
-        def f(s):
-            s *= 2.0
-            return np.cos(s)
+        # writing into their sines or cosines raises
+        def f(sn, cs):
+            sn *= 2.0
+            return cs
         with pytest.raises(ValueError):
             mode_mean(f, math.inf, TOL)
 
@@ -162,48 +165,67 @@ class TestModeMean:
 
     def test_mapped_start_is_read_only(self):
         # the cached mapped nodes and weights are shared by every call, the
-        # unmapped (p = 1) start's too
-        for n, p in ((256, 5), (64, 1)):
-            t, dt = numerics._mapped_start(n, p)
-            for arr in (t, dt):
+        # unmapped (p = 1) start's and a later level's too
+        for n, p, start in ((256, 5, True), (64, 1, True), (512, 5, False)):
+            for arr in numerics._mapped_nodes(n, p, start):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
-        def f(t):
-            t *= 2.0
-            return np.cos(t)
+        def f(sn, cs):
+            cs *= 2.0
+            return sn
         eta = 1e-6
         assert numerics._node_map(eta)[0] > 1  # the premise: mapped nodes
         with pytest.raises(ValueError):
             mode_mean(f, eta, TOL)
 
     def test_mapped_start_cache_is_bounded(self, tmp_path, monkeypatch):
-        # a phase diagram over mu = 0.5..200 maps its start nodes under more
-        # distinct (p, N0) than the cache keeps; the cache stays at its bound
-        keys, node_map = set(), numerics._node_map
+        # a phase diagram over mu = 0.5..200 maps its nodes under more
+        # distinct levels, starts (p, N0) and later doublings (p, N), than
+        # the cache keeps; the cache stays at its bound
+        keys, mapped = set(), numerics._mapped_nodes
 
-        def recording(eta):
-            key = node_map(eta)
+        def recording(*key):
             keys.add(key)
-            return key
-        monkeypatch.setattr(numerics, "_node_map", recording)
+            return mapped(*key)
+        monkeypatch.setattr(numerics, "_mapped_nodes", recording)
         grid = [(0.5 * k,) for k in range(1, 401)]
         rows = sweep.run_sweep(sweep.SweepSpec(kind="phase-diagram", grid=grid,
                                                output_path=str(tmp_path / "x.csv")))
         assert all(row.status == "ok" for row in rows)
-        info = numerics._mapped_start.cache_info()
-        assert info.maxsize == numerics._MAPPED_START_CACHE <= 32
+        info = mapped.cache_info()
+        assert info.maxsize == numerics._MAPPED_CACHE <= 32
         assert len(keys) > info.maxsize >= info.currsize
+        assert {start for _, _, start in keys} == {True, False}
+
+    def test_warm_mean_maps_no_nodes(self, monkeypatch):
+        # once its levels are cached, a mean that needs two doublings or more
+        # maps no nodes, at p = 1 (an eta claimed too wide) and at p > 1
+        eps = 1e-6
+        cases = [(lambda sn, cs: 1.0 / (1.25 - (cs - sn) * (cs + sn)), 15.0 / 8),
+                 (lambda sn, cs: 1.0 / (eps + 2.0 * sn ** 2), 8 * math.acosh(1.0 + eps))]
+        assert [numerics._node_map(eta)[0] > 1 for _, eta in cases] == [False, True]
+        warm = []
+        for f, eta in cases:
+            g, sizes = self._recording(f)
+            warm.append(mode_mean(g, eta, TOL))
+            assert len(sizes) >= 2  # the premise: the start call, then a later doubling
+        maps = []
+        map_nodes = numerics._map_nodes
+        monkeypatch.setattr(numerics, "_map_nodes",
+                            lambda u, p: maps.append(p) or map_nodes(u, p))
+        assert [mode_mean(f, eta, TOL) for f, eta in cases] == warm
+        assert maps == []
 
     def test_node_cap_raises(self, monkeypatch):
         a = 1.25
         monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 32)
         with pytest.raises(ConvergenceError) as err:
-            mode_mean(lambda s: 1.0 / (a - np.cos(2 * s)), 15.0 / 8, TOL)
+            mode_mean(lambda sn, cs: 1.0 / (a - (cs - sn) * (cs + sn)), 15.0 / 8, TOL)
         assert err.value.best == pytest.approx(1.0 / math.sqrt(a * a - 1.0), rel=1e-6)
         # a start that leaves no room for a doubling raises before evaluating
         monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", 64)
-        f, sizes = self._recording(lambda s: 1.0 / (a - np.cos(2 * s)))
+        f, sizes = self._recording(lambda sn, cs: 1.0 / (a - (cs - sn) * (cs + sn)))
         with pytest.raises(ConvergenceError) as err:
             mode_mean(f, 0.5 * math.acosh(a), TOL)
         assert sizes == [] and err.value.best is None
@@ -211,29 +233,30 @@ class TestModeMean:
     def test_strip_width_must_be_positive(self):
         for eta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
-                mode_mean(lambda s: s, eta, TOL)
+                mode_mean(lambda sn, cs: sn, eta, TOL)
 
     def test_nan_never_converges(self):
         # NaN estimates never agree: N doubles up to the cap, then it raises
-        f, sizes = self._recording(lambda s: np.full_like(s, np.nan))
+        f, sizes = self._recording(lambda sn, cs: np.full_like(sn, np.nan))
         with pytest.raises(ConvergenceError):
             mode_mean(f, math.inf, TOL)
         assert sizes[-1] == numerics._MEAN_MAX_NODES // 2
 
     def test_one_dimensional_mean_is_python_float(self):
-        val = mode_mean(lambda s: 1.0 + np.cos(2 * s), math.inf, TOL)
+        val = mode_mean(lambda sn, cs: 1.0 + (cs - sn) * (cs + sn), math.inf, TOL)
         assert type(val) is float and val == 1.0
 
     def test_stack_rows_equal_scalar_calls(self):
         # rows that converge at the same N come back bit for bit as their
         # scalar calls, on unmapped (a = 1.25) and mapped (eps = 1e-6) nodes
         a, eps = 1.25, 1e-6
-        unmapped = (lambda s: 1.0 / (a - np.cos(2 * s)),
-                    lambda s: np.cos(2 * s) / (a - np.cos(2 * s)),
-                    lambda s: np.sin(s) ** 2 / (a - np.cos(2 * s)))
-        mapped = (lambda t: 1.0 / (eps + 2.0 * np.sin(t) ** 2),
-                  lambda t: np.cos(2 * t) / (eps + 2.0 * np.sin(t) ** 2),
-                  lambda t: np.cos(t) ** 2 / (eps + 2.0 * np.sin(t) ** 2))
+        cos2 = lambda sn, cs: (cs - sn) * (cs + sn)
+        unmapped = (lambda sn, cs: 1.0 / (a - cos2(sn, cs)),
+                    lambda sn, cs: cos2(sn, cs) / (a - cos2(sn, cs)),
+                    lambda sn, cs: sn ** 2 / (a - cos2(sn, cs)))
+        mapped = (lambda sn, cs: 1.0 / (eps + 2.0 * sn ** 2),
+                  lambda sn, cs: cos2(sn, cs) / (eps + 2.0 * sn ** 2),
+                  lambda sn, cs: cs ** 2 / (eps + 2.0 * sn ** 2))
         cases = ((unmapped, 0.5 * math.acosh(a)), (mapped, 0.5 * math.acosh(1.0 + eps)))
         for fs, eta in cases:
             scalar, sizes = [], []
@@ -242,7 +265,7 @@ class TestModeMean:
                 scalar.append(mode_mean(g, eta, TOL))
                 sizes.append(n)
             assert sizes[1:] == sizes[:-1]  # the premise: the same N for each row
-            stacked = mode_mean(lambda s: np.stack([f(s) for f in fs]), eta, TOL)
+            stacked = mode_mean(lambda sn, cs: np.stack([f(sn, cs) for f in fs]), eta, TOL)
             assert type(stacked) is list and all(type(v) is float for v in stacked)
             assert stacked == scalar
 
@@ -251,7 +274,7 @@ class TestModeMean:
         # a start of 8, c = 1.25 (scaled by 1e8, where the relative target
         # rules) only 64; the stack runs until both meet their tolerance
         rows = ((1.01, 1.0), (1.25, 1e8))
-        f = lambda s: np.stack([scale / (c - np.cos(2 * s)) for c, scale in rows])
+        f = lambda sn, cs: np.stack([scale / (c - (cs - sn) * (cs + sn)) for c, scale in rows])
         g, sizes = self._recording(f)
         vals = mode_mean(g, 15.0 / 8, TOL)
         assert sizes[-1] == 256
@@ -260,7 +283,7 @@ class TestModeMean:
             assert abs(val - exact) <= TOL + numerics._MEAN_REL_TOL * exact
 
     def test_nan_row_never_converges(self):
-        f = lambda s: np.stack((np.ones_like(s), np.full_like(s, np.nan)))
+        f = lambda sn, cs: np.stack((np.ones_like(sn), np.full_like(sn, np.nan)))
         with pytest.raises(ConvergenceError) as err:
             mode_mean(f, math.inf, TOL)
         assert err.value.best[0] == 1.0

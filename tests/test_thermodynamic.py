@@ -144,6 +144,13 @@ class TestJThermo:
         with pytest.raises(ValueError):
             J_thermo(-0.5)
 
+    @pytest.mark.parametrize("x", [-0.5, math.nan, math.inf])
+    def test_x_must_be_finite_and_non_negative(self, x):
+        # as J_finite: refused by J_thermo itself, not by the mode mean's
+        # strip width
+        with pytest.raises(ValueError, match="x must be finite and >= 0"):
+            J_thermo(x)
+
     def test_large_x_against_mpmath(self):
         # the band-center series must be chosen by u = x cos s, not by cos s:
         # at x = 1e7 a cos s below 1e-6 still means u up to 10
@@ -187,10 +194,10 @@ class TestThetaCritical:
             x = cp.x
 
             def mean(trig):
-                f = lambda t: x * _h_prime((x * np.sin(t)) ** 2) * trig(t) ** 2
+                f = lambda sn, cs: x * _h_prime((x * sn) ** 2) * trig(sn, cs) ** 2
                 return numerics.mode_mean(f, _tanh_eta(x), _ABS_TOL)
-            r1 = mu * (cp.W_star - 1) - 2.0 * mean(np.sin)
-            r2 = mu * cp.W_star - 2.0 * mean(np.cos)
+            r1 = mu * (cp.W_star - 1) - 2.0 * mean(lambda sn, cs: sn)
+            r2 = mu * cp.W_star - 2.0 * mean(lambda sn, cs: cs)
             assert abs(r1) <= 1e-8
             assert abs(r2) <= 1e-8
 
@@ -389,3 +396,57 @@ class TestPhaseDiagram:
         rows = self._rows([2.0, 250.0])
         assert rows[0].outputs["theta_c"] > 0
         assert rows[1].status.startswith("error:") and rows[1].outputs["theta_c"] == ""
+
+
+class TestIntegrandsOnSinCos:
+    """The band integrands take (sin t, cos t) and give the bits of their
+    former forms in t, on freshly mapped nodes, unmapped and mapped."""
+
+    @staticmethod
+    def _nodes():
+        for n, p in ((64, 1), (64, 3), (512, 9)):
+            u = np.concatenate((numerics._mode_nodes(n), numerics._mode_nodes(n, True)))
+            yield numerics._map_nodes(u, p)[0]
+
+    @staticmethod
+    def _captured(monkeypatch, name, call):
+        # the integrand handed to thermodynamic.<name> by call()
+        fs, mean = [], getattr(thermodynamic, name)
+        monkeypatch.setattr(thermodynamic, name,
+                            lambda f, *args, **kw: fs.append(f) or mean(f, *args, **kw))
+        call()
+        assert len(fs) == 1
+        return fs[0]
+
+    def test_dimer_band(self):
+        from peierls.finite_chain import _dimer_band
+        from peierls.kernels import h_theta
+        W, delta, theta = 1.3, 0.2, 0.05
+        band = _dimer_band(W, delta, theta)
+        w2, d2 = 4.0 * W * W, 4.0 * delta * delta
+        for t in self._nodes():
+            old = h_theta(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
+            assert np.array_equal(band(np.sin(t), np.cos(t)), old)
+
+    def test_critical_point_moments(self, monkeypatch):
+        from peierls.kernels import _h_prime
+        x = theta_critical_thermo(2.0).x
+        moments = self._captured(monkeypatch, "_band_mean",
+                                 lambda: theta_critical_thermo(2.0))
+        for t in self._nodes():
+            sin_t = np.sin(t)
+            xhp = x * _h_prime((x * sin_t) ** 2)
+            old = np.stack((xhp * sin_t ** 2, xhp * np.cos(t) ** 2))
+            assert np.array_equal(moments(np.sin(t), np.cos(t)), old)
+
+    def test_bifurcation_moments(self, monkeypatch):
+        from peierls.kernels import _h_second
+        cp = theta_critical_thermo(2.0)
+        ratio = cp.W_star / cp.theta_c
+        monkeypatch.setattr(thermodynamic, "theta_critical_thermo", lambda mu: cp)
+        moments = self._captured(monkeypatch, "mode_mean", lambda: bifurcation_data(2.0))
+        for t in self._nodes():
+            sn2, cs2 = np.sin(t) ** 2, np.cos(t) ** 2
+            hpp = _h_second(ratio * ratio * sn2)
+            old = np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
+            assert np.array_equal(moments(np.sin(t), np.cos(t)), old)
