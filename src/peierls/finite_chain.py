@@ -335,10 +335,14 @@ def J_finite(x: float, L: int) -> float:
     grid hits the band center and contributes the linear x/n term; for
     L = 4n + 2 the function saturates at mu_critical(L). x must be finite.
     """
+    L = _check_even_length(L)
+    return _ring_J(x, L, *_node_terms(L))
+
+
+def _ring_J(x: float, L: int, a, b) -> float:
+    """J_finite(x, L), given the ring's _node_terms a and b."""
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    L = _check_even_length(L)
-    a, b = _node_terms(L)
     total = float(np.sum(np.tanh(x * a) * b))
     return (x + total) / (L // 4) if L % 4 == 0 else total / (L // 2)
 
@@ -375,11 +379,12 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     if not 0 < mu < math.inf:  # before the 2-mod-4 threshold, which inf passes
         raise ValueError(f"stiffness must be positive and finite, got {mu}")
     L = _check_even_length(L)
+    a, b = _node_terms(L)  # once per solve, for the threshold and every J call
     target = mu
     if L % 4 == 2:
-        if mu >= 2.0 * mu_critical(L):
+        if mu >= 2.0 * (float(np.sum(b)) / (L // 2)):  # 2 * mu_critical(L)
             return None
         target = 0.5 * mu
     # x ~ e^(pi mu/4) until J turns linear, J ~ 4x/L, and then x ~ 1 + L mu/4
-    return _critical_point(mu, lambda x: J_finite(x, L), target, _ring_mean(L),
+    return _critical_point(mu, lambda x: _ring_J(x, L, a, b), target, _ring_mean(L),
                            min(0.25 * math.pi * mu, math.log1p(0.25 * L * mu)))

@@ -56,8 +56,8 @@ def _start_nodes(eta: float) -> int:
 
 # the mode mean's relative target: two estimates agree at abs_tol + this |est|
 _MEAN_REL_TOL = 1e-12
-# the mode mean's cap on N. thermodynamic._MU_MAX stops at mu = 200, where
-# the mapped start is N0 = 4096: the cap leaves room for its one doubling
+# the mode mean's cap on N. J_thermo at theta_c(mu = 200), x = 2.7e68, maps
+# its start to N0 = 4096: the cap leaves room for its one doubling
 _MEAN_MAX_NODES = 8192
 
 

@@ -15,7 +15,11 @@ The integrands are functions of sin t and cos t, t = s - pi/2, as
 The band energy and the critical point are the finite ring's routines,
 given this ring's band mean (``_band_mean``); the latter inverts the
 strictly increasing J(x), the Euler-Lagrange difference, in ln x from
-x ~ e^(pi mu/4). Around theta_c the dimerization amplitude bifurcates like
+x ~ e^(pi mu/4). From x = 1e4 (mu >= 11.1055) theta_c comes in closed form
+instead: there the gap equation is BCS's, and the large-x expansions
+J(x) = (4/pi)(ln x + c2 - 1) + pi/(4x^2) and of the sin^2 mean,
+(2/pi)(1 - pi^2/(24x^2)), are exact to rounding (their remainders are
+O(x^-4)). Around theta_c the dimerization amplitude bifurcates like
 sqrt(theta_c - theta), with a coefficient assembled from three h'' moments.
 """
 
@@ -46,10 +50,15 @@ __all__ = [
 # absolute accuracy of the integrals in this module (the mode mean adds a
 # relative 1e-12, numerics._MEAN_REL_TOL); the h'' moments scale it by x^-3
 _ABS_TOL = 1e-12
-# largest stiffness theta_critical_thermo accepts: the tests validate it up
-# to here (x = W/theta_c ~ 3e68), and from mu ~ 205 on the mapped nodes
-# would start at N0 = 8192, whose doubling passes numerics._MEAN_MAX_NODES
+# largest stiffness theta_critical_thermo accepts: the largest of the tests'
+# 30-digit mpmath references (x = W/theta_c ~ 3e68)
 _MU_MAX = 200.0
+# from this x0 on, theta_critical_thermo takes the weak-coupling closed form
+_X_WEAK = 1e4
+# largest stiffness bifurcation_data accepts: its h'' moments converge within
+# numerics._MEAN_MAX_NODES up to mu = 165.89 (scanned in steps of 1e-3), and
+# past it fail at some mu and not others
+_BIF_MU_MAX = 160.0
 # the infinite ring's band mean(f, eta): the L -> infinity limit of
 # finite_chain._ring_mean, the mode mean at this module's accuracy
 _band_mean = partial(mode_mean, abs_tol=_ABS_TOL)
@@ -93,15 +102,30 @@ def J_thermo(x: float) -> float:
 def theta_critical_thermo(mu: float) -> CriticalPoint:
     """Critical temperature of the infinite ring, for 1e-8 <= mu <= 200.
 
+    Below the seam x0 = e^(pi mu/4) / C = 1e4, that is mu < 11.1055,
     x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
     1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and theta_c
     follows by finite_chain._critical_point with the band mean _band_mean:
     [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
+    From the seam on, the large-x expansions of the module docstring give
+    x = x0 e^(-pi^2/(16 x0^2)), W* = 1 + (4/(pi mu))(1 - pi^2/(24 x^2)) and
+    theta_c = W*/x, with no mode mean. Their O(x^-4) remainders are below
+    rounding there; what is left is the rounding of pi mu/4 in the
+    exponent, about 1e-16 mu relative: theta_c is within 2.6e-15 of
+    30-digit mpmath at mu = 30, 50, 100 and 200, and J_thermo(x) = mu to
+    rounding from mu = 11.2 to 200.
     """
     if mu > _MU_MAX:
         raise ValueError(
             f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
-    return _critical_point(mu, J_thermo, mu, _band_mean, 0.25 * math.pi * mu)
+    u = 0.25 * math.pi * mu
+    # C apart from the exponent: u + 1 - c2 would round a number ~u twice more
+    x0 = math.exp(u) / asymptotic_constants().C_prefactor
+    if not x0 >= _X_WEAK:  # NaN and mu < 1e-8 reach _critical_point's check here
+        return _critical_point(mu, J_thermo, mu, _band_mean, u)
+    x = x0 * math.exp(-math.pi ** 2 / (16.0 * x0 * x0))
+    W = 1.0 + 4.0 / (math.pi * mu) * (1.0 - math.pi ** 2 / (24.0 * x * x))
+    return CriticalPoint(x=x, W_star=W, theta_c=W / x)
 
 
 @dataclass(frozen=True)
@@ -166,8 +190,12 @@ def bifurcation_data(mu: float) -> BifurcationData:
     B = -mu theta_c^3 / (2 W*^3), and is computed as -A; so delta_prime < 0
     rests on A < 0 and det_J > 0 alone, whatever the order of A and B.
     det J <= 0 or delta_prime >= 0 would contradict the structure of the
-    problem and raise as an internal-consistency failure.
+    problem and raise as an internal-consistency failure. mu is validated
+    up to 160.
     """
+    if mu > _BIF_MU_MAX:
+        raise ValueError(
+            f"bifurcation_data is validated up to mu = {_BIF_MU_MAX:g}, got {mu}")
     cp = theta_critical_thermo(mu)
     ratio = cp.W_star / cp.theta_c
 

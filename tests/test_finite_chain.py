@@ -513,13 +513,26 @@ class TestThetaCriticalFinite:
         assert theta_critical_finite(1.39, 10) is None
 
     def test_j_call_budget(self, monkeypatch):
+        # the solve calls J_finite's body, _ring_J, on terms built once
         import peierls.finite_chain as finite_chain
         calls = []
-        J = finite_chain.J_finite
-        monkeypatch.setattr(finite_chain, "J_finite",
-                            lambda x, L: calls.append(x) or J(x, L))
+        J = finite_chain._ring_J
+        monkeypatch.setattr(finite_chain, "_ring_J",
+                            lambda x, L, a, b: calls.append(x) or J(x, L, a, b))
         theta_critical_finite(2.0, 1024)
-        assert len(calls) <= 12
+        assert 0 < len(calls) <= 12
+
+    def test_node_terms_once_per_solve(self, monkeypatch):
+        # the threshold of L = 2 mod 4 and every J call share one build
+        import peierls.finite_chain as finite_chain
+        calls = []
+        node_terms = finite_chain._node_terms
+        monkeypatch.setattr(finite_chain, "_node_terms",
+                            lambda L: calls.append(L) or node_terms(L))
+        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
+            calls.clear()
+            theta_critical_finite(mu, L)
+            assert calls == [L]
 
     def test_one_band_mean_per_solve(self, monkeypatch):
         # both Euler-Lagrange means come from one stacked band mean

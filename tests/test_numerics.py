@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from peierls import numerics, sweep
+from peierls import numerics
 from peierls.kernels import _h_prime
 from peierls.numerics import (ConvergenceError, _polished_descent,
                               lattice_points, minimize_box, mode_mean,
                               solve_from_estimate)
+from peierls.thermodynamic import J_thermo, theta_critical_thermo
 
 # the absolute tolerance of the infinite ring's integrals, for the mode mean
 # and the root solve
@@ -179,20 +180,19 @@ class TestModeMean:
         with pytest.raises(ValueError):
             mode_mean(f, eta, TOL)
 
-    def test_mapped_start_cache_is_bounded(self, tmp_path, monkeypatch):
-        # a phase diagram over mu = 0.5..200 maps its nodes under more
-        # distinct levels, starts (p, N0) and later doublings (p, N), than
-        # the cache keeps; the cache stays at its bound
+    def test_mapped_start_cache_is_bounded(self, monkeypatch):
+        # J_thermo at the critical x of mu = 0.5..200 maps its nodes under
+        # more distinct levels, starts (p, N0) and later doublings (p, N),
+        # than the cache keeps; the cache stays at its bound
+        xs = [theta_critical_thermo(0.5 * k).x for k in range(1, 401)]
         keys, mapped = set(), numerics._mapped_nodes
 
         def recording(*key):
             keys.add(key)
             return mapped(*key)
         monkeypatch.setattr(numerics, "_mapped_nodes", recording)
-        grid = [(0.5 * k,) for k in range(1, 401)]
-        rows = sweep.run_sweep(sweep.SweepSpec(kind="phase-diagram", grid=grid,
-                                               output_path=str(tmp_path / "x.csv")))
-        assert all(row.status == "ok" for row in rows)
+        for x in xs:
+            J_thermo(x)
         info = mapped.cache_info()
         assert info.maxsize == numerics._MAPPED_CACHE <= 32
         assert len(keys) > info.maxsize >= info.currsize

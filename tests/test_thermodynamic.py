@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 import peierls.numerics as numerics
 import peierls.thermodynamic as thermodynamic
@@ -14,6 +15,7 @@ from peierls.sweep import SweepSpec, run_sweep
 from peierls.thermodynamic import (J_thermo, asymptotic_constants,
                                    bifurcation_data, g_thermo,
                                    minimize_dimer_thermo, theta_critical_thermo)
+from peierls.zero_temperature import dimer_optimum_zero
 
 # 30-digit reference: root of J(x) = 2 and the cos^2 equation
 THETA_C_MU2 = 0.210440067907
@@ -35,6 +37,9 @@ THETA_C_LARGE_MU = {30.0: 3.74336082908025573638905028009e-11,
                     50.0: 5.54943870880153574017550531720e-18,
                     100.0: 4.83190720317855022792691924055e-35,
                     200.0: 3.73225301551879838718073436135e-69}
+# 40-digit theta_c at mu = 16 (x = 467167.5695...), by the same two equations;
+# the root solve this closed form replaced missed it by 7.1e-13 relative
+THETA_C_MU16 = 2.310899860954310837551456454519401381494e-06
 # 30-digit bifurcation coefficients; the moment A is -9.6e-10 at mu = 8, -7.7e-14 at 12
 BIFURCATION_COEFF = {8.0: 0.0558301959974501144490521535808,
                      12.0: 0.0113371274276400429433500650054}
@@ -186,10 +191,12 @@ class TestThetaCritical:
 
     def test_euler_lagrange_residuals(self):
         # both equations, mu (W* - 1) = 2 <x h'(x^2 sin^2 t) sin^2 t> and
-        # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here
+        # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here,
+        # at root-solve points and at closed-form points (mu = 12, 50);
+        # measured at most 2.2e-15 (mu = 50), bound 1e-13
         from peierls.kernels import _h_prime
         from peierls.thermodynamic import _ABS_TOL, _tanh_eta
-        for mu in (1.0, 2.0, 6.0):
+        for mu in (1.0, 2.0, 6.0, 12.0, 50.0):
             cp = theta_critical_thermo(mu)
             x = cp.x
 
@@ -198,18 +205,23 @@ class TestThetaCritical:
                 return numerics.mode_mean(f, _tanh_eta(x), _ABS_TOL)
             r1 = mu * (cp.W_star - 1) - 2.0 * mean(lambda sn, cs: sn)
             r2 = mu * cp.W_star - 2.0 * mean(lambda sn, cs: cs)
-            assert abs(r1) <= 1e-8
-            assert abs(r2) <= 1e-8
+            assert abs(r1) <= 1e-13
+            assert abs(r2) <= 1e-13
 
     def test_j_call_budget(self, monkeypatch):
         # the bracket starts at ln x = pi mu/4 and the secant converges:
-        # a handful of J_thermo calls even at x ~ 3e68
+        # a handful of J_thermo calls at mu = 11.1, the largest root solve,
+        # just below the closed form's seam at 11.1055; none past it
         calls = []
         J = thermodynamic.J_thermo
         monkeypatch.setattr(thermodynamic, "J_thermo",
                             lambda x: calls.append(x) or J(x))
+        theta_critical_thermo(11.1)
+        assert 0 < len(calls) <= 12
+        calls.clear()
+        theta_critical_thermo(11.2)
         theta_critical_thermo(200.0)
-        assert len(calls) <= 12
+        assert calls == []
 
     def test_one_band_mean_per_solve(self, monkeypatch):
         # both Euler-Lagrange means come from one stacked band mean
@@ -235,9 +247,16 @@ class TestThetaCritical:
             assert ratio / (cp.W_star * C) == pytest.approx(1.0, abs=1e-4)
 
     def test_against_mpmath_past_mu_20(self):
-        # the root solve stops at |J - mu| <= 1e-12, i.e. x to ~8e-13 relative
+        # the closed form's error is the rounding of pi mu/4 in its
+        # exponent: measured 2.6e-15, 2.8e-16, 2.2e-16 and 1.2e-15 at
+        # mu = 30, 50, 100 and 200, bound 1e-14
         for mu, want in THETA_C_LARGE_MU.items():
-            assert theta_critical_thermo(mu).theta_c == pytest.approx(want, rel=1e-11)
+            assert theta_critical_thermo(mu).theta_c == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_against_mpmath_at_mu_16(self):
+        # measured 4.5e-16, bound 1e-14
+        assert theta_critical_thermo(16.0).theta_c == pytest.approx(THETA_C_MU16,
+                                                                    rel=1e-14, abs=0)
 
     def test_finite_rings_converge_here(self):
         # theta_c of rings with L = 0 mod 4 approaches the infinite-ring
@@ -263,15 +282,77 @@ class TestThetaCritical:
             theta_critical_thermo(200.5)
 
     def test_node_cap_fits_the_largest_stiffness(self):
-        # _MU_MAX and numerics._MEAN_MAX_NODES are set for each other: at
-        # theta_c(_MU_MAX) the mapped nodes start at N0 = 4096 and the cap
-        # leaves room for one doubling; at x = 1.6 e^(pi 210/4), past
-        # _MU_MAX, they start at 8192 and it does not
+        # J_thermo, the mode-mean check of the closed form, still meets the
+        # node cap: at x = theta_c(_MU_MAX).x the mapped nodes start at
+        # N0 = 4096 and the cap leaves room for one doubling; at
+        # x = 1.6 e^(pi 210/4), past _MU_MAX, they start at 8192 and it does not
         x = theta_critical_thermo(thermodynamic._MU_MAX).x
         _, n0 = numerics._node_map(thermodynamic._tanh_eta(x))
         assert n0 == 4096 and 2 * n0 <= numerics._MEAN_MAX_NODES
-        _, n0 = numerics._node_map(thermodynamic._tanh_eta(1.6 * math.exp(math.pi * 210 / 4)))
+        assert J_thermo(x) == pytest.approx(thermodynamic._MU_MAX, rel=1e-15, abs=0)
+        x = 1.6 * math.exp(math.pi * 210 / 4)
+        _, n0 = numerics._node_map(thermodynamic._tanh_eta(x))
         assert n0 == 8192 and 2 * n0 > numerics._MEAN_MAX_NODES
+        with pytest.raises(numerics.ConvergenceError):
+            J_thermo(x)
+
+
+class TestWeakCoupling:
+    """Past the seam x0 = e^(pi mu/4)/C = 1e4 (mu = 11.1055) theta_c is a
+    closed form. Routines that share no code with it check it: the mode mean
+    of J, and through BCS's universal ratios the zero-temperature optimum
+    (an AGM) and the bifurcation's h'' moments (a mode mean)."""
+
+    def test_closed_form_solves_the_mode_mean(self):
+        # |J_thermo(x) - mu| at the closed form's x: measured 1.4e-14 at
+        # mu = 100 and 0 at the others, bound 1e-13 (x off by 1e-10
+        # relative moves J by 1.3e-10)
+        for mu in (11.2, 12.0, 16.0, 20.0, 50.0, 100.0, 200.0):
+            assert abs(J_thermo(theta_critical_thermo(mu).x) - mu) <= 1e-13
+
+    def test_decreasing_across_the_seam(self, monkeypatch):
+        # on a grid within 1e-6 of the seam, and on the two neighbouring
+        # doubles that straddle it, the first by a root solve (one band
+        # mean), the second by the closed form (none)
+        C = asymptotic_constants().C_prefactor
+
+        def closed(mu):
+            return math.exp(0.25 * math.pi * mu) / C >= thermodynamic._X_WEAK
+        seam = 4.0 / math.pi * math.log(thermodynamic._X_WEAK * C)
+        while closed(seam):
+            seam = math.nextafter(seam, 0.0)
+        while not closed(math.nextafter(seam, math.inf)):
+            seam = math.nextafter(seam, math.inf)
+        mus = sorted({*np.linspace(seam - 1e-6, seam + 1e-6, 201).tolist(),
+                      seam, math.nextafter(seam, math.inf)})
+        assert 0 < sum(map(closed, mus)) < len(mus)
+        theta = [theta_critical_thermo(mu).theta_c for mu in mus]
+        assert all(a > b for a, b in zip(theta, theta[1:]))
+        calls = []
+        mean = thermodynamic._band_mean
+        monkeypatch.setattr(thermodynamic, "_band_mean",
+                            lambda f, eta: calls.append(eta) or mean(f, eta))
+        theta_critical_thermo(seam)
+        theta_critical_thermo(math.nextafter(seam, math.inf))
+        assert len(calls) == 1
+
+    def test_gap_to_theta_c_ratio(self):
+        # delta_opt / theta_c -> pi e^(-gamma)/2, BCS's 2 delta = 3.53 theta_c;
+        # measured 1.3e-13 at mu = 20, then 2.2e-16, 3.4e-15 and 1.8e-14 at
+        # 30, 50 and 100; bounds 1e-12 and 1e-13
+        want = math.pi * math.exp(-np.euler_gamma) / 2
+        for mu, bound in ((20.0, 1e-12), (30.0, 1e-13), (50.0, 1e-13), (100.0, 1e-13)):
+            got = dimer_optimum_zero(mu).delta_opt / theta_critical_thermo(mu).theta_c
+            assert got == pytest.approx(want, rel=bound, abs=0)
+
+    def test_bifurcation_to_theta_c_ratio(self):
+        # coeff^2 / theta_c -> 2 pi^2 / (7 zeta(3)), BCS's slope of the gap;
+        # measured 3.8e-13 at mu = 20, then 5.6e-16, 2.2e-16 and 6.7e-16 at
+        # 30, 50 and 100; bounds 2e-12 and 1e-14
+        want = 2.0 * math.pi ** 2 / (7.0 * scipy.special.zeta(3))
+        for mu, bound in ((20.0, 2e-12), (30.0, 1e-14), (50.0, 1e-14), (100.0, 1e-14)):
+            got = bifurcation_data(mu).coeff ** 2 / theta_critical_thermo(mu).theta_c
+            assert got == pytest.approx(want, rel=bound, abs=0)
 
 
 class TestConstants:
@@ -364,6 +445,14 @@ class TestBifurcationData:
         for mu in (2.0, 12.0):
             b = bifurcation_data(mu)
             assert all(type(getattr(b, f.name)) is float for f in dataclasses.fields(b))
+
+    def test_domain(self):
+        # the h'' moments converge up to mu = 165.89 and past it fail at some
+        # mu (a ConvergenceError at 165.9, 170 and 200) and not at others
+        assert bifurcation_data(thermodynamic._BIF_MU_MAX).coeff > 0
+        for mu in (165.9, 170.0, 200.0):
+            with pytest.raises(ValueError, match="validated up to mu = 160"):
+                bifurcation_data(mu)
 
     def test_reference_values_mu2(self):
         b = bifurcation_data(2.0)
