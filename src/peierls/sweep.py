@@ -2,10 +2,10 @@
 
 ``SWEEP_KINDS`` is the one place a sweep kind is declared: its input
 columns, its output columns and the one library call that maps a grid
-point to its outputs. No numeric logic lives here. Points are dispatched
-to a stateless worker pool, no larger than the grid or the CPU count, and
-the rows are re-assembled in input order, so output is byte-identical
-regardless of the worker count.
+point to its outputs. No numeric logic lives here. Points run in-process
+until the sweep has run for ``_POOL_AFTER_S``; the points left then go to a
+stateless worker pool, no larger than they are or the CPU count. Rows keep
+input order, so output is byte-identical regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,6 +23,10 @@ import numpy as np
 from . import finite_chain, thermodynamic, zero_temperature
 
 __all__ = ["SweepSpec", "ResultRow", "run_sweep", "emit_csv", "SWEEP_KINDS"]
+
+# a sweep forks its pool only past this much in-process run: on a 2-CPU Xeon a 2-worker pool's
+# start, map and shutdown take 10-20 ms, the benchmark's 100-point phase-diagram 11-26 ms
+_POOL_AFTER_S = 0.1
 
 
 def _critical(cp) -> tuple:
@@ -70,8 +75,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if not self.grid:
             raise ValueError("sweep grid must not be empty")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # True is an int and 2.5 compares, but the pool takes neither
+        if isinstance(w := self.workers, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ValueError(f"workers must be an integer >= 1, got {w!r}")
         names = SWEEP_KINDS[self.kind][0]
         for point in self.grid:
             if len(point) != len(names):
@@ -115,16 +121,18 @@ def _point_row(task) -> ResultRow:
 
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point; failures become error rows, not aborts."""
-    tasks = [(spec.kind, tuple(point)) for point in spec.grid]
+    tasks, rows = [(spec.kind, tuple(point)) for point in spec.grid], []
     # a fork pool starts all its workers at once: no more than can run
-    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
-    if workers == 1:
-        return [_point_row(t) for t in tasks]
-    # a few chunks per worker: one round trip per point costs more than
-    # most points
-    chunk = math.ceil(len(tasks) / (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_point_row, tasks, chunksize=chunk))
+    cap, due = min(spec.workers, os.cpu_count() or 1), time.perf_counter() + _POOL_AFTER_S
+    for i, task in enumerate(tasks):
+        if cap > 1 and time.perf_counter() >= due and len(tasks) - i > 1:
+            workers = min(cap, len(tasks) - i)
+            # a few chunks per worker: a round trip per point costs more than most points
+            chunk = math.ceil((len(tasks) - i) / (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return rows + list(pool.map(_point_row, tasks[i:], chunksize=chunk))
+        rows.append(_point_row(task))
+    return rows
 
 
 def _format(value) -> str:

@@ -1,11 +1,14 @@
 """Sweep orchestration and the command-line front end."""
 
 import csv
+import itertools
 import math
 import re
 import time
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from peierls import cli, numerics, sweep, thermodynamic
@@ -143,6 +146,45 @@ class TestSweepSpec:
             SweepSpec(kind=kind, grid=grid, output_path="x.csv")
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True, False, 0, "2"])
+    def test_workers_a_whole_number(self, workers):
+        # a float or a bool compares fine with 1 but fails in the pool's constructor
+        with pytest.raises(ValueError) as err:
+            SweepSpec(kind="gap", grid=[(2.0,)], output_path="x.csv", workers=workers)
+        assert str(err.value) == f"workers must be an integer >= 1, got {workers!r}"
+
+    def test_numpy_workers_accepted(self):
+        assert SweepSpec(kind="gap", grid=[(2.0,)], output_path="x.csv",
+                         workers=np.int64(2)).workers == 2
+
+
+class InlinePool:
+    """A stand-in pool: records its size and maps in-process, so no worker
+    process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def _pool_due_at(monkeypatch, point):
+    # the sweep's clock reads 0 at its start and i at point i (it is read at
+    # every point while more than one worker could run), so the pool is due
+    # at that point
+    ticks = itertools.chain([0], itertools.count())
+    monkeypatch.setattr(sweep, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    monkeypatch.setattr(sweep, "_POOL_AFTER_S", point)
+
 
 class TestRunSweep:
     def test_phase_diagram_point(self, tmp_path):
@@ -200,36 +242,33 @@ class TestRunSweep:
         assert rows[0].outputs["theta_c"] == ""
         assert rows[1].status == "ok"
 
-    def test_worker_counts_agree_byte_for_byte(self, tmp_path):
+    def test_worker_counts_agree_byte_for_byte(self, monkeypatch, tmp_path):
+        # two points in-process, then the other four through a real 2-worker
+        # fork pool: the CSV is the one-worker CSV
+        mapped = []
+
+        class CountedPool(sweep.ProcessPoolExecutor):
+            def map(self, fn, tasks, chunksize=1):
+                mapped.append(len(tasks))
+                return super().map(fn, tasks, chunksize=chunksize)
+
         grid = [(m, L) for m in (0.5, 1.0, 1.5) for L in (8, 12)]
-        paths = []
-        for workers in (1, 2):
-            spec = SweepSpec(kind="finite-thetac", grid=grid, workers=workers,
-                             output_path=str(tmp_path / f"w{workers}.csv"))
-            emit_csv(run_sweep(spec), spec.output_path)
-            paths.append(spec.output_path)
-        a, b = (open(p, "rb").read() for p in paths)
-        assert a == b
+        serial = SweepSpec(kind="finite-thetac", grid=grid, output_path=str(tmp_path / "w1.csv"))
+        emit_csv(run_sweep(serial), serial.output_path)
+        _pool_due_at(monkeypatch, 2)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        pooled = SweepSpec(kind="finite-thetac", grid=grid, workers=2,
+                           output_path=str(tmp_path / "w2.csv"))
+        emit_csv(run_sweep(pooled), pooled.output_path)
+        assert mapped == [4]
+        assert Path(pooled.output_path).read_bytes() == Path(serial.output_path).read_bytes()
 
     def test_pool_sized_by_what_can_run(self, monkeypatch):
-        # a stand-in pool records its size and maps in-process: no worker
-        # process is started
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
+        # the pool is due before the first point, so the whole grid reaches it
+        monkeypatch.setattr(sweep, "_POOL_AFTER_S", 0)
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        sizes = InlinePool.sizes
         grid = [(L,) for L in range(6, 38, 4)]
         want = run_sweep(SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv"))
         for cpus, workers, points, size in ((4, 5000, 1, None), (4, 5000, 3, 3),
@@ -240,6 +279,30 @@ class TestRunSweep:
                              workers=workers)
             assert run_sweep(spec) == want[:points]
             assert sizes == ([] if size is None else [size])
+
+    def test_cheap_grid_starts_no_pool(self, monkeypatch):
+        # a grid done within _POOL_AFTER_S never constructs an executor
+        def no_pool(**kwargs):
+            raise AssertionError("a cheap grid started a pool")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
+        grid = [(m,) for m in (3.0, 4.0, 5.0, 6.0)]
+        rows = run_sweep(SweepSpec(kind="gap", grid=grid, output_path="g.csv", workers=2))
+        assert [r.status for r in rows] == ["ok"] * 4
+        assert rows == run_sweep(SweepSpec(kind="gap", grid=grid, output_path="g.csv"))
+
+    def test_pool_sized_by_the_points_left(self, monkeypatch):
+        # the pool is due at the third point: 3 of the 5 points are left
+        grid = [(L,) for L in range(6, 26, 4)]
+        want = run_sweep(SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv"))
+        _pool_due_at(monkeypatch, 2)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 8)
+        InlinePool.sizes.clear()
+        spec = SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv", workers=5000)
+        assert run_sweep(spec) == want
+        assert InlinePool.sizes == [3]
 
     def test_rerun_identical(self, tmp_path):
         spec = SweepSpec(kind="mu-critical", grid=[(6,), (10,)],
