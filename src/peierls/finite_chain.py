@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kernels import _h_prime, _tanh_eta, h_theta
-from .numerics import (_mode_nodes, _newton_box, _polished_descent,
+from .numerics import (ConvergenceError, _mode_nodes, _newton_box, _polished_descent,
                        lattice_points, solve_from_estimate)
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
     "theta_critical_finite",
 ]
 
-# minimizer delta values below this are reported as exactly 0
+# a dimer search below theta_c whose delta falls below this raises: it is unresolved
 DELTA_ZERO = 1e-8
 # search box for full hopping vectors; physical minimizers have t near 1
 T_BOX = (0.05, 3.0)
@@ -122,15 +123,20 @@ class CriticalPoint:
             raise ValueError("inconsistent critical point: W_star != x * theta_c")
 
 
+def _tanh_moments(x: float, sin_t, cos_t):
+    # x h'(x^2 sin^2 t) = tanh(x |sin t|)/|sin t| times sin^2 t and cos^2 t: means m_s, m_c
+    xhp = x * _h_prime((x * sin_t) ** 2)
+    return np.stack((xhp * sin_t ** 2, xhp * cos_t ** 2))
+
+
 def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoint:
     """Solve a ring's critical system, given its J and its band mean.
 
     J(x) = target is solved in u = ln x, where J is nearly linear, from the
     caller's estimate u of the root (by numerics.solve_from_estimate). Then
     one call of the ring's band mean ``mean(f, eta)`` (:func:`_ring_mean`)
-    gives both Euler-Lagrange means: theta follows from the cos^2 equation
-    mu (W - 1) = 2 <x h'(x^2 cos^2 s) cos^2 s>, and the sin^2 equation
-    mu W = 2 <x h'(x^2 cos^2 s) sin^2 s> is asserted to 1e-8.
+    of :func:`_tanh_moments` gives both Euler-Lagrange means: theta follows
+    from mu (W - 1) = 2 m_s, and mu W = 2 m_c is asserted to 1e-8.
     """
     if not _MU_MIN <= mu < math.inf:  # NaN and inf never bracket the root
         raise ValueError(
@@ -139,12 +145,7 @@ def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoin
     # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
     x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u,
                                      1e-12 * min(1.0, target)))
-
-    def moments(sin_t, cos_t):  # x h'(x^2 cos^2 s) = tanh(x cos s)/cos s, cos s = -sin t
-        xhp = x * _h_prime((x * sin_t) ** 2)
-        return np.stack((xhp * sin_t ** 2, xhp * cos_t ** 2))
-
-    sin2, cos2 = mean(moments, _tanh_eta(x))
+    sin2, cos2 = mean(partial(_tanh_moments, x), _tanh_eta(x))
     theta = (mu + 2.0 * sin2) / (mu * x)
     W = x * theta
     residual = mu * W - 2.0 * cos2
@@ -227,41 +228,45 @@ def g_finite(s: DimerState, p: ModelParams) -> float:
     return _band_energy(s.W, s.delta, p.mu, p.theta, _ring_mean(_check_even_length(p.L)))
 
 
-def _minimize_dimer(p: ModelParams, mean):
-    """(W, delta) search of the band energy over W, delta >= 0 with the
-    ring's band mean, delta snapping to 0 below DELTA_ZERO. Returns
-    (DimerState, value).
+def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
+    """Minimum (DimerState, value) of the band energy over W, delta >= 0,
+    given the ring's band mean and critical point (None: never dimerized).
 
-    numerics._polished_descent searches the quadrant from a fan of starts,
-    and the 1-periodic states (delta = 0) in a 1D search of their own: near
-    and above the transition the landscape is quartically flat in delta and
-    a simplex can stall at a tiny spurious delta, so the two race by value.
-    A simplex run that exhausts its iterations raises ConvergenceError.
+    Dimerized iff theta < theta_c, as the paper proves. Else W solves
+    mu (W - 1) = 2 m_s (:func:`_tanh_moments`) in u = ln W from ln W* (or
+    ln W1 = ln(1 + 4/(pi mu))), one band mean per step. Below theta_c,
+    numerics._polished_descent searches from a fan of starts; a run out of
+    iterations or an unresolved delta (< DELTA_ZERO) raises ConvergenceError.
     """
-    g2 = lambda W, d: _band_energy(W, d, p.mu, p.theta, mean)
     w_guess = 1.0 + 4.0 / (math.pi * p.mu)
-    f = lambda z: g2(z[0], z[1])
-    # descending-delta fan of starts plus the 1-periodic candidate
-    starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]
+    if crit is None or p.theta >= crit.theta_c:
+        def residual(u):  # mu (W - 1) - 2 m_s at W = e^u; 1e-12 leaves W within ~1e-12
+            x = math.exp(u) / p.theta
+            m_s = mean(partial(_tanh_moments, x), _tanh_eta(x))[0]
+            return p.mu * (math.exp(u) - 1.0) - 2.0 * m_s
+        u = math.log(crit.W_star if crit else w_guess)
+        W = math.exp(solve_from_estimate(residual, 0.0, u, 1e-12))
+        return DimerState(W=W, delta=0.0), _band_energy(W, 0.0, p.mu, p.theta, mean)
+    starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]  # delta falls
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    x, fx = _polished_descent(f, starts, steps)
-    W, delta = float(x[0]), float(abs(x[1]))
-    x1, f1 = _polished_descent(lambda z: g2(z[0], 0.0), [(w_guess,), (W,)],
-                               [(0.1,), (1e-4,)])
-    tie = 4e-15 * (1.0 + abs(f1))
-    if f1 <= fx + tie:
-        return DimerState(W=float(x1[0]), delta=0.0), float(f1)
-    return DimerState(W=W, delta=0.0 if delta < DELTA_ZERO else delta), float(fx)
+    x, fx = _polished_descent(lambda z: _band_energy(z[0], z[1], p.mu, p.theta, mean),
+                              starts, steps)
+    if x[1] < DELTA_ZERO:
+        raise ConvergenceError(f"delta = {x[1]:.3e} below theta_c is under the simplex's "
+                               f"resolution {DELTA_ZERO:g}", best=(x, fx))
+    return DimerState(W=float(x[0]), delta=float(x[1])), float(fx)
 
 
 def minimize_dimer_finite(p: ModelParams):
-    """Minimize the per-atom energy over W, delta >= 0.
+    """Minimize the ring's per-atom energy over W, delta >= 0: (DimerState, value).
 
-    Returns (DimerState, value); delta below 1e-8 is reported as exact 0.
+    Its phase comes from theta_critical_finite(mu, L), so mu >= 1e-8, and a
+    2-mod-4 ring past 2 mu_critical(L) is 1-periodic at every theta.
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_finite needs theta > 0")
-    return _minimize_dimer(p, _ring_mean(_check_even_length(p.L)))
+    L = _check_even_length(p.L)
+    return _minimize_dimer(p, _ring_mean(L), theta_critical_finite(p.mu, L))
 
 
 def _ring_derivatives(t: np.ndarray, mu: float, theta: float):

@@ -203,15 +203,10 @@ def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
         raise ConvergenceError(f"no bracket within {_SOLVE_MAX_ITER} steps of ln 2", best=u)
     # the walk leaves f(lo) < target <= f(hi)
     lo, hi = sorted((u, u + step))
-    flo = f(lo) - target
-    fhi = f(hi) - target
-    if abs(flo) <= abs_tol:
-        return lo
-    if abs(fhi) <= abs_tol:
-        return hi
-
-    x, fx = hi, fhi
-    x_prev, fx_prev = lo, flo
+    flo, fhi = f(lo) - target, f(hi) - target
+    if abs(flo) <= abs_tol or abs(fhi) <= abs_tol:
+        return lo if abs(flo) <= abs_tol else hi
+    x, fx, x_prev, fx_prev = hi, fhi, lo, flo
     for _ in range(_SOLVE_MAX_ITER):
         # secant proposal, safeguarded to land strictly inside the bracket
         trial = 0.5 * (lo + hi)
@@ -261,15 +256,9 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
     xatol = max(math.sqrt(_SIMPLEX_TOL) * 1e-2, 1e-12)
 
     simplex = [x0]
-    for i in range(d):
-        v = x0.copy()
-        v[i] += step[i]
-        v = np.maximum(v, 0.0)
-        if np.allclose(v, x0):
-            v = x0.copy()
-            v[i] -= step[i]
-            v = np.maximum(v, 0.0)
-        simplex.append(v)
+    for e in np.eye(d) * np.asarray(step, dtype=float):  # step[i] along coordinate i
+        v = np.maximum(x0 + e, 0.0)
+        simplex.append(np.maximum(x0 - e, 0.0) if np.allclose(v, x0) else v)
     fs = [f(v) for v in simplex]
 
     for _ in range(_SIMPLEX_MAX_ITER):

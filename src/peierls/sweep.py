@@ -11,7 +11,6 @@ input order, so output is byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -119,6 +118,10 @@ def _point_row(task) -> ResultRow:
     return _row(dict(zip(names, point)), out_names, call, *point)
 
 
+def _point_rows(tasks) -> list[ResultRow]:
+    return [_point_row(task) for task in tasks]
+
+
 def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     """Evaluate every grid point; failures become error rows, not aborts."""
     tasks, rows = [(spec.kind, tuple(point)) for point in spec.grid], []
@@ -126,11 +129,14 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     cap, due = min(spec.workers, os.cpu_count() or 1), time.perf_counter() + _POOL_AFTER_S
     for i, task in enumerate(tasks):
         if cap > 1 and time.perf_counter() >= due and len(tasks) - i > 1:
-            workers = min(cap, len(tasks) - i)
-            # a few chunks per worker: a round trip per point costs more than most points
-            chunk = math.ceil((len(tasks) - i) / (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return rows + list(pool.map(_point_row, tasks[i:], chunksize=chunk))
+            rest = tasks[i:]
+            # a few chunks per worker, as a round trip per point costs more than most points;
+            # chunk k takes every n-th point from k, so a grid sorted by cost is balanced
+            n = min(4 * cap, len(rest))
+            with ProcessPoolExecutor(max_workers=min(cap, len(rest))) as pool:
+                for k, chunk in enumerate(pool.map(_point_rows, [rest[k::n] for k in range(n)])):
+                    rest[k::n] = chunk
+            return rows + rest
         rows.append(_point_row(task))
     return rows
 

@@ -12,11 +12,11 @@ layer at the band center, as that widens the strip.
 
 The integrands are functions of sin t and cos t, t = s - pi/2, as
 |cos s| = |sin t| keeps its full relative precision at the band center.
-The band energy and the critical point are the finite ring's routines,
-given this ring's band mean (``_band_mean``); the latter inverts the
-strictly increasing J(x), the Euler-Lagrange difference, in ln x from
-x ~ e^(pi mu/4). From x = 1e4 (mu >= 11.1055) theta_c comes in closed form
-instead: there the gap equation is BCS's, and the large-x expansions
+The band energy, the dimer search (given theta_c too) and the critical
+point are the finite ring's routines, given this ring's band mean
+(``_band_mean``); the last inverts the strictly increasing J(x) in ln x
+from x ~ e^(pi mu/4). From x = 1e4 (mu >= 11.1055) theta_c comes in
+closed form instead: there the gap equation is BCS's, and the large-x expansions
 J(x) = (4/pi)(ln x + c2 - 1) + pi/(4x^2) and of the sin^2 mean,
 (2/pi)(1 - pi^2/(24x^2)), are exact to rounding (their remainders are
 O(x^-4)). Around theta_c the dimerization amplitude bifurcates like
@@ -72,13 +72,13 @@ def g_thermo(s: DimerState, p: ModelParams) -> float:
 
 
 def minimize_dimer_thermo(p: ModelParams):
-    """Minimize g_thermo over W, delta >= 0; delta < 1e-8 snaps to 0.
+    """Minimize g_thermo over W, delta >= 0: (DimerState, value), 1e-8 <= mu <= 200.
 
-    Returns (DimerState, value).
+    The phase comes from theta_critical_thermo(mu), whose domain it shares.
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_thermo needs theta > 0")
-    return _minimize_dimer(p, _band_mean)
+    return _minimize_dimer(p, _band_mean, theta_critical_thermo(p.mu))
 
 
 def J_thermo(x: float) -> float:

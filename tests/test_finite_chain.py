@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
 from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
@@ -273,9 +274,10 @@ class TestDimerReductionHessian:
 
 
 def test_dimer_search_path(monkeypatch):
-    # the simplex runs of both dimer minimizers, called through the
-    # numerics namespace so that wrappers installed there see each one;
-    # the counts are those of the search as it stands
+    # the simplex runs of both dimer minimizers below theta_c, the fan's 4
+    # starts and 1 polish, called through the numerics namespace so that
+    # wrappers installed there see each one; the counts are those of the
+    # search as it stands
     real = numerics.minimize_box
     counts = {"calls": 0, "evals": 0}
 
@@ -288,11 +290,91 @@ def test_dimer_search_path(monkeypatch):
         return real(g, *args)
 
     monkeypatch.setattr(numerics, "minimize_box", counted)
-    for minimize, p, evals in ((thermodynamic.minimize_dimer_thermo, ModelParams(2.0, 0.1), 623),
-                               (minimize_dimer_finite, ModelParams(2.0, 0.1, 8), 679)):
+    for minimize, p, evals in ((thermodynamic.minimize_dimer_thermo, ModelParams(2.0, 0.1), 546),
+                               (minimize_dimer_finite, ModelParams(2.0, 0.1, 8), 592)):
         counts.update(calls=0, evals=0)
         minimize(p)
-        assert counts == {"calls": 8, "evals": evals}
+        assert counts == {"calls": 5, "evals": evals}
+
+
+def _periodic_W_reference(mu, theta, L):
+    """W of the 1-periodic minimum by scipy: the root of mu (W - 1) = 2 m_s,
+    m_s = <tanh(W |c|/theta) |c|> over the band, by quad for the infinite
+    ring and over the L ring levels 2W cos(2 pi k/L) for a finite one."""
+    if L is None:
+        m_s = lambda W: 2.0 / math.pi * scipy.integrate.quad(
+            lambda s: math.tanh(W * math.sin(s) / theta) * math.sin(s), 0.0, 0.5 * math.pi,
+            epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    else:
+        c = np.abs(np.cos(2.0 * np.pi * np.arange(L) / L))
+        m_s = lambda W: float(np.mean(np.tanh(W * c / theta) * c))
+    return scipy.optimize.brentq(lambda W: mu * (W - 1.0) - 2.0 * m_s(W),
+                                 1.0, 2.0 + 4.0 / (math.pi * mu), xtol=1e-15, rtol=1e-15)
+
+
+def _ring_and_mean(mu, L):
+    # (minimizer, band mean, critical point) of the infinite ring or the ring of L atoms
+    if L is None:
+        return (thermodynamic.minimize_dimer_thermo, thermodynamic._band_mean,
+                thermodynamic.theta_critical_thermo(mu))
+    return minimize_dimer_finite, finite_chain._ring_mean(L), theta_critical_finite(mu, L)
+
+
+# theta/theta_c above the transition at mu in {0.5, 2, 4, 8}, on both rings, and an L = 6
+# ring past 2 mu_critical(6) = 2/3, whose critical point is None (theta given directly)
+_PERIODIC_POINTS = ([(mu, L, r) for L in (None, 8) for mu in (0.5, 2.0, 4.0, 8.0)
+                     for r in (1.001, 1.1, 2.0)]
+                    + [(mu, 6, theta) for mu in (1.0, 4.0) for theta in (0.05, 0.5)])
+
+
+def _periodic_params(mu, L, r):
+    crit = _ring_and_mean(mu, L)[2]
+    return ModelParams(mu, r * crit.theta_c if crit else r, L)
+
+
+class TestPhaseFromThetaC:
+    """At or above theta_c, or where a ring never dimerizes, the minimum is
+    1-periodic and comes from one root, with no simplex."""
+
+    @pytest.mark.parametrize("mu, L, r", _PERIODIC_POINTS)
+    def test_periodic_minimum_is_one_root(self, monkeypatch, mu, L, r):
+        def no_simplex(*args):
+            raise AssertionError("simplex called")
+
+        means = []
+
+        def counted(mean):
+            return lambda f, eta: means.append(1) or mean(f, eta)
+
+        monkeypatch.setattr(numerics, "minimize_box", no_simplex)
+        monkeypatch.setattr(thermodynamic, "_band_mean", counted(thermodynamic._band_mean))
+        ring_mean = finite_chain._ring_mean
+        monkeypatch.setattr(finite_chain, "_ring_mean", lambda n: counted(ring_mean(n)))
+        p = _periodic_params(mu, L, r)
+        state, value = _ring_and_mean(mu, L)[0](p)
+        assert state.delta == 0.0
+        # the critical point's mean, the root's and the energy's: 6 to 11 measured
+        assert len(means) <= 12
+        # measured within 1.2e-12 (mu = 0.5, theta = 2 theta_c)
+        assert state.W == pytest.approx(_periodic_W_reference(mu, p.theta, L), abs=1e-11)
+        energy = g_finite if L else thermodynamic.g_thermo
+        assert value == energy(state, p)
+
+    @pytest.mark.parametrize("mu, L, r", _PERIODIC_POINTS)
+    def test_no_dimerized_state_is_lower(self, mu, L, r):
+        # the paper's theorem that the root relies on, checked by the 2-D
+        # simplex fan of the dimerized phase, forced by a critical point far
+        # above theta: its best value is never below the root's by more than
+        # 1e-13 (measured at most 1.8e-15 below, the band mean's rounding)
+        minimize, mean, _ = _ring_and_mean(mu, L)
+        p = _periodic_params(mu, L, r)
+        _, root_value = minimize(p)
+        forced = CriticalPoint(x=1.0, W_star=10.0, theta_c=10.0)
+        try:
+            fan_value = finite_chain._minimize_dimer(p, mean, forced)[1]
+        except ConvergenceError as err:  # the fan's delta fell below DELTA_ZERO
+            fan_value = err.best[1]
+        assert fan_value >= root_value - 1e-13
 
 
 class TestFullChainMinimization:

@@ -304,6 +304,26 @@ class TestRunSweep:
         assert run_sweep(spec) == want
         assert InlinePool.sizes == [3]
 
+    def test_pool_chunks_are_strided(self, monkeypatch):
+        # the pool's chunks take every n-th point left, n = 4 per worker, so
+        # a grid whose cost runs with its order spreads over them; the rows
+        # come back in input order
+        chunks = []
+
+        class RecordingPool(InlinePool):
+            def map(self, fn, tasks, chunksize=1):
+                chunks.extend([point for _, point in chunk] for chunk in tasks)
+                return map(fn, tasks)
+
+        grid = [(L,) for L in range(6, 90, 4)]  # 21 points
+        want = run_sweep(SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv"))
+        _pool_due_at(monkeypatch, 1)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        spec = SweepSpec(kind="mu-critical", grid=grid, output_path="m.csv", workers=2)
+        assert run_sweep(spec) == want
+        assert chunks == [grid[1 + k::8] for k in range(8)]
+
     def test_rerun_identical(self, tmp_path):
         spec = SweepSpec(kind="mu-critical", grid=[(6,), (10,)],
                          output_path=str(tmp_path / "m.csv"))
@@ -587,8 +607,8 @@ README_GRIDS = {
         "2,0.17,1.63015158243,0.13382869089,-1.68850310033,ok\n"
         "2,0.19,1.6311011746,0.0995128625571,-1.69032227421,ok\n"
         "2,0.21,1.63217557197,0.0152263814134,-1.6927222113,ok\n"
-        "2,0.23,1.63131746238,0,-1.69557779836,ok\n"
-        "2,0.25,1.63032330459,0,-1.69870232209,ok\n"
+        "2,0.23,1.63131746888,0,-1.69557779836,ok\n"
+        "2,0.25,1.63032330764,0,-1.69870232209,ok\n"
     ),
     "phase-diagram --mu 12,20,50,200": (
         "mu,theta_c,W_star,x,status\n"

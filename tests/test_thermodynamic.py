@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 
 import peierls.numerics as numerics
@@ -395,6 +396,45 @@ class TestMinimizeDimerThermo:
     def test_hot_at_inverse_stiffness(self):
         state, _ = minimize_dimer_thermo(ModelParams(mu=1.0, theta=1.5))
         assert state.delta == 0.0
+
+    def test_dimerized_at_large_stiffness(self):
+        # below theta_c the state is dimerized, also where the dimerization
+        # gain (5.2e-14 at zero temperature) is below the band mean's 1e-12
+        # relative accuracy: delta/delta_opt tends to the weak-coupling BCS
+        # gap ratio at theta/theta_c = 0.9, solved here by scipy
+        # (Muehlschlegel's table: 0.5263); measured 0.52156, 0.91 % below it
+        theta = 0.9 * theta_critical_thermo(18.0).theta_c
+        state, _ = minimize_dimer_thermo(ModelParams(mu=18.0, theta=theta))
+        assert state.delta > 0
+        d0 = math.pi * math.exp(-np.euler_gamma)  # the gap at zero temperature, theta_c = 1
+
+        def gap_equation(d):  # ln(d0/d) = 2 int f(E)/E dxi, E = sqrt(xi^2 + d^2), T = 0.9
+            fermi = lambda xi: 1.0 / (math.hypot(xi, d) * (math.exp(math.hypot(xi, d) / 0.9) + 1))
+            return math.log(d0 / d) - 2.0 * scipy.integrate.quad(fermi, 0, 50, epsabs=1e-13)[0]
+
+        bcs = scipy.optimize.brentq(gap_equation, 1e-3, d0, xtol=1e-14) / d0
+        assert bcs == pytest.approx(0.5263, abs=5e-5)
+        ratio = state.delta / dimer_optimum_zero(18.0).delta_opt
+        assert ratio == pytest.approx(bcs, rel=0.02)
+
+    def test_unresolved_delta_raises(self, tmp_path):
+        # at mu = 20, theta = 0.5 theta_c, delta ~ 8e-8 is below what the
+        # simplex resolves: an error, and an error row in a sweep, where a
+        # value race returned delta = 0
+        theta = 0.5 * theta_critical_thermo(20.0).theta_c
+        with pytest.raises(numerics.ConvergenceError, match="below theta_c"):
+            minimize_dimer_thermo(ModelParams(mu=20.0, theta=theta))
+        (row,) = run_sweep(SweepSpec(kind="bifurcation", grid=[(20.0, theta)],
+                                     output_path=str(tmp_path / "b.csv")))
+        assert row.status.startswith("error: delta = ")
+
+    def test_domain(self):
+        # theta_critical_thermo's, which sets the phase
+        with pytest.raises(ValueError, match="validated up to mu = 200"):
+            minimize_dimer_thermo(ModelParams(mu=200.5, theta=0.1))
+        with pytest.raises(ValueError, match="mu >= 1e-08"):
+            minimize_dimer_thermo(ModelParams(mu=1e-9, theta=0.1))
+        assert minimize_dimer_thermo(ModelParams(mu=200.0, theta=0.1))[0].delta == 0.0
 
 
 class TestBifurcationData:
