@@ -16,9 +16,10 @@ from functools import partial
 
 import numpy as np
 
+from . import numerics
 from .kernels import _h_prime, _tanh_eta, h_theta
-from .numerics import (ConvergenceError, _mode_nodes, _newton_box, _polished_descent,
-                       lattice_points, solve_from_estimate)
+from .numerics import (ConvergenceError, _mode_nodes, _newton_box, lattice_points,
+                       solve_from_estimate)
 
 __all__ = [
     "ModelParams",
@@ -172,6 +173,8 @@ def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
     """(mu/2) sum (t_i - 1)^2 - sum_i h_theta(eps_i^2) over the T spectrum."""
     if p.theta <= 0:
         raise ValueError("use chain_energy_zero for theta = 0")
+    if p.L not in (None, cfg.t.size):
+        raise ValueError(f"L = {p.L} but the ring has {cfg.t.size} hoppings")
     eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
     distortion = 0.5 * p.mu * float(np.sum((cfg.t - 1.0) ** 2))
     return distortion - float(np.sum(h_theta(eps * eps, p.theta)))
@@ -234,9 +237,11 @@ def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
 
     Dimerized iff theta < theta_c, as the paper proves. Else W solves
     mu (W - 1) = 2 m_s (:func:`_tanh_moments`) in u = ln W from ln W* (or
-    ln W1 = ln(1 + 4/(pi mu))), one band mean per step. Below theta_c,
-    numerics._polished_descent searches from a fan of starts; a run out of
-    iterations or an unresolved delta (< DELTA_ZERO) raises ConvergenceError.
+    ln W1 = ln(1 + 4/(pi mu))), one band mean per step. Below theta_c, the
+    first lowest numerics.minimize_box minimum of a fan of 4 starts is
+    restarted (a simplex of relative size 1e-6) at most 3 times while it
+    gains 1e-15, as the energy is quartically flat in delta near theta_c.
+    Errors propagate; a delta below DELTA_ZERO is unresolved and raises.
     """
     w_guess = 1.0 + 4.0 / (math.pi * p.mu)
     if crit is None or p.theta >= crit.theta_c:
@@ -247,10 +252,15 @@ def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
         u = math.log(crit.W_star if crit else w_guess)
         W = math.exp(solve_from_estimate(residual, 0.0, u, 1e-12))
         return DimerState(W=W, delta=0.0), _band_energy(W, 0.0, p.mu, p.theta, mean)
+    f = lambda z: _band_energy(z[0], z[1], p.mu, p.theta, mean)
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]  # delta falls
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
-    x, fx = _polished_descent(lambda z: _band_energy(z[0], z[1], p.mu, p.theta, mean),
-                              starts, steps)
+    x, fx = min(map(partial(numerics.minimize_box, f), starts, steps), key=lambda r: r[1])
+    for _ in range(3):  # a lower restart is kept; one that gains at most 1e-15 is the last
+        xp, fp = numerics.minimize_box(f, x, 1e-6 * (1.0 + np.abs(x)))
+        x, fx, gained = (xp, fp, fp < fx - 1e-15) if fp < fx else (x, fx, False)
+        if not gained:
+            break
     if x[1] < DELTA_ZERO:
         raise ConvergenceError(f"delta = {x[1]:.3e} below theta_c is under the simplex's "
                                f"resolution {DELTA_ZERO:g}", best=(x, fx))

@@ -27,7 +27,6 @@ __all__ = [
     "ConvergenceError",
     "mode_mean",
     "solve_from_estimate",
-    "minimize_box",
 ]
 
 
@@ -56,8 +55,9 @@ def _start_nodes(eta: float) -> int:
 
 # the mode mean's relative target: two estimates agree at abs_tol + this |est|
 _MEAN_REL_TOL = 1e-12
-# the mode mean's cap on N. J_thermo at theta_c(mu = 200), x = 2.7e68, maps
-# its start to N0 = 4096: the cap leaves room for its one doubling
+# the mode mean's cap on N. J_thermo at x = 2.7e68 (theta_c's at mu = 200), the
+# 1-periodic dimer root near that theta_c and bifurcation_data's moments up to
+# mu = 160 start at N0 = 4096: the cap leaves room for one doubling
 _MEAN_MAX_NODES = 8192
 
 
@@ -309,29 +309,6 @@ def lattice_points(n: int, d: int) -> np.ndarray:
     """n quasi-uniform points in [0,1)^d, d <= 24: 0.5 + j sqrt(p_i) mod 1."""
     alpha = np.sqrt(np.array(_PRIMES[:d], dtype=float))
     return np.modf(0.5 + np.arange(1, n + 1)[:, None] * alpha)[0]
-
-
-def _polished_descent(f, starts, steps):
-    """Best :func:`minimize_box` minimum over explicit starts, then restart-polished.
-
-    The engine behind the dimer minimizers, with one initial simplex step
-    per start in ``steps``. The best point is restarted with a fresh simplex
-    of relative size 1e-6, at most 3 times, until the value stops improving
-    by 1e-15: near a phase boundary the landscape is quartically flat and a
-    first run can stall short of the minimum. Any exception, a simplex that
-    runs out of iterations included, propagates.
-    """
-    # the first of the lowest, as min keeps its first item among equals
-    x, fx = min((minimize_box(f, x0, st) for x0, st in zip(starts, steps)),
-                key=lambda r: r[1])
-    for _ in range(3):
-        xp, fp = minimize_box(f, x, 1e-6 * (1.0 + np.abs(x)))
-        if fp >= fx - 1e-15:
-            if fp < fx:
-                x, fx = xp, fp
-            break
-        x, fx = xp, fp
-    return x, fx
 
 
 def _newton_box(fgh, x, lower: float, upper: float, max_steps: int):

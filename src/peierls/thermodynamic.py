@@ -66,8 +66,8 @@ _band_mean = partial(mode_mean, abs_tol=_ABS_TOL)
 
 def g_thermo(s: DimerState, p: ModelParams) -> float:
     """Energy per atom of the infinite ring at theta > 0."""
-    if p.theta <= 0:
-        raise ValueError("g_thermo needs theta > 0")
+    if p.theta <= 0 or p.L is not None:
+        raise ValueError(f"g_thermo needs theta > 0 and no L (g_finite takes one), got {p}")
     return _band_energy(s.W, s.delta, p.mu, p.theta, _band_mean)
 
 
@@ -76,8 +76,9 @@ def minimize_dimer_thermo(p: ModelParams):
 
     The phase comes from theta_critical_thermo(mu), whose domain it shares.
     """
-    if p.theta <= 0:
-        raise ValueError("minimize_dimer_thermo needs theta > 0")
+    if p.theta <= 0 or p.L is not None:
+        raise ValueError("minimize_dimer_thermo needs theta > 0 and no L "
+                         f"(minimize_dimer_finite takes one), got {p}")
     return _minimize_dimer(p, _band_mean, theta_critical_thermo(p.mu))
 
 

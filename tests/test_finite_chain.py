@@ -201,6 +201,14 @@ class TestChainEnergies:
         cold = chain_free_energy(HoppingConfig(t), ModelParams(mu=1.2, theta=1e-4, L=6))
         assert cold == pytest.approx(zero, abs=1e-4)
 
+    def test_length_must_match_the_hoppings(self):
+        # an L other than the hoppings' count is refused, not read as theirs
+        cfg = ring(*[1.1, 0.9] * 4)
+        with pytest.raises(ValueError, match="L = 12 but the ring has 8 hoppings"):
+            chain_free_energy(cfg, ModelParams(mu=2.0, theta=0.1, L=12))
+        assert (chain_free_energy(cfg, ModelParams(mu=2.0, theta=0.1, L=8))
+                == chain_free_energy(cfg, ModelParams(mu=2.0, theta=0.1)))
+
     def test_theta_zero_rejected(self):
         with pytest.raises(ValueError):
             chain_free_energy(ring(1, 1, 1, 1), ModelParams(mu=1.0, theta=0.0, L=4))
@@ -295,6 +303,19 @@ def test_dimer_search_path(monkeypatch):
         counts.update(calls=0, evals=0)
         minimize(p)
         assert counts == {"calls": 5, "evals": evals}
+
+
+@pytest.mark.parametrize("exc", [ValueError("band mean failed"),
+                                 ConvergenceError("inner mean", best=0.5)])
+@pytest.mark.parametrize("theta", [0.1, 0.5])  # the fan and the one root: theta_c = 0.32
+def test_band_mean_errors_propagate(exc, theta):
+    # the dimer search lets a band mean's error through as it was raised
+    def mean(f, eta):
+        raise exc
+    with pytest.raises(type(exc)) as err:
+        finite_chain._minimize_dimer(ModelParams(2.0, theta, 8), mean,
+                                     theta_critical_finite(2.0, 8))
+    assert err.value is exc
 
 
 def _periodic_W_reference(mu, theta, L):

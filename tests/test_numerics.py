@@ -7,9 +7,8 @@ import pytest
 
 from peierls import numerics
 from peierls.kernels import _h_prime
-from peierls.numerics import (ConvergenceError, _polished_descent,
-                              lattice_points, minimize_box, mode_mean,
-                              solve_from_estimate)
+from peierls.numerics import (ConvergenceError, lattice_points, minimize_box,
+                              mode_mean, solve_from_estimate)
 from peierls.thermodynamic import J_thermo, theta_critical_thermo
 
 # the absolute tolerance of the infinite ring's integrals, for the mode mean
@@ -415,33 +414,8 @@ class TestMinimizeBox:
         assert fx < (50.0 - 1) ** 2 and fx == (x[0] - 1) ** 2
 
 
-def lattice_descent(f, lo, hi, n_starts):
-    """_polished_descent from n_starts lattice points of [lo, hi], each with
-    a simplex step of a fifth of the interval."""
-    starts = lo + (hi - lo) * lattice_points(n_starts, 1)
-    return _polished_descent(f, list(starts), [(0.2 * (hi - lo),)] * n_starts)
-
-
 class TestMultistart:
-    """The simplex engine of the dimer searches, fed lattice starts."""
-
-    def test_cosine_global(self):
-        # on the orthant every (2k + 1) pi/3 is a global minimizer
-        x, val = lattice_descent(lambda z: math.cos(3 * z[0]), 0.0, 2.0, 8)
-        assert val == pytest.approx(-1.0, abs=1e-10)
-        assert (3 * x[0] / math.pi) % 2 == pytest.approx(1.0, abs=3e-4)
-
-    def test_double_well(self):
-        x, val = lattice_descent(lambda z: ((z[0] - 2) ** 2 - 1) ** 2, 0.0, 4.0, 4)
-        assert val == pytest.approx(0.0, abs=1e-10)
-        assert abs(x[0] - 2) == pytest.approx(1.0, abs=1e-4)
-
-    def test_beats_single_starts(self):
-        f = lambda z: math.cos(3 * z[0]) + 0.1 * z[0]
-        _, best = lattice_descent(f, 0.0, 4.0, 8)
-        for x0 in (0.1, 1.0, 3.5):
-            _, val = minimize_box(f, [x0], [0.1 * (1 + x0)])
-            assert best <= val + 1e-12
+    """Lattice starts, and the full-ring search from them."""
 
     def test_ring_minimizer_is_2_periodic(self):
         # 4-site ring searched over the full hopping vector collapses onto
@@ -455,32 +429,6 @@ class TestMultistart:
         _, per_atom = minimize_dimer_finite(p)
         assert chain_free_energy(cfg, p) / 4 == pytest.approx(per_atom, abs=1e-6)
         assert abs(x[0] - x[2]) < 1e-4 and abs(x[1] - x[3]) < 1e-4
-
-    @pytest.mark.parametrize("exc", [ValueError("objective failed"),
-                                     ConvergenceError("inner solve", best=0.5)])
-    def test_objective_errors_propagate(self, exc):
-        def f(z):
-            raise exc
-        with pytest.raises(type(exc)) as err:
-            lattice_descent(f, 0.0, 2.0, 3)
-        assert err.value is exc
-
-    def test_budget_exhaustion_raises(self, monkeypatch):
-        def f(z):
-            calls.append(1)
-            return (z[0] - 0.7) ** 2
-        calls = []
-        monkeypatch.setattr(numerics, "_SIMPLEX_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError) as err:
-            _polished_descent(f, [np.array([1.9])], [(0.4,)])
-        x, val = err.value.best
-        assert val < (1.9 - 0.7) ** 2 and len(calls) > 1
-
-    def test_determinism(self):
-        f = lambda z: (z[0] - 0.7) ** 2
-        a = lattice_descent(f, 0.0, 2.0, 5)
-        b = lattice_descent(f, 0.0, 2.0, 5)
-        assert a[0][0] == b[0][0] and a[1] == b[1]
 
     def test_lattice_in_unit_box(self):
         pts = lattice_points(64, 16)

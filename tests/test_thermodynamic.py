@@ -44,6 +44,18 @@ THETA_C_MU16 = 2.310899860954310837551456454519401381494e-06
 # 30-digit bifurcation coefficients; the moment A is -9.6e-10 at mu = 8, -7.7e-14 at 12
 BIFURCATION_COEFF = {8.0: 0.0558301959974501144490521535808,
                      12.0: 0.0113371274276400429433500650054}
+# 30-digit dimerized minima at mu = 2 by mpmath alone: the roots of the
+# Euler-Lagrange pair G1 = mu (W - 1) - 8 W <h_theta'(y) sin^2 t> = 0 and
+# G2 = mu - 8 <h_theta'(y) cos^2 t> = 0 (the delta equation with delta
+# factored out), y = 4 W^2 sin^2 t + 4 delta^2 cos^2 t and h_theta(y) =
+# 2 theta ln 2cosh(sqrt(y)/(2 theta)), the band means by tanh-sinh
+# quadrature at 45 digits (the same digits at 36 on another panel split),
+# the value by the same quadrature of the energy per atom at the root:
+# theta -> (W, delta, value)
+DIMER_MIN_MU2 = {0.1: (1.62801985275026956676936898041, 0.183844785983675410431071499831,
+                       -1.68560994819867420905778814675),
+                 0.21: (1.63217556389878172735050222457, 0.0152266358371641922726800888854,
+                        -1.69272221129679843165819298304)}
 
 
 def _widest_mapped(eta):
@@ -392,6 +404,29 @@ class TestMinimizeDimerThermo:
         assert state.W == pytest.approx(1.6280198583, abs=2e-6)
         assert state.delta == pytest.approx(0.1838447902, abs=2e-6)
         assert val == pytest.approx(-1.685609948199, abs=1e-9)
+
+    @pytest.mark.parametrize("theta, W_tol, delta_tol, value_tol", [
+        # the simplex's errors, measured: W 4.5e-9, delta 5.0e-9, value 4.4e-16
+        (0.1, 2e-8, 2e-8, 2e-15),
+        # 4.4e-4 below theta_c = 0.21044, where the energy is quartically flat
+        # in delta, measured: W 8.1e-9, delta 2.5e-7, value 4.4e-16
+        (0.21, 4e-8, 1e-6, 2e-15)])
+    def test_against_euler_lagrange_roots(self, theta, W_tol, delta_tol, value_tol):
+        # each bound about 4x the measured error (value: a few ulps)
+        state, value = minimize_dimer_thermo(ModelParams(mu=2.0, theta=theta))
+        W, delta, ref_value = DIMER_MIN_MU2[theta]
+        assert abs(state.W - W) <= W_tol
+        assert abs(state.delta - delta) <= delta_tol
+        assert abs(value - ref_value) <= value_tol
+
+    def test_finite_ring_length_refused(self):
+        # L belongs to the finite ring, whose minimum at L = 8 is (1.59673,
+        # 0.31825), not the infinite ring's (1.62802, 0.18384)
+        p = ModelParams(mu=2.0, theta=0.1, L=8)
+        with pytest.raises(ValueError, match="minimize_dimer_finite"):
+            minimize_dimer_thermo(p)
+        with pytest.raises(ValueError, match="g_finite"):
+            g_thermo(DimerState(W=1.6, delta=0.2), p)
 
     def test_hot_at_inverse_stiffness(self):
         state, _ = minimize_dimer_thermo(ModelParams(mu=1.0, theta=1.5))
