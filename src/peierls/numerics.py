@@ -185,15 +185,17 @@ def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
     iterates wherever it lands strictly inside the bracket, else bisection.
     No margin keeps the secant off the ends: once it converges, it lands
     next to the end it last moved. Stops when |f(x) - target| <= abs_tol,
-    at an end of the bracket too, or at machine resolution. The walk and
-    the secant have _SOLVE_MAX_ITER steps each, then raise
-    :class:`ConvergenceError`, as on a NaN f or a target f never reaches;
-    a non-finite target is a ValueError. f is cached, so the solve does
-    not pay again for the bracket's ends.
+    at the estimate and at an end of the bracket too, or at machine
+    resolution. The walk and the secant have _SOLVE_MAX_ITER steps each,
+    then raise :class:`ConvergenceError`, as on a NaN f or a target f
+    never reaches; a non-finite target is a ValueError. f is cached, so
+    the solve does not pay again for the bracket's ends.
     """
     if not (abs_tol >= 0 and math.isfinite(target)):
         raise ValueError(f"need abs_tol >= 0 and a finite target, got {abs_tol}, {target}")
     f = functools.lru_cache(maxsize=None)(f)
+    if abs(f(u) - target) <= abs_tol:
+        return u
     step = math.log(2.0) if f(u) < target else -math.log(2.0)
     for _ in range(_SOLVE_MAX_ITER):
         if (f(u + step) < target) != (step > 0):

@@ -7,8 +7,8 @@ M = max(W, delta) and m = min(W, delta), which the arithmetic-geometric
 mean gives to machine precision in a handful of steps. The best
 1-periodic state has the closed form W1 = 1 + 4/(pi mu). Breaking the
 periodicity gains energy, exponentially little in mu; the optimum is one
-root of its Euler-Lagrange equations, and the gain is summed from terms of
-its own size, not as a difference of two energies of order 1.
+Euler-Lagrange root, found by Newton's method, and the gain is summed from
+terms of its own size, not as a difference of two energies of order 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .finite_chain import DimerState
 from .kernels import _EPS, _elliptic_ke, elliptic_side
-from .numerics import solve_from_estimate
+from .numerics import ConvergenceError
 
 __all__ = [
     "GapResult",
@@ -33,6 +33,7 @@ __all__ = [
 # the stiffnesses dimer_optimum_zero accepts, the span of the tests' mpmath
 # checks (the gap is 3.4e-138 at the top; W1^2 overflows below 1e-154)
 _MU_MIN, _MU_MAX = 1e-8, 200.0
+_NEWTON_MAX_ITER = 8  # the gap root takes at most 5 evaluations on that span
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,13 @@ def _e_minus_one(q: float, E: float) -> float:
     sum_n a_n [ln(4/q) - d_n] q^(2n), whose terms are all positive."""
     if q >= 0.2:
         return E - 1.0
-    lead, total, a, d = math.log(4.0 / q), 0.0, 0.5, 0.5
-    for n in range(1, 14):  # the next term is below 1e-19 of the sum
-        total += a * (lead - d) * q ** (2 * n)
+    lead, total, a, d, n, term = math.log(4.0 / q), 0.0, 0.5, 0.5, 1, math.inf
+    while term > _EPS * total:  # to the sum's rounding; the rest add < 5 % of a term
+        term = a * (lead - d) * q ** (2 * n)
+        total += term
         a *= (4 * n * n - 1) / (4 * n * (n + 1))
         d += 1.0 / ((2 * n - 1) * 2 * n) + 1.0 / ((2 * n + 1) * (2 * n + 2))
+        n += 1
     return total
 
 
@@ -90,36 +93,36 @@ def dimer_optimum_zero(mu: float) -> GapResult:
 
     With q = delta/W, and K and E of the modulus sqrt(1 - q^2), the
     Euler-Lagrange equations are mu (W - 1) = (4/pi)(E - q^2 K)/(1 - q^2)
-    and mu W = (4/pi)(K - E)/(1 - q^2). Their difference depends on q alone
-    and rises from 0 at q = 1 to infinity as q -> 0; it is solved in ln v,
-    v = ln(1/q), from the law delta ~ 4 W1 e^(-2 - pi mu/4). The gain,
-    ~ (16/pi) e^-4 W1 e^(-pi mu/2), is summed from terms of its own size.
+    and mu W = (4/pi)(K - E)/(1 - q^2). Their difference D depends on q
+    alone and rises from 0 at q = 1 to infinity as q -> 0. Newton's method
+    on ln D in ln v, v = ln(1/q), from the law delta ~ 4 W1 e^(-2 - pi mu/4),
+    solves it in at most 5 means; the last one's K and E give W, delta and
+    the gain, ~ (16/pi) e^-4 W1 e^(-pi mu/2), summed from terms of its size.
     """
-    if not _MU_MIN <= mu <= _MU_MAX:  # a NaN would never bracket the root
+    if not _MU_MIN <= mu <= _MU_MAX:  # a NaN would never meet the stopping rule
         raise ValueError(
             f"dimer_optimum_zero is validated for {_MU_MIN:g} <= mu <= {_MU_MAX:g}, got {mu}")
     W1, f0_per = periodic_optimum_zero(mu)
-
-    def difference(u):  # (4/pi)[(1 + q^2) K - 2E]/(1 - q^2) at v = e^u
-        # both differences vanish as q -> 1 (mu -> 0): the numerator is 2 K S
-        v = math.exp(u)
-        K, _, tail = _elliptic_ke(math.exp(-2.0 * v))
-        return 8.0 / math.pi * K * tail / -math.expm1(-2.0 * v)
-
-    v0 = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
-    # it grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
-    v = math.exp(solve_from_estimate(difference, mu, math.log(v0),
-                                     4.0 * _EPS * max(1.0, mu)))
-    q, a = math.exp(-v), math.exp(-2.0 * v)
-    K, E, tail = _elliptic_ke(a)
+    v = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
+    for _ in range(_NEWTON_MAX_ITER):
+        a = math.exp(-2.0 * v)
+        K, E, tail = _elliptic_ke(a)
+        b, N = -math.expm1(-2.0 * v), 2.0 * K * tail  # 1 - q^2; N = 2 K S, no cancellation
+        D = 4.0 / math.pi * N / b
+        # D grows like (4/pi) v, so 4 ulps of mu leave v at its rounding
+        if abs(D - mu) <= 4.0 * _EPS * max(1.0, mu):
+            break
+        # d ln D / d ln v = v [(E - q^2 K) - 2 q^2 N/(1 - q^2)]/N, by A&S 17.3
+        v *= math.exp(math.log(mu / D) * N / (v * (E - a * K - 2.0 * a * N / b)))
+    else:
+        raise ConvergenceError(f"no gap root in {_NEWTON_MAX_ITER} Newton steps", best=v)
+    q = math.exp(-v)
     e1 = _e_minus_one(q, E)
     # W - W1 from the first equation, (pi mu/4)(W - W1) = (E - q^2 K)/(1 - q^2)
     # - 1, summed without cancellation: from E - 1 and q^2 (K - 1) as q -> 0,
     # as (K/2 - 1) - K S/(1 - q^2) as q -> 1; then f0_per - f0 likewise
-    if q < 0.5:
-        dW = 4.0 / (math.pi * mu) * (e1 - a * (K - 1.0)) / (1.0 - a)
-    else:
-        dW = 4.0 / (math.pi * mu) * (0.5 * K - 1.0 - K * tail / -math.expm1(-2.0 * v))
+    dW = 4.0 / (math.pi * mu) * ((e1 - a * (K - 1.0)) / (1.0 - a) if q < 0.5
+                                 else 0.5 * K - 1.0 - 0.5 * N / b)
     W = W1 + dW
     delta = q * W
     gap = (0.5 * mu * (-dW * (W1 + W - 2.0) - delta * delta)

@@ -333,13 +333,13 @@ class TestSolveIncreasing:
 
     @pytest.mark.parametrize("target, u, root, walked", [
         (math.log(2.0), 0.0, math.log(2.0), 2),  # on the upper end
-        (0.0, 0.0, 0.0, 2),                      # on the estimate, walked down
+        (0.0, 0.0, 0.0, 1),                      # on the estimate, no walk
         (0.0, math.log(2.0), 0.0, 3),            # one step of walk first
-        (1e-13, 0.0, 0.0, 2),                    # within abs_tol of the lower end
+        (1e-13, 0.0, 0.0, 1),                    # within abs_tol of the estimate
     ])
     def test_root_on_bracket_end(self, target, u, root, walked):
-        # a root on an end of the walked bracket is returned as that end,
-        # from the walk's evaluations alone
+        # a root on the estimate, or on an end of the walked bracket, is
+        # returned as that point, from the walk's evaluations alone
         f, calls = self._recording(lambda t: t)
         assert solve_from_estimate(f, target, u, TOL) == root
         assert len(calls) == walked

@@ -471,6 +471,17 @@ class TestMinimizeDimerThermo:
             minimize_dimer_thermo(ModelParams(mu=1e-9, theta=0.1))
         assert minimize_dimer_thermo(ModelParams(mu=200.0, theta=0.1))[0].delta == 0.0
 
+    @pytest.mark.parametrize("r", [1.0, 1.005, 1.01])
+    def test_top_of_domain_near_theta_c(self, r):
+        # the 1-periodic root's estimate, ln W*, already solves it here; a
+        # walk's first ln 2 probe would double x = W/theta (~2.7e68) past
+        # the mode mean's node cap
+        theta = r * theta_critical_thermo(200.0).theta_c
+        state, value = minimize_dimer_thermo(ModelParams(mu=200.0, theta=theta))
+        assert state.delta == 0.0
+        assert state.W == pytest.approx(1 + 4 / (math.pi * 200), rel=1e-12)
+        assert value == pytest.approx(-4 / math.pi - 8 / (math.pi ** 2 * 200), rel=1e-12)
+
 
 class TestBifurcationData:
     def test_moment_signs_and_cauchy_schwarz(self):

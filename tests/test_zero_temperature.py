@@ -9,6 +9,7 @@ import scipy.optimize
 import scipy.special
 
 import peierls.numerics
+import peierls.zero_temperature as zero_temperature
 from peierls.finite_chain import DimerState, ModelParams
 from peierls.kernels import elliptic_side
 from peierls.thermodynamic import g_thermo
@@ -194,20 +195,23 @@ class TestGapRateFit:
 
 
 class TestDimerOptimumExact:
+    # relative bounds, each about 4x the largest error measured against the
+    # references: gap 4.2e-14 (mu = 200), delta 7.6e-15 (mu = 20), f0
+    # 2.2e-16, and 2.0e-15 below the tested range (the gap at mu = 1e-4)
     @pytest.mark.parametrize("mu", sorted(GAP_REFERENCES))
     def test_matches_mpmath(self, mu):
         gap, delta, f0 = GAP_REFERENCES[mu]
         r = dimer_optimum_zero(mu)
-        assert r.gap == pytest.approx(gap, rel=1e-12, abs=0)
-        assert r.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
+        assert r.gap == pytest.approx(gap, rel=1.7e-13, abs=0)
+        assert r.delta_opt == pytest.approx(delta, rel=3e-14, abs=0)
         assert r.f0 == pytest.approx(f0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("mu", sorted(SMALL_MU_REFERENCES))
     def test_small_mu_without_cancellation(self, mu):
         _, delta, gap = SMALL_MU_REFERENCES[mu]
         r = dimer_optimum_zero(mu)
-        assert r.delta_opt == pytest.approx(delta, rel=1e-12, abs=0)
-        assert r.gap == pytest.approx(gap, rel=1e-12, abs=0)
+        assert r.delta_opt == pytest.approx(delta, rel=8e-15, abs=0)
+        assert r.gap == pytest.approx(gap, rel=8e-15, abs=0)
 
     @pytest.mark.parametrize("mu", sorted(LAW_DEVIATIONS))
     def test_prefactor_law(self, mu):
@@ -230,6 +234,33 @@ class TestDimerOptimumExact:
             r = dimer_optimum_zero(float(mu))
             assert 0 < r.gap and 0 < r.delta_opt < r.W1
         assert (time.perf_counter() - t0) / mus.size < 1e-3
+
+    def test_newton_evaluations(self, monkeypatch):
+        # each Newton iterate costs one arithmetic-geometric mean, and its
+        # K, E and S are reused for the result: at most 5 over the domain
+        calls = []
+        elliptic_ke = zero_temperature._elliptic_ke
+        monkeypatch.setattr(zero_temperature, "_elliptic_ke",
+                            lambda a: calls.append(a) or elliptic_ke(a))
+        most = 0
+        for mu in np.geomspace(1e-8, 200.0, 10001):
+            calls.clear()
+            assert dimer_optimum_zero(float(mu)).gap > 0
+            most = max(most, len(calls))
+        assert most <= 5
+
+    def test_newton_budget_raises_with_best(self, monkeypatch):
+        # one step takes v = ln(W/delta) from 2.6e-3 off the root of
+        # D(v) = mu to 1.4e-7 off; D from scipy's ellipk and ellipe here
+        def difference(v):
+            m = -math.expm1(-2 * v)
+            return 4 / math.pi * ((2 - m) * scipy.special.ellipk(m)
+                                  - 2 * scipy.special.ellipe(m)) / m
+        root = scipy.optimize.brentq(lambda v: difference(v) - 4.0, 1.0, 5.0, xtol=1e-15)
+        monkeypatch.setattr(zero_temperature, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(peierls.numerics.ConvergenceError, match="1 Newton steps") as err:
+            dimer_optimum_zero(4.0)
+        assert abs(err.value.best - root) <= 1e-6
 
     def test_domain(self):
         assert dimer_optimum_zero(200.0).gap > 0
