@@ -201,13 +201,22 @@ def _dimer_band(W: float, delta: float, theta: float):
     return lambda sin_t, cos_t: h_theta(w2 * sin_t ** 2 + d2 * cos_t ** 2, theta)
 
 
-def _ring_mean(L: int):
-    """The band mean mean(f, eta) of a ring of L atoms: np.mean's sum / N of
-    f(sin t, cos t) over its L/2 mode nodes t, per row of a stack, without
-    the strip eta its L -> infinity limit, thermodynamic._band_mean, needs."""
-    nodes = _mode_nodes(L // 2)
-    sin_t, cos_t = np.sin(nodes), np.cos(nodes)
-    return lambda f, eta: (f(sin_t, cos_t).sum(axis=-1) / nodes.size).tolist()
+def _ring_nodes(L: int):
+    """(sin t, cos t, a, b) on a ring's L/2 mode nodes t, built once per solve:
+    sin t and cos t for the band mean, and J's a = |sin t| and b = cos 2t / a
+    less the band centre t = 0 (L = 0 mod 4), where tanh(x a) b tends to x."""
+    t = _mode_nodes(L // 2)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    a = np.abs(sin_t[t != 0.0])
+    return sin_t, cos_t, a, np.cos(2.0 * t[t != 0.0]) / a
+
+
+def _ring_mean(nodes):
+    """The band mean mean(f, eta) on a ring's :func:`_ring_nodes`: np.mean's
+    sum / N of f(sin t, cos t) per row of a stack, without the strip eta its
+    L -> infinity limit, thermodynamic._band_mean, needs."""
+    sin_t, cos_t = nodes[:2]
+    return lambda f, eta: (f(sin_t, cos_t).sum(axis=-1) / sin_t.size).tolist()
 
 
 def _band_energy(W: float, delta: float, mu: float, theta: float, mean) -> float:
@@ -228,7 +237,8 @@ def g_finite(s: DimerState, p: ModelParams) -> float:
     """Energy per atom of a 2-periodic ring via the explicit mode sum."""
     if p.theta <= 0:
         raise ValueError("g_finite needs theta > 0")
-    return _band_energy(s.W, s.delta, p.mu, p.theta, _ring_mean(_check_even_length(p.L)))
+    return _band_energy(s.W, s.delta, p.mu, p.theta,
+                        _ring_mean(_ring_nodes(_check_even_length(p.L))))
 
 
 def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
@@ -270,13 +280,14 @@ def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
 def minimize_dimer_finite(p: ModelParams):
     """Minimize the ring's per-atom energy over W, delta >= 0: (DimerState, value).
 
-    Its phase comes from theta_critical_finite(mu, L), so mu >= 1e-8, and a
-    2-mod-4 ring past 2 mu_critical(L) is 1-periodic at every theta.
+    Its phase comes from theta_critical_finite(mu, L), so mu >= 1e-8, but below
+    theta_c it raises ConvergenceError for mu < 1e-7; a 2-mod-4 ring past
+    2 mu_critical(L) is 1-periodic at every theta.
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_finite needs theta > 0")
     L = _check_even_length(p.L)
-    return _minimize_dimer(p, _ring_mean(L), theta_critical_finite(p.mu, L))
+    return _minimize_dimer(p, _ring_mean(_ring_nodes(L)), theta_critical_finite(p.mu, L))
 
 
 def _ring_derivatives(t: np.ndarray, mu: float, theta: float):
@@ -330,42 +341,34 @@ def minimize_chain_full(p: ModelParams, n_starts: int = 6) -> HoppingConfig:
     return HoppingConfig(min(runs, key=lambda r: r[1])[0])
 
 
-def _node_terms(L: int):
-    # a = |sin t| and b = cos 2t / a on the L/2 mode nodes t, less the band
-    # centre t = 0 (a node for L = 0 mod 4), where tanh(x a) b tends to x
-    t = _mode_nodes(L // 2)
-    t = t[t != 0.0]
-    a = np.abs(np.sin(t))
-    return a, np.cos(2.0 * t) / a
-
-
 def J_finite(x: float, L: int) -> float:
     """Strictly increasing function whose root locates theta_c.
 
-    With a and b of :func:`_node_terms`, it is (x + sum tanh(x a) b)/(L/4)
+    With a and b of :func:`_ring_nodes`, it is (x + sum tanh(x a) b)/(L/4)
     for L = 0 mod 4 and sum tanh(x a) b/(L/2) for L = 2 mod 4: means of
-    tanh(x a)/a cos 2t, a form whose rounding keeps J monotone.
+    tanh(x a)/a cos 2t, a form whose rounding keeps J monotone, summed by
+    numpy's pairwise add.reduce (a solve builds the nodes once for all calls).
     The root is taken at mu for L = 0 mod 4 and at mu/2 for L = 2 mod 4
     (see theta_critical_finite for the normalization). For L = 4n the mode
     grid hits the band center and contributes the linear x/n term; for
     L = 4n + 2 the function saturates at mu_critical(L). x must be finite.
     """
     L = _check_even_length(L)
-    return _ring_J(x, L, *_node_terms(L))
+    return _ring_J(x, L, *_ring_nodes(L)[2:])
 
 
 def _ring_J(x: float, L: int, a, b) -> float:
-    """J_finite(x, L), given the ring's _node_terms a and b."""
+    """J_finite(x, L), given the ring's _ring_nodes a and b."""
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    total = float(np.sum(np.tanh(x * a) * b))
+    total = float((np.tanh(x * a) * b).sum())  # np.sum's add.reduce, without its wrapper
     return (x + total) / (L // 4) if L % 4 == 0 else total / (L // 2)
 
 
 def mu_critical(L: int) -> float:
     """Closed-form saturation value of J_finite for rings with L = 2 mod 4.
 
-    J_finite's limit sum b / (L/2) (:func:`_node_terms`), or
+    J_finite's limit sum b / (L/2) (:func:`_ring_nodes`), or
     -(1/(2n+1)) sum_k cos(2k pi/(2n+1)) / |cos(k pi/(2n+1))|, positive and
     growing like (2/pi) ln L. The dimerized phase of such rings survives up
     to stiffness 2 * mu_critical(L) (the factor comes from the pairing of
@@ -378,7 +381,7 @@ def mu_critical(L: int) -> float:
         raise ValueError(
             f"mu_critical needs L = 2 mod 4 (got {L}); rings with L = 0 mod 4 "
             "dimerize at every stiffness")
-    return float(np.sum(_node_terms(L)[1])) / (L // 2)
+    return float(_ring_nodes(L)[3].sum()) / (L // 2)
 
 
 def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
@@ -389,17 +392,18 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     J_finite halves that parity), so the dimerized branch of a 2-mod-4
     ring dies at mu = 2 * mu_critical(L) and the root solve targets mu/2
     there; brute-force minimization confirms both statements. theta_c
-    follows by _critical_point with the ring's band mean, as in g_finite.
+    follows by _critical_point with the ring's band mean, as in g_finite;
+    the threshold, every J call and that mean read one :func:`_ring_nodes`.
     """
     if not 0 < mu < math.inf:  # before the 2-mod-4 threshold, which inf passes
         raise ValueError(f"stiffness must be positive and finite, got {mu}")
     L = _check_even_length(L)
-    a, b = _node_terms(L)  # once per solve, for the threshold and every J call
+    _, _, a, b = nodes = _ring_nodes(L)
     target = mu
     if L % 4 == 2:
-        if mu >= 2.0 * (float(np.sum(b)) / (L // 2)):  # 2 * mu_critical(L)
+        if mu >= 2.0 * (float(b.sum()) / (L // 2)):  # 2 * mu_critical(L)
             return None
         target = 0.5 * mu
     # x ~ e^(pi mu/4) until J turns linear, J ~ 4x/L, and then x ~ 1 + L mu/4
-    return _critical_point(mu, lambda x: _ring_J(x, L, a, b), target, _ring_mean(L),
+    return _critical_point(mu, lambda x: _ring_J(x, L, a, b), target, _ring_mean(nodes),
                            min(0.25 * math.pi * mu, math.log1p(0.25 * L * mu)))

@@ -74,7 +74,8 @@ def g_thermo(s: DimerState, p: ModelParams) -> float:
 def minimize_dimer_thermo(p: ModelParams):
     """Minimize g_thermo over W, delta >= 0: (DimerState, value), 1e-8 <= mu <= 200.
 
-    The phase comes from theta_critical_thermo(mu), whose domain it shares.
+    The phase comes from theta_critical_thermo(mu), whose domain it shares,
+    but below theta_c it raises ConvergenceError for mu < 1e-7.
     """
     if p.theta <= 0 or p.L is not None:
         raise ValueError("minimize_dimer_thermo needs theta > 0 and no L "

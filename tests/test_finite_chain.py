@@ -258,6 +258,16 @@ class TestDimerMinimization:
             minus = chain_free_energy(DimerState(state.W, state.delta, -1).hoppings(L), p)
             assert plus == pytest.approx(minus, abs=1e-12)
 
+    @pytest.mark.parametrize("L", [None, 8])
+    def test_smallest_stiffness_raises_below_theta_c(self, L):
+        # at mu = 1e-8, the bottom of the stated domain, W and delta are
+        # ~1/mu but the fan starts at delta <= 0.5: the simplex runs out of
+        # its budget on both rings, a clean error and not a wrong value.
+        # From mu = 1e-7 the search returns (ROADMAP item 2 mends this)
+        minimize, _, crit = _ring_and_mean(1e-8, L)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            minimize(ModelParams(mu=1e-8, theta=0.5 * crit.theta_c, L=L))
+
 
 class TestDimerReductionHessian:
     """The dimer minimum checked on the full ring by its exact derivatives.
@@ -338,7 +348,8 @@ def _ring_and_mean(mu, L):
     if L is None:
         return (thermodynamic.minimize_dimer_thermo, thermodynamic._band_mean,
                 thermodynamic.theta_critical_thermo(mu))
-    return minimize_dimer_finite, finite_chain._ring_mean(L), theta_critical_finite(mu, L)
+    return (minimize_dimer_finite, finite_chain._ring_mean(finite_chain._ring_nodes(L)),
+            theta_critical_finite(mu, L))
 
 
 # theta/theta_c above the transition at mu in {0.5, 2, 4, 8}, on both rings, and an L = 6
@@ -521,7 +532,7 @@ class TestJFinite:
         # sink below one ulp past x ~ 35; strictness is asserted where a
         # double can still see it
         xs = np.arange(0.0, 50.0001, 0.1)
-        for L in (4, 6, 8, 10, 12, 20):
+        for L in (4, 6, 8, 10, 12, 20, 64, 126, 128, 1022, 1024):
             vals = np.array([J_finite(float(x), L) for x in xs])
             diffs = np.diff(vals)
             assert np.all(diffs >= 0)
@@ -625,32 +636,25 @@ class TestThetaCriticalFinite:
         theta_critical_finite(2.0, 1024)
         assert 0 < len(calls) <= 12
 
-    def test_node_terms_once_per_solve(self, monkeypatch):
-        # the threshold of L = 2 mod 4 and every J call share one build
-        import peierls.finite_chain as finite_chain
-        calls = []
-        node_terms = finite_chain._node_terms
-        monkeypatch.setattr(finite_chain, "_node_terms",
-                            lambda L: calls.append(L) or node_terms(L))
-        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
-            calls.clear()
-            theta_critical_finite(mu, L)
-            assert calls == [L]
+    def test_nodes_built_once_per_solve(self, monkeypatch):
+        # the threshold of L = 2 mod 4, every J call and the band mean share
+        # one build of the mode nodes, and both Euler-Lagrange means come
+        # from one stacked band mean (None past the threshold: no mean)
+        builds, means = [], []
+        mode_nodes, ring_mean = finite_chain._mode_nodes, finite_chain._ring_mean
 
-    def test_one_band_mean_per_solve(self, monkeypatch):
-        # both Euler-Lagrange means come from one stacked band mean
-        import peierls.finite_chain as finite_chain
-        calls = []
-        ring_mean = finite_chain._ring_mean
-
-        def counting(L):
-            mean = ring_mean(L)
-            return lambda f, eta: calls.append(eta) or mean(f, eta)
+        def counting(nodes):
+            mean = ring_mean(nodes)
+            return lambda f, eta: means.append(eta) or mean(f, eta)
+        monkeypatch.setattr(finite_chain, "_mode_nodes",
+                            lambda n: builds.append(n) or mode_nodes(n))
         monkeypatch.setattr(finite_chain, "_ring_mean", counting)
-        for L in (8, 10):
-            calls.clear()
-            theta_critical_finite(0.5, L)
-            assert len(calls) == 1
+        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
+            builds.clear()
+            means.clear()
+            cp = theta_critical_finite(mu, L)
+            assert builds == [L // 2]
+            assert len(means) == (cp is not None)
 
     def test_domain(self):
         # NaN and inf stiffnesses made the bracket walk loop forever, and
