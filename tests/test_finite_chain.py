@@ -636,24 +636,31 @@ class TestThetaCriticalFinite:
         theta_critical_finite(2.0, 1024)
         assert 0 < len(calls) <= 12
 
-    def test_nodes_built_once_per_solve(self, monkeypatch):
+    def test_node_terms_once_per_solve(self, monkeypatch):
         # the threshold of L = 2 mod 4, every J call and the band mean share
-        # one build of the mode nodes, and both Euler-Lagrange means come
-        # from one stacked band mean (None past the threshold: no mean)
-        builds, means = [], []
-        mode_nodes, ring_mean = finite_chain._mode_nodes, finite_chain._ring_mean
+        # one build of the mode nodes
+        builds = []
+        mode_nodes = finite_chain._mode_nodes
+        monkeypatch.setattr(finite_chain, "_mode_nodes",
+                            lambda n: builds.append(n) or mode_nodes(n))
+        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
+            builds.clear()
+            theta_critical_finite(mu, L)
+            assert builds == [L // 2]
+
+    def test_one_band_mean_per_solve(self, monkeypatch):
+        # both Euler-Lagrange means come from one stacked band mean (None
+        # past the threshold of L = 2 mod 4: no mean)
+        means = []
+        ring_mean = finite_chain._ring_mean
 
         def counting(nodes):
             mean = ring_mean(nodes)
             return lambda f, eta: means.append(eta) or mean(f, eta)
-        monkeypatch.setattr(finite_chain, "_mode_nodes",
-                            lambda n: builds.append(n) or mode_nodes(n))
         monkeypatch.setattr(finite_chain, "_ring_mean", counting)
         for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
-            builds.clear()
             means.clear()
             cp = theta_critical_finite(mu, L)
-            assert builds == [L // 2]
             assert len(means) == (cp is not None)
 
     def test_domain(self):
