@@ -43,9 +43,11 @@ DELTA_ZERO = 1e-8
 T_BOX = (0.05, 3.0)
 # Newton steps per start of minimize_chain_full (~55 at theta_c, where F is quartic)
 _NEWTON_STEPS = 100
-# smallest validated stiffness of a critical point: J ~ x^3/6 is summed from
-# terms of size x, so x is off by ~eps/x^2, 2.3e-11 here (4.6e-6 at 1e-16)
-_MU_MIN = 1e-8
+# the validated stiffnesses: every critical point from _MU_MIN, as J ~ x^3/6 is
+# summed from terms of size x, so x is off by ~eps/x^2 (2.3e-11 at 1e-8, 4.6e-6
+# at 1e-16); the infinite ring's routines up to _MU_MAX, the largest of the
+# tests' 30-digit mpmath references (theta_c = 3.7e-69, x = 2.7e68, gap 3.4e-138)
+_MU_MIN, _MU_MAX = 1e-8, 200.0
 
 
 def _check_even_length(L) -> int:

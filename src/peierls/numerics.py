@@ -11,7 +11,7 @@ spectra need no primitive here: the model calls numpy's eigvalsh on
 matrices it builds symmetric. Everything here is a pure function of its
 inputs and safe to call from many workers at once; the mode mean's mapped
 nodes, as sin t, cos t and dt/du, are cached read-only per (p, N) level,
-at most 6 MB. The mode mean and the root solve take the one accuracy their
+at most 12 MB. The mode mean and the root solve take the one accuracy their
 callers vary, abs_tol; the rest is a module constant.
 """
 
@@ -55,10 +55,11 @@ def _start_nodes(eta: float) -> int:
 
 # the mode mean's relative target: two estimates agree at abs_tol + this |est|
 _MEAN_REL_TOL = 1e-12
-# the mode mean's cap on N. J_thermo at x = 2.7e68 (theta_c's at mu = 200), the
-# 1-periodic dimer root near that theta_c and bifurcation_data's moments up to
-# mu = 160 start at N0 = 4096: the cap leaves room for one doubling
-_MEAN_MAX_NODES = 8192
+# the mode mean's cap on N: the least power of two at which every mean on the
+# stiffness domain (finite_chain._MU_MIN, _MU_MAX) converges. The largest need
+# is bifurcation_data's at mu = 200: its h'' moments start at N0 = 4096, as
+# J_thermo does at theta_c's x = 2.7e68, but their double poles take two doublings
+_MEAN_MAX_NODES = 16384
 
 
 def _strip_width(eta: float, p: int) -> float:
@@ -103,7 +104,7 @@ def _map_nodes(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return t, p * r_pm1 / (big * big * (1.0 + r_p * r_p))
 
 
-# mapped levels kept; an entry is at most 192 KB (the start at N0 = 4096)
+# mapped levels kept; an entry is at most 384 KB (the start at N0 = 8192)
 _MAPPED_CACHE = 32
 
 
@@ -135,7 +136,7 @@ def mode_mean(f: Callable[[np.ndarray, np.ndarray], np.ndarray], eta: float,
     the midpoints. The start level and its first doubling are one call of f
     on the N0 nodes then their midpoints, each later doubling one call on
     its midpoints; every level's sin t, cos t and dt/du are cached read-only
-    per (p, N), _MAPPED_CACHE levels and at most 6 MB, so a warm mean does
+    per (p, N), _MAPPED_CACHE levels and at most 12 MB, so a warm mean does
     no trig. The finer estimate is returned once two agree to
     ``abs_tol + _MEAN_REL_TOL * |est|``.
     f may also return a (k, N) stack of integrands that share a strip and a

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .finite_chain import (CriticalPoint, DimerState, ModelParams,
+from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams,
                            _band_energy, _critical_point, _minimize_dimer)
 from .kernels import _h_prime, _h_second, _tanh_eta
 from .numerics import mode_mean
@@ -50,15 +50,8 @@ __all__ = [
 # absolute accuracy of the integrals in this module (the mode mean adds a
 # relative 1e-12, numerics._MEAN_REL_TOL); the h'' moments scale it by x^-3
 _ABS_TOL = 1e-12
-# largest stiffness theta_critical_thermo accepts: the largest of the tests'
-# 30-digit mpmath references (x = W/theta_c ~ 3e68)
-_MU_MAX = 200.0
 # from this x0 on, theta_critical_thermo takes the weak-coupling closed form
 _X_WEAK = 1e4
-# largest stiffness bifurcation_data accepts: its h'' moments converge within
-# numerics._MEAN_MAX_NODES up to mu = 165.89 (scanned in steps of 1e-3), and
-# past it fail at some mu and not others
-_BIF_MU_MAX = 160.0
 # the infinite ring's band mean(f, eta): the L -> infinity limit of
 # finite_chain._ring_mean, the mode mean at this module's accuracy
 _band_mean = partial(mode_mean, abs_tol=_ABS_TOL)
@@ -185,19 +178,17 @@ class BifurcationData:
 
 
 def bifurcation_data(mu: float) -> BifurcationData:
-    """Second-order data of the transition at theta_c(mu).
+    """Second-order data of the transition at theta_c(mu), 1e-8 <= mu <= 200.
 
     delta_prime = -(2 W* mu / theta_c^2) [(B - A) + mu theta_c^3 / (2 W*^3)]
     / det_J, where the bracket is -A by the identity
     B = -mu theta_c^3 / (2 W*^3), and is computed as -A; so delta_prime < 0
     rests on A < 0 and det_J > 0 alone, whatever the order of A and B.
     det J <= 0 or delta_prime >= 0 would contradict the structure of the
-    problem and raise as an internal-consistency failure. mu is validated
-    up to 160.
+    problem and raise as an internal-consistency failure. The domain is
+    theta_critical_thermo's, whose check rejects any other mu; at mu = 200
+    the moments converge at numerics._MEAN_MAX_NODES.
     """
-    if mu > _BIF_MU_MAX:
-        raise ValueError(
-            f"bifurcation_data is validated up to mu = {_BIF_MU_MAX:g}, got {mu}")
     cp = theta_critical_thermo(mu)
     ratio = cp.W_star / cp.theta_c
 

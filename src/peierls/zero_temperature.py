@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_chain import DimerState
+from .finite_chain import _MU_MAX, _MU_MIN, DimerState
 from .kernels import _EPS, _elliptic_ke, elliptic_side
 from .numerics import ConvergenceError
 
@@ -30,10 +30,7 @@ __all__ = [
     "gap_rate_fit",
 ]
 
-# the stiffnesses dimer_optimum_zero accepts, the span of the tests' mpmath
-# checks (the gap is 3.4e-138 at the top; W1^2 overflows below 1e-154)
-_MU_MIN, _MU_MAX = 1e-8, 200.0
-_NEWTON_MAX_ITER = 8  # the gap root takes at most 5 evaluations on that span
+_NEWTON_MAX_ITER = 8  # the gap root takes at most 5 evaluations from _MU_MIN to _MU_MAX
 
 
 @dataclass(frozen=True)

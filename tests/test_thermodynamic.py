@@ -294,20 +294,20 @@ class TestThetaCritical:
         with pytest.raises(ValueError, match="validated up to mu = 200"):
             theta_critical_thermo(200.5)
 
-    def test_node_cap_fits_the_largest_stiffness(self):
-        # J_thermo, the mode-mean check of the closed form, still meets the
-        # node cap: at x = theta_c(_MU_MAX).x the mapped nodes start at
-        # N0 = 4096 and the cap leaves room for one doubling; at
-        # x = 1.6 e^(pi 210/4), past _MU_MAX, they start at 8192 and it does not
-        x = theta_critical_thermo(thermodynamic._MU_MAX).x
+    def test_node_cap_fits_the_largest_stiffness(self, monkeypatch):
+        # the cap is the least power of two that serves the domain: the h''
+        # moments of bifurcation_data(_MU_MAX) start at N0 = 4096 and converge
+        # at the cap, two doublings on, and raise with the cap halved; J_thermo,
+        # the mode-mean check of the closed form, starts there at 4096 too
+        mu_max = thermodynamic._MU_MAX
+        x = theta_critical_thermo(mu_max).x
         _, n0 = numerics._node_map(thermodynamic._tanh_eta(x))
-        assert n0 == 4096 and 2 * n0 <= numerics._MEAN_MAX_NODES
-        assert J_thermo(x) == pytest.approx(thermodynamic._MU_MAX, rel=1e-15, abs=0)
-        x = 1.6 * math.exp(math.pi * 210 / 4)
-        _, n0 = numerics._node_map(thermodynamic._tanh_eta(x))
-        assert n0 == 8192 and 2 * n0 > numerics._MEAN_MAX_NODES
+        assert n0 == 4096
+        assert J_thermo(x) == pytest.approx(mu_max, rel=1e-15, abs=0)
+        assert bifurcation_data(mu_max).coeff > 0
+        monkeypatch.setattr(numerics, "_MEAN_MAX_NODES", numerics._MEAN_MAX_NODES // 2)
         with pytest.raises(numerics.ConvergenceError):
-            J_thermo(x)
+            bifurcation_data(mu_max)
 
 
 class TestWeakCoupling:
@@ -360,10 +360,11 @@ class TestWeakCoupling:
 
     def test_bifurcation_to_theta_c_ratio(self):
         # coeff^2 / theta_c -> 2 pi^2 / (7 zeta(3)), BCS's slope of the gap;
-        # measured 3.8e-13 at mu = 20, then 5.6e-16, 2.2e-16 and 6.7e-16 at
-        # 30, 50 and 100; bounds 2e-12 and 1e-14
+        # measured 3.8e-13 at mu = 20, then 5.6e-16, 2.2e-16, 6.7e-16, 1.6e-15
+        # and 3.1e-15 at 30, 50, 100, 160 and 200; bounds 2e-12 and 1e-14
         want = 2.0 * math.pi ** 2 / (7.0 * scipy.special.zeta(3))
-        for mu, bound in ((20.0, 2e-12), (30.0, 1e-14), (50.0, 1e-14), (100.0, 1e-14)):
+        for mu, bound in ((20.0, 2e-12), (30.0, 1e-14), (50.0, 1e-14), (100.0, 1e-14),
+                          (160.0, 1e-14), (200.0, 1e-14)):
             got = bifurcation_data(mu).coeff ** 2 / theta_critical_thermo(mu).theta_c
             assert got == pytest.approx(want, rel=bound, abs=0)
 
@@ -533,12 +534,38 @@ class TestBifurcationData:
             assert all(type(getattr(b, f.name)) is float for f in dataclasses.fields(b))
 
     def test_domain(self):
-        # the h'' moments converge up to mu = 165.89 and past it fail at some
-        # mu (a ConvergenceError at 165.9, 170 and 200) and not at others
-        assert bifurcation_data(thermodynamic._BIF_MU_MAX).coeff > 0
-        for mu in (165.9, 170.0, 200.0):
-            with pytest.raises(ValueError, match="validated up to mu = 160"):
-                bifurcation_data(mu)
+        # theta_critical_thermo's domain: the h'' moments converge at every
+        # point of its top, and its check rejects mu outside it. linspace ends
+        # at 200 exactly, where arange's last point is 200 + 9e-12
+        for mu in np.linspace(160.0, 200.0, 801):
+            assert bifurcation_data(float(mu)).coeff > 0
+        with pytest.raises(ValueError, match="theta_critical_thermo is validated up to mu = 200"):
+            bifurcation_data(200.5)
+        with pytest.raises(ValueError, match="validated for finite mu >= 1e-08"):
+            bifurcation_data(0.99e-8)
+
+    def test_strong_coupling_expansions(self):
+        # as x = W*/theta_c -> 0, h''(y) = -1/3 + 4y/15 - (17/105) y^2 + ..., so
+        # A = -1/4 + x^2/6, B = -1/12 + x^2/30 and C_int = -1/4 + x^2/30 up to
+        # O(x^4) (x = 3.9e-3 at mu = 1e-8, 1.8e-2 at 1e-6); the remainders
+        # measured -0.0885, -0.0126 and -0.0076 times x^4 at both mu (the
+        # -(17/105) y^2 term's -17/192, -17/1344 and -17/2240); bounds 0.35,
+        # 0.05 and 0.03 times x^4
+        for mu in (1e-8, 1e-6):
+            cp, b = theta_critical_thermo(mu), bifurcation_data(mu)
+            x2 = (cp.W_star / cp.theta_c) ** 2
+            assert abs(b.A - (-1 / 4 + x2 / 6)) <= 0.35 * x2 * x2
+            assert abs(b.B - (-1 / 12 + x2 / 30)) <= 0.05 * x2 * x2
+            assert abs(b.C_int - (-1 / 4 + x2 / 30)) <= 0.03 * x2 * x2
+
+    def test_b_identity_at_the_ends_of_the_domain(self):
+        # B = -mu theta_c^3 / (2 W*^3), relative: measured 8.0e-11 at mu = 1e-8,
+        # where x carries its 2.3e-11 error, and 2.2e-16 at 200; bounds 3e-10
+        # and 1e-15
+        for mu, bound in ((1e-8, 3e-10), (200.0, 1e-15)):
+            cp = theta_critical_thermo(mu)
+            want = -mu * cp.theta_c ** 3 / (2.0 * cp.W_star ** 3)
+            assert bifurcation_data(mu).B == pytest.approx(want, rel=bound, abs=0)
 
     def test_reference_values_mu2(self):
         b = bifurcation_data(2.0)
