@@ -132,26 +132,18 @@ def _tanh_moments(x: float, sin_t, cos_t):
     return np.stack((xhp * sin_t ** 2, xhp * cos_t ** 2))
 
 
-def _critical_point(mu: float, J, target: float, mean, u: float) -> CriticalPoint:
-    """Solve a ring's critical system, given its J and its band mean.
-
-    J(x) = target is solved in u = ln x, where J is nearly linear, from the
-    caller's estimate u of the root (by numerics.solve_from_estimate). Then
-    one call of the ring's band mean ``mean(f, eta)`` (:func:`_ring_mean`)
-    of :func:`_tanh_moments` gives both Euler-Lagrange means: theta follows
-    from mu (W - 1) = 2 m_s, and mu W = 2 m_c is asserted to 1e-8.
-    """
+def _check_critical_mu(mu: float) -> None:
     if not _MU_MIN <= mu < math.inf:  # NaN and inf never bracket the root
         raise ValueError(
             f"critical temperatures are validated for finite mu >= {_MU_MIN:g}, got {mu}")
-    # dJ/du tends to J at small x and to 4/pi at large x, so stopping at
-    # |J - target| <= 1e-12 min(1, target) leaves u = ln x within ~1e-12
-    x = math.exp(solve_from_estimate(lambda v: J(math.exp(v)), target, u,
-                                     1e-12 * min(1.0, target)))
-    sin2, cos2 = mean(partial(_tanh_moments, x), _tanh_eta(x))
-    theta = (mu + 2.0 * sin2) / (mu * x)
+
+
+def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoint:
+    """A ring's critical point from its root x of J and the means m_s, m_c of
+    :func:`_tanh_moments` there: mu (W - 1) = 2 m_s, mu W = 2 m_c to 1e-8."""
+    theta = (mu + 2.0 * m_s) / (mu * x)
     W = x * theta
-    residual = mu * W - 2.0 * cos2
+    residual = mu * W - 2.0 * m_c
     if abs(residual) > 1e-8:
         raise RuntimeError(
             f"critical-point equations inconsistent (residual {residual:.3e}); "
@@ -204,9 +196,9 @@ def _dimer_band(W: float, delta: float, theta: float):
 
 
 def _ring_nodes(L: int):
-    """(sin t, cos t, a, b) on a ring's L/2 mode nodes t, built once per solve:
-    sin t and cos t for the band mean, and J's a = |sin t| and b = cos 2t / a
-    less the band centre t = 0 (L = 0 mod 4), where tanh(x a) b tends to x."""
+    """(sin t, cos t, a, b) on a ring's L/2 mode nodes t, built once per call:
+    sin t and cos t for the band mean and m_c, and J's a = |sin t| and b =
+    cos 2t / a less the band centre t = 0 (L = 0 mod 4), where tanh(x a) b -> x."""
     t = _mode_nodes(L // 2)
     sin_t, cos_t = np.sin(t), np.cos(t)
     a = np.abs(sin_t[t != 0.0])
@@ -349,21 +341,17 @@ def J_finite(x: float, L: int) -> float:
     With a and b of :func:`_ring_nodes`, it is (x + sum tanh(x a) b)/(L/4)
     for L = 0 mod 4 and sum tanh(x a) b/(L/2) for L = 2 mod 4: means of
     tanh(x a)/a cos 2t, a form whose rounding keeps J monotone, summed by
-    numpy's pairwise add.reduce (a solve builds the nodes once for all calls).
+    numpy's pairwise add.reduce (theta_critical_finite sums it so too).
     The root is taken at mu for L = 0 mod 4 and at mu/2 for L = 2 mod 4
     (see theta_critical_finite for the normalization). For L = 4n the mode
     grid hits the band center and contributes the linear x/n term; for
     L = 4n + 2 the function saturates at mu_critical(L). x must be finite.
     """
     L = _check_even_length(L)
-    return _ring_J(x, L, *_ring_nodes(L)[2:])
-
-
-def _ring_J(x: float, L: int, a, b) -> float:
-    """J_finite(x, L), given the ring's _ring_nodes a and b."""
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    total = float((np.tanh(x * a) * b).sum())  # np.sum's add.reduce, without its wrapper
+    _, _, a, b = _ring_nodes(L)
+    total = float(np.add.reduce(np.tanh(x * a) * b))  # np.sum's pairwise add.reduce
     return (x + total) / (L // 4) if L % 4 == 0 else total / (L // 2)
 
 
@@ -393,19 +381,41 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     but 2 * J_finite for L = 2 mod 4 (the closed-form normalization of
     J_finite halves that parity), so the dimerized branch of a 2-mod-4
     ring dies at mu = 2 * mu_critical(L) and the root solve targets mu/2
-    there; brute-force minimization confirms both statements. theta_c
-    follows by _critical_point with the ring's band mean, as in g_finite;
-    the threshold, every J call and that mean read one :func:`_ring_nodes`.
+    there; brute-force minimization confirms both statements. Newton's
+    method in u = ln x starts from x = (6 mu)^(1/3) below 1 (J ~ x^3/6),
+    else from the least of the weak-coupling x0 e^(-pi^2/(16 x0^2)) (x0 =
+    e^(pi mu/4)/C) and the linear 1 + L mu/4. An iterate is one tanh(x a)
+    pass over the :func:`_ring_nodes`: J as J_finite sums it, its slope and,
+    at the last, the two means of _critical_point. Steps of at most ln 2
+    bisect where they leave the residuals' bracket; a Newton step <= 3e-8
+    ends the solve (x is quadratically converged), as does machine resolution.
     """
-    if not 0 < mu < math.inf:  # before the 2-mod-4 threshold, which inf passes
-        raise ValueError(f"stiffness must be positive and finite, got {mu}")
+    _check_critical_mu(mu)  # before the 2-mod-4 threshold, which inf passes
     L = _check_even_length(L)
-    _, _, a, b = nodes = _ring_nodes(L)
-    target = mu
-    if L % 4 == 2:
-        if mu >= 2.0 * (float(b.sum()) / (L // 2)):  # 2 * mu_critical(L)
-            return None
-        target = 0.5 * mu
-    # x ~ e^(pi mu/4) until J turns linear, J ~ 4x/L, and then x ~ 1 + L mu/4
-    return _critical_point(mu, lambda x: _ring_J(x, L, a, b), target, _ring_mean(nodes),
-                           min(0.25 * math.pi * mu, math.log1p(0.25 * L * mu)))
+    sin_t, cos_t, a, b = _ring_nodes(L)
+    center = L % 4 == 0  # the band centre node t = 0, where tanh(x a)/a tends to x
+    n = L // 4 if center else L // 2
+    if not center and mu >= 2.0 * (float(b.sum()) / n):  # 2 * mu_critical(L)
+        return None
+    target = mu if center else 0.5 * mu
+    x0 = math.exp(0.25 * math.pi * mu + 2.0 - np.euler_gamma) * (0.125 * math.pi)  # e^(pi mu/4)/C
+    u = (math.log(6.0 * mu) / 3.0 if 6.0 * mu < 1.0 else
+         min(math.log(x0) - math.pi ** 2 / (16.0 * x0 * x0), math.log1p(0.25 * L * mu)))
+    ab, lo, hi, newton = a * b, -math.inf, math.inf, False
+    for _ in range(numerics._SOLVE_MAX_ITER):
+        x = math.exp(u)
+        th = np.tanh(x * a)
+        r = (center * x + float(np.add.reduce(th * b))) / n - target  # as J_finite sums it
+        if (newton and abs(step) <= 3e-8) or hi - lo <= 4.0 * math.ulp(max(abs(u), 1.0)):
+            break
+        lo, hi = (u, hi) if r < 0.0 else (lo, u)
+        slope = x * (center + float(ab @ (1.0 - th * th))) / n
+        d = -r / slope if slope > 0.0 else math.copysign(math.inf, -r)
+        if u + d == u:  # x is the root to rounding
+            break
+        step = d if lo < u + d < hi else 0.5 * (lo + hi) - u
+        newton, u = step == d, u + math.copysign(min(abs(step), math.log(2.0)), step)
+    else:
+        raise ConvergenceError(f"Newton's method for theta_c did not converge (x = {x!r})", best=x)
+    m_c = float(th @ (cos_t[sin_t != 0.0] ** 2 / a)) + center * x
+    return _critical_point(mu, x, float(th @ a) / (L // 2), m_c / (L // 2))

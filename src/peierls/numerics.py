@@ -175,7 +175,7 @@ def mode_mean(f: Callable[[np.ndarray, np.ndarray], np.ndarray], eta: float,
         f"(estimate {best!r} at N = {n})", best=best)
 
 
-_SOLVE_MAX_ITER = 100  # the root solve's ln 2 steps to a bracket, then its secant steps
+_SOLVE_MAX_ITER = 100  # a root solve's walk and secant steps each, or its Newton iterates
 
 
 def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:

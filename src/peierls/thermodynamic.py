@@ -12,10 +12,10 @@ layer at the band center, as that widens the strip.
 
 The integrands are functions of sin t and cos t, t = s - pi/2, as
 |cos s| = |sin t| keeps its full relative precision at the band center.
-The band energy, the dimer search (given theta_c too) and the critical
-point are the finite ring's routines, given this ring's band mean
-(``_band_mean``); the last inverts the strictly increasing J(x) in ln x
-from x ~ e^(pi mu/4). From x = 1e4 (mu >= 11.1055) theta_c comes in
+The band energy and the dimer search (given theta_c too) are the finite
+ring's routines, given this ring's band mean (``_band_mean``). theta_c
+inverts the strictly increasing J(x) in ln x from x ~ e^(pi mu/4) and
+shares the finite ring's last step. From x = 1e4 (mu >= 11.1055) it comes in
 closed form instead: there the gap equation is BCS's, and the large-x expansions
 J(x) = (4/pi)(ln x + c2 - 1) + pi/(4x^2) and of the sin^2 mean,
 (2/pi)(1 - pi^2/(24x^2)), are exact to rounding (their remainders are
@@ -32,9 +32,10 @@ from functools import partial
 import numpy as np
 
 from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams,
-                           _band_energy, _critical_point, _minimize_dimer)
+                           _band_energy, _check_critical_mu, _critical_point,
+                           _minimize_dimer, _tanh_moments)
 from .kernels import _h_prime, _h_second, _tanh_eta
-from .numerics import mode_mean
+from .numerics import mode_mean, solve_from_estimate
 
 __all__ = [
     "BifurcationData",
@@ -99,9 +100,9 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
 
     Below the seam x0 = e^(pi mu/4) / C = 1e4, that is mu < 11.1055,
     x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
-    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200), and theta_c
-    follows by finite_chain._critical_point with the band mean _band_mean:
-    [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
+    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200); one _band_mean
+    gives both Euler-Lagrange means, and finite_chain._critical_point gives
+    theta_c = [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
     From the seam on, the large-x expansions of the module docstring give
     x = x0 e^(-pi^2/(16 x0^2)), W* = 1 + (4/(pi mu))(1 - pi^2/(24 x^2)) and
     theta_c = W*/x, with no mode mean. Their O(x^-4) remainders are below
@@ -116,8 +117,11 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
     u = 0.25 * math.pi * mu
     # C apart from the exponent: u + 1 - c2 would round a number ~u twice more
     x0 = math.exp(u) / asymptotic_constants().C_prefactor
-    if not x0 >= _X_WEAK:  # NaN and mu < 1e-8 reach _critical_point's check here
-        return _critical_point(mu, J_thermo, mu, _band_mean, u)
+    if not x0 >= _X_WEAK:  # NaN and mu < 1e-8 reach the domain check here
+        _check_critical_mu(mu)
+        J = lambda v: J_thermo(math.exp(v))  # dJ/du ~ J at small x, 4/pi at large x,
+        x = math.exp(solve_from_estimate(J, mu, u, 1e-12 * min(1.0, mu)))  # so u is ~1e-12 off
+        return _critical_point(mu, x, *_band_mean(partial(_tanh_moments, x), _tanh_eta(x)))
     x = x0 * math.exp(-math.pi ** 2 / (16.0 * x0 * x0))
     W = 1.0 + 4.0 / (math.pi * mu) * (1.0 - math.pi ** 2 / (24.0 * x * x))
     return CriticalPoint(x=x, W_star=W, theta_c=W / x)
@@ -200,9 +204,10 @@ def bifurcation_data(mu: float) -> BifurcationData:
         hpp = _h_second(ratio * ratio * sn2)
         return np.stack((hpp * sn2 ** 2, hpp * sn2 * cs2, hpp * cs2 ** 2))
 
-    # the moments scale like x^-3, so they converge relative to that size
+    # the moments scale like x^-3 at large x, so they converge relative to
+    # that size; below x = 1 they tend to constants, and _ABS_TOL serves
     A, B, C_int = (2.0 * m for m in mode_mean(moments, _tanh_eta(ratio),
-                                               _ABS_TOL / ratio ** 3))
+                                               _ABS_TOL / max(1.0, ratio) ** 3))
 
     W, th = cp.W_star, cp.theta_c
     det_J = -mu / (W * W * th) * C_int + 2.0 * W / th ** 4 * (A * C_int - B * B)

@@ -626,15 +626,60 @@ class TestThetaCriticalFinite:
         assert theta_critical_finite(1.38, 10) is not None
         assert theta_critical_finite(1.39, 10) is None
 
-    def test_j_call_budget(self, monkeypatch):
-        # the solve calls J_finite's body, _ring_J, on terms built once
-        import peierls.finite_chain as finite_chain
-        calls = []
-        J = finite_chain._ring_J
-        monkeypatch.setattr(finite_chain, "_ring_J",
-                            lambda x, L, a, b: calls.append(x) or J(x, L, a, b))
-        theta_critical_finite(2.0, 1024)
-        assert 0 < len(calls) <= 12
+    def test_tanh_pass_budget(self, monkeypatch):
+        # each Newton iterate is one tanh(x a) pass over the ring's nodes,
+        # which gives J, its slope and, at the last iterate, both
+        # Euler-Lagrange means: no band mean and no root solver is called.
+        # On the benchmark's grid, mu 0.75..1.5 over its 14 lengths,
+        # measured 3.98 passes a solve on average and at most 5 (the secant
+        # made 6.9 J calls on average)
+        passes = []
+        tanh = np.tanh
+        monkeypatch.setattr(np, "tanh", lambda v: passes.append(1) or tanh(v))
+
+        def banned(*args):
+            raise AssertionError("band mean or root solver called")
+        monkeypatch.setattr(finite_chain, "_ring_mean", banned)
+        monkeypatch.setattr(finite_chain, "solve_from_estimate", banned)
+        counts = []
+        for mu in (0.75, 1.0, 1.25, 1.5):
+            for L in (6, 8, 14, 16, 30, 32, 64, 126, 128, 256, 510, 512, 1022, 1024):
+                passes.clear()
+                if theta_critical_finite(mu, L) is not None:
+                    counts.append(len(passes))
+        assert len(counts) == 52
+        assert np.mean(counts) <= 4.5 and max(counts) <= 6
+
+    def test_returns_on_the_whole_domain(self, monkeypatch):
+        # 25 log-spaced mu over the domain [1e-8, 200] on short, long and
+        # both parities of ring: a critical point exactly where the ring
+        # dimerizes, in at most 7 passes measured (bound 10), 4.07 on average
+        passes = []
+        tanh = np.tanh
+        monkeypatch.setattr(np, "tanh", lambda v: passes.append(1) or tanh(v))
+        for mu in np.logspace(-8, math.log10(200.0), 25):
+            for L in (4, 6, 8, 10, 12, 14, 30, 64, 222, 254, 510, 1022, 1024):
+                passes.clear()
+                cp = theta_critical_finite(float(mu), L)
+                assert (cp is None) == (L % 4 == 2 and mu >= 2 * mu_critical(L))
+                assert len(passes) <= 10
+
+    # theta_c from 40-digit mpmath: the root of J_finite = mu (mu/2 for
+    # L = 2 mod 4) as a node sum, then theta_c = (mu + 2 m_s)/(mu x)
+    THETA_C_MPMATH = {(2.0, 8): 0.320591933975441952,
+                      (1.5416940691187107, 14): 0.30162021926495423907,
+                      (0.75, 16): 0.97184280646043019657,
+                      (1.25, 32): 0.47566832563393143795,
+                      (1.5, 126): 0.35517578461572404329}
+
+    @pytest.mark.parametrize("mu, L", sorted(THETA_C_MPMATH))
+    def test_theta_c_against_mpmath(self, mu, L):
+        # Newton stops after a step of at most 3e-8 in ln x, so x is
+        # quadratically converged: measured at most 2.2e-16 relative (the
+        # secant's |J - mu| <= 1e-12 left 3.0e-13, 1.3e-12, 3.4e-13 and
+        # 1.8e-13 at all but L = 32)
+        ref = self.THETA_C_MPMATH[(mu, L)]
+        assert theta_critical_finite(mu, L).theta_c == pytest.approx(ref, rel=2e-15, abs=0)
 
     def test_node_terms_once_per_solve(self, monkeypatch):
         # the threshold of L = 2 mod 4, every J call and the band mean share
@@ -648,21 +693,6 @@ class TestThetaCriticalFinite:
             theta_critical_finite(mu, L)
             assert builds == [L // 2]
 
-    def test_one_band_mean_per_solve(self, monkeypatch):
-        # both Euler-Lagrange means come from one stacked band mean (None
-        # past the threshold of L = 2 mod 4: no mean)
-        means = []
-        ring_mean = finite_chain._ring_mean
-
-        def counting(nodes):
-            mean = ring_mean(nodes)
-            return lambda f, eta: means.append(eta) or mean(f, eta)
-        monkeypatch.setattr(finite_chain, "_ring_mean", counting)
-        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
-            means.clear()
-            cp = theta_critical_finite(mu, L)
-            assert len(means) == (cp is not None)
-
     def test_domain(self):
         # NaN and inf stiffnesses made the bracket walk loop forever, and
         # an infinite one passed the L = 2 mod 4 threshold as "no transition"
@@ -674,8 +704,8 @@ class TestThetaCriticalFinite:
     def test_smallest_stiffness_against_mpmath(self):
         # x at mu = 1e-8, the bottom of the domain, from 50-digit mpmath
         # roots of J (the quadrature for L = inf, the node sum for a ring).
-        # J ~ x^3/6 is summed from terms of size x; measured 1.9e-11 (inf),
-        # 4.7e-12 (L = 8) and 9.9e-12 (L = 10), bound 5e-11
+        # J ~ x^3/6 is summed from terms of size x; measured 2.7e-11 (inf),
+        # 6.4e-12 (L = 8) and 2.0e-11 (L = 10), bound 5e-11
         refs = {None: 0.003914875641187729447, 8: 0.003914875641184627693,
                 10: 0.003914875641187729451}
         for L, x in refs.items():

@@ -589,9 +589,11 @@ README_GRIDS = {
         "5,1.25464790895,-1.43535343856,-1.43539890084,4.54622759178e-05,0.0133899871307,ok\n"
         "6,1.21220659079,-1.40833445626,-1.40834358283,9.12656943644e-06,0.00589585336166,ok\n"
     ),
+    # theta_c of (2, 8) is 0.32059193397544195 in 40-digit mpmath, so .12g
+    # prints 0.320591933975 (the secant's 0.3205919339755366 rounded up)
     "finite-thetac --mu 2 --L 8,16,64": (
         "mu,L,theta_c,W_star,x,status\n"
-        "2,8,0.320591933976,1.60293055621,4.99990918777,ok\n"
+        "2,8,0.320591933975,1.60293055621,4.99990918777,ok\n"
         "2,16,0.23676944705,1.62740623749,6.8733793898,ok\n"
         "2,64,0.210442357749,1.63220011432,7.75604365864,ok\n"
     ),

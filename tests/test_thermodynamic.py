@@ -510,6 +510,20 @@ class TestBifurcationData:
                                                       epsabs=1e-13, limit=300)[0]
             assert got == pytest.approx(want, abs=1e-9)
 
+    def test_moment_tolerance_never_exceeds_abs_tol(self, monkeypatch):
+        # the h'' moments scale like x^-3 only at large x; below x = 1
+        # (mu < ~0.2) they tend to constants, and _ABS_TOL / x^3 grew to
+        # 1.7e-5 at mu = 1e-8
+        tols = []
+        mode_mean = thermodynamic.mode_mean
+        monkeypatch.setattr(thermodynamic, "mode_mean",
+                            lambda f, eta, abs_tol: tols.append(abs_tol) or
+                            mode_mean(f, eta, abs_tol))
+        for mu in np.geomspace(1e-8, 200.0, 25):
+            tols.clear()
+            bifurcation_data(float(mu))
+            assert tols and max(tols) <= thermodynamic._ABS_TOL
+
     def test_coeff_against_mpmath(self):
         # at mu = 12 the moments are ~1e-13: they must converge relative to
         # their size, and delta_prime's bracket must not be summed as B - A + ...
