@@ -626,21 +626,15 @@ class TestThetaCriticalFinite:
         assert theta_critical_finite(1.38, 10) is not None
         assert theta_critical_finite(1.39, 10) is None
 
-    def test_tanh_pass_budget(self, monkeypatch):
-        # each Newton iterate is one tanh(x a) pass over the ring's nodes,
-        # which gives J, its slope and, at the last iterate, both
-        # Euler-Lagrange means: no band mean and no root solver is called.
-        # On the benchmark's grid, mu 0.75..1.5 over its 14 lengths,
-        # measured 3.98 passes a solve on average and at most 5 (the secant
-        # made 6.9 J calls on average)
+    def test_j_call_budget(self, monkeypatch):
+        # J is evaluated once per Newton iterate, as one tanh(x a) pass over
+        # the ring's nodes that also gives its slope, so J calls are counted
+        # as tanh passes. On the benchmark's grid, mu 0.75..1.5 over its 14
+        # lengths, measured 3.98 passes a solve on average and at most 5
+        # (the secant made 6.9 J calls on average)
         passes = []
         tanh = np.tanh
         monkeypatch.setattr(np, "tanh", lambda v: passes.append(1) or tanh(v))
-
-        def banned(*args):
-            raise AssertionError("band mean or root solver called")
-        monkeypatch.setattr(finite_chain, "_ring_mean", banned)
-        monkeypatch.setattr(finite_chain, "solve_from_estimate", banned)
         counts = []
         for mu in (0.75, 1.0, 1.25, 1.5):
             for L in (6, 8, 14, 16, 30, 32, 64, 126, 128, 256, 510, 512, 1022, 1024):
@@ -649,6 +643,24 @@ class TestThetaCriticalFinite:
                     counts.append(len(passes))
         assert len(counts) == 52
         assert np.mean(counts) <= 4.5 and max(counts) <= 6
+
+    def test_one_band_mean_per_solve(self, monkeypatch):
+        # both Euler-Lagrange means come from the last iterate's tanh pass
+        # and reach _critical_point once (none past the threshold of
+        # L = 2 mod 4); no separate band mean and no root solver is called
+        def banned(*args):
+            raise AssertionError("band mean or root solver called")
+        monkeypatch.setattr(finite_chain, "_ring_mean", banned)
+        monkeypatch.setattr(finite_chain, "solve_from_estimate", banned)
+        means = []
+        critical_point = finite_chain._critical_point
+        monkeypatch.setattr(finite_chain, "_critical_point",
+                            lambda mu, x, m_s, m_c: means.append((m_s, m_c))
+                            or critical_point(mu, x, m_s, m_c))
+        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
+            means.clear()
+            cp = theta_critical_finite(mu, L)
+            assert len(means) == (cp is not None)
 
     def test_returns_on_the_whole_domain(self, monkeypatch):
         # 25 log-spaced mu over the domain [1e-8, 200] on short, long and
