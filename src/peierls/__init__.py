@@ -12,7 +12,7 @@ from .finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                            minimize_chain_full, minimize_dimer_finite,
                            mu_critical, theta_critical_finite)
 from .kernels import electron_free_energy, elliptic_side, entropy, h_theta
-from .numerics import ConvergenceError, mode_mean, solve_from_estimate
+from .numerics import ConvergenceError, mode_mean
 from .sweep import SWEEP_KINDS, ResultRow, SweepSpec, emit_csv, run_sweep
 from .thermodynamic import (AsymptoticConstants, BifurcationData, J_thermo,
                             asymptotic_constants, bifurcation_data, g_thermo,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "mode_mean", "solve_from_estimate",
+    "mode_mean",
     "entropy", "h_theta", "electron_free_energy", "elliptic_side",
     "ModelParams", "HoppingConfig", "DimerState", "CriticalPoint",
     "build_hopping_matrix", "chain_free_energy", "chain_energy_zero",

@@ -17,9 +17,8 @@ from functools import partial
 import numpy as np
 
 from . import numerics
-from .kernels import _h_prime, _tanh_eta, h_theta
-from .numerics import (ConvergenceError, _mode_nodes, _newton_box, lattice_points,
-                       solve_from_estimate)
+from .kernels import _h_prime, _sech2, _tanh_eta, h_theta
+from .numerics import ConvergenceError, _mode_nodes, _newton_box, _newton_log, lattice_points
 
 __all__ = [
     "ModelParams",
@@ -126,10 +125,10 @@ class CriticalPoint:
             raise ValueError("inconsistent critical point: W_star != x * theta_c")
 
 
-def _tanh_moments(x: float, sin_t, cos_t):
-    # x h'(x^2 sin^2 t) = tanh(x |sin t|)/|sin t| times sin^2 t and cos^2 t: means m_s, m_c
-    xhp = x * _h_prime((x * sin_t) ** 2)
-    return np.stack((xhp * sin_t ** 2, xhp * cos_t ** 2))
+def _periodic_rows(x: float, sin_t, cos_t):
+    # x h'(x^2 sin^2 t) = tanh(x |sin t|)/|sin t| and its x-derivative
+    # sech^2(x |sin t|), times sin^2 t: the means m_s and dm_s/dx
+    return np.stack((x * _h_prime((x * sin_t) ** 2), _sech2(x * sin_t))) * sin_t ** 2
 
 
 def _check_critical_mu(mu: float) -> None:
@@ -138,9 +137,21 @@ def _check_critical_mu(mu: float) -> None:
             f"critical temperatures are validated for finite mu >= {_MU_MIN:g}, got {mu}")
 
 
+def _start_log_x(mu: float, L: float) -> float:
+    """ln x where a ring's theta_c solve starts (L = inf: the infinite ring):
+    ln (6 mu)^(1/3) below x = 1 (J ~ x^3/6), else the least of the weak-coupling
+    x0 e^(-pi^2/(16 x0^2)), x0 = e^(pi mu/4)/C, and 1 + L mu/4. From mu ~ 891 the
+    latter is the least for every L < 1e300, so x0's exponent is capped there."""
+    if 6.0 * mu < 1.0:
+        return math.log(6.0 * mu) / 3.0
+    x0 = math.exp(min(0.25 * math.pi * mu, 700.0) + 2.0 - np.euler_gamma) * (0.125 * math.pi)
+    return min(math.log(x0) - math.pi ** 2 / (16.0 * x0 * x0), math.log1p(0.25 * L * mu))
+
+
 def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoint:
     """A ring's critical point from its root x of J and the means m_s, m_c of
-    :func:`_tanh_moments` there: mu (W - 1) = 2 m_s, mu W = 2 m_c to 1e-8."""
+    x h'(x^2 sin^2 t) times sin^2 t and cos^2 t there: mu (W - 1) = 2 m_s and
+    mu W = 2 m_c to 1e-8 absolute, which mu W's rounding breaks from mu ~ 1e8."""
     theta = (mu + 2.0 * m_s) / (mu * x)
     W = x * theta
     residual = mu * W - 2.0 * m_c
@@ -240,21 +251,21 @@ def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
     given the ring's band mean and critical point (None: never dimerized).
 
     Dimerized iff theta < theta_c, as the paper proves. Else W solves
-    mu (W - 1) = 2 m_s (:func:`_tanh_moments`) in u = ln W from ln W* (or
-    ln W1 = ln(1 + 4/(pi mu))), one band mean per step. Below theta_c, the
-    first lowest numerics.minimize_box minimum of a fan of 4 starts is
-    restarted (a simplex of relative size 1e-6) at most 3 times while it
-    gains 1e-15, as the energy is quartically flat in delta near theta_c.
-    Errors propagate; a delta below DELTA_ZERO is unresolved and raises.
+    mu (W - 1) = 2 m_s by numerics._newton_log in ln W from ln W* (or ln W1 =
+    ln(1 + 4/(pi mu))), a band mean of :func:`_periodic_rows` a step. Below
+    theta_c, the first lowest numerics.minimize_box minimum of a fan of 4
+    starts is restarted (a simplex of relative size 1e-6) at most 3 times
+    while it gains 1e-15, as the energy is quartically flat in delta near
+    theta_c. Errors propagate; a delta below DELTA_ZERO is unresolved and raises.
     """
     w_guess = 1.0 + 4.0 / (math.pi * p.mu)
     if crit is None or p.theta >= crit.theta_c:
-        def residual(u):  # mu (W - 1) - 2 m_s at W = e^u; 1e-12 leaves W within ~1e-12
-            x = math.exp(u) / p.theta
-            m_s = mean(partial(_tanh_moments, x), _tanh_eta(x))[0]
-            return p.mu * (math.exp(u) - 1.0) - 2.0 * m_s
-        u = math.log(crit.W_star if crit else w_guess)
-        W = math.exp(solve_from_estimate(residual, 0.0, u, 1e-12))
+        def step(u):  # mu (W - 1) - 2 m_s at W = e^u and its slope in u
+            W = math.exp(u)
+            x = W / p.theta
+            m_s, dm_s = mean(partial(_periodic_rows, x), _tanh_eta(x))
+            return p.mu * (W - 1.0) - 2.0 * m_s, p.mu * W - 2.0 * x * dm_s, W
+        W = _newton_log(step, math.log(crit.W_star if crit else w_guess))[1]
         return DimerState(W=W, delta=0.0), _band_energy(W, 0.0, p.mu, p.theta, mean)
     f = lambda z: _band_energy(z[0], z[1], p.mu, p.theta, mean)
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]  # delta falls
@@ -382,13 +393,11 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     J_finite halves that parity), so the dimerized branch of a 2-mod-4
     ring dies at mu = 2 * mu_critical(L) and the root solve targets mu/2
     there; brute-force minimization confirms both statements. Newton's
-    method in u = ln x starts from x = (6 mu)^(1/3) below 1 (J ~ x^3/6),
-    else from the least of the weak-coupling x0 e^(-pi^2/(16 x0^2)) (x0 =
-    e^(pi mu/4)/C) and the linear 1 + L mu/4. An iterate is one tanh(x a)
-    pass over the :func:`_ring_nodes`: J as J_finite sums it, its slope and,
-    at the last, the two means of _critical_point. Steps of at most ln 2
-    bisect where they leave the residuals' bracket; a Newton step <= 3e-8
-    ends the solve (x is quadratically converged), as does machine resolution.
+    method in u = ln x (numerics._newton_log) starts from
+    :func:`_start_log_x`; an iterate is one tanh(x a) pass over the
+    :func:`_ring_nodes`, which gives J as J_finite sums it, its slope and,
+    at the last, the two means of _critical_point. From mu ~ 1e8 its absolute
+    check of mu W fails to the rounding of mu W and raises RuntimeError.
     """
     _check_critical_mu(mu)  # before the 2-mod-4 threshold, which inf passes
     L = _check_even_length(L)
@@ -397,25 +406,13 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     n = L // 4 if center else L // 2
     if not center and mu >= 2.0 * (float(b.sum()) / n):  # 2 * mu_critical(L)
         return None
-    target = mu if center else 0.5 * mu
-    x0 = math.exp(0.25 * math.pi * mu + 2.0 - np.euler_gamma) * (0.125 * math.pi)  # e^(pi mu/4)/C
-    u = (math.log(6.0 * mu) / 3.0 if 6.0 * mu < 1.0 else
-         min(math.log(x0) - math.pi ** 2 / (16.0 * x0 * x0), math.log1p(0.25 * L * mu)))
-    ab, lo, hi, newton = a * b, -math.inf, math.inf, False
-    for _ in range(numerics._SOLVE_MAX_ITER):
+    target, ab = (mu if center else 0.5 * mu), a * b
+
+    def step(u):  # J - target at x = e^u, its slope in u, and x with the tanh pass
         x = math.exp(u)
         th = np.tanh(x * a)
         r = (center * x + float(np.add.reduce(th * b))) / n - target  # as J_finite sums it
-        if (newton and abs(step) <= 3e-8) or hi - lo <= 4.0 * math.ulp(max(abs(u), 1.0)):
-            break
-        lo, hi = (u, hi) if r < 0.0 else (lo, u)
-        slope = x * (center + float(ab @ (1.0 - th * th))) / n
-        d = -r / slope if slope > 0.0 else math.copysign(math.inf, -r)
-        if u + d == u:  # x is the root to rounding
-            break
-        step = d if lo < u + d < hi else 0.5 * (lo + hi) - u
-        newton, u = step == d, u + math.copysign(min(abs(step), math.log(2.0)), step)
-    else:
-        raise ConvergenceError(f"Newton's method for theta_c did not converge (x = {x!r})", best=x)
+        return r, x * (center + float(ab @ (1.0 - th * th))) / n, (x, th)
+    x, th = _newton_log(step, _start_log_x(mu, L))[1]
     m_c = float(th @ (cos_t[sin_t != 0.0] ** 2 / a)) + center * x
     return _critical_point(mu, x, float(th @ a) / (L // 2), m_c / (L // 2))

@@ -80,6 +80,12 @@ def _h_second(y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sech2(z: np.ndarray) -> np.ndarray:
+    # sech^2 z as 4e/(1 + e)^2, e = e^(-2|z|): 1 - tanh^2 z cancels where tanh z ~ 1
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / ((1.0 + e) * (1.0 + e))
+
+
 def _tanh_eta(x: float) -> float:
     # tanh(x cos s) and h''(x^2 cos^2 s) have their singularities nearest
     # the real axis at s = pi/2 +- i asinh(pi / (2x))

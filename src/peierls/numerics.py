@@ -3,16 +3,16 @@
 One quadrature rule, the mode mean: a vectorized trapezoid rule for smooth
 periodic integrands f(sin t, cos t), whose error falls geometrically with
 the node count, on nodes mapped towards a sharp layer wherever that widens
-the integrand's strip of analyticity. Then one monotone root solver, which
-walks from an estimate to a bracket and finishes by safeguarded secant, and
+the integrand's strip of analyticity. Then one root solver for increasing
+residuals, bracketed Newton's method in a log variable, and
 minimization (a projected derivative-free simplex on the orthant x >= 0,
 and damped Newton descent on a box where the Hessian is known). Ring
 spectra need no primitive here: the model calls numpy's eigvalsh on
 matrices it builds symmetric. Everything here is a pure function of its
 inputs and safe to call from many workers at once; the mode mean's mapped
 nodes, as sin t, cos t and dt/du, are cached read-only per (p, N) level,
-at most 12 MB. The mode mean and the root solve take the one accuracy their
-callers vary, abs_tol; the rest is a module constant.
+at most 12 MB. The mode mean takes the one accuracy its callers vary,
+abs_tol; the rest is a module constant.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "mode_mean",
-    "solve_from_estimate",
 ]
 
 
@@ -175,62 +174,30 @@ def mode_mean(f: Callable[[np.ndarray, np.ndarray], np.ndarray], eta: float,
         f"(estimate {best!r} at N = {n})", best=best)
 
 
-_SOLVE_MAX_ITER = 100  # a root solve's walk and secant steps each, or its Newton iterates
+_SOLVE_MAX_ITER = 100  # a root solve's Newton iterates
 
 
-def solve_from_estimate(f, target: float, u: float, abs_tol: float) -> float:
-    """Solve f(u) = target for f increasing, from an estimate u of the root.
+def _newton_log(step, u: float):
+    """(u, out) at the root of an increasing residual in a log variable u.
 
-    For a log variable u: the bracket [u, u +- ln 2] moves by ln 2 until it
-    straddles the target. Inside it, the secant through the last two
-    iterates wherever it lands strictly inside the bracket, else bisection.
-    No margin keeps the secant off the ends: once it converges, it lands
-    next to the end it last moved. Stops when |f(x) - target| <= abs_tol,
-    at the estimate and at an end of the bracket too, or at machine
-    resolution. The walk and the secant have _SOLVE_MAX_ITER steps each,
-    then raise :class:`ConvergenceError`, as on a NaN f or a target f
-    never reaches; a non-finite target is a ValueError. f is cached, so
-    the solve does not pay again for the bracket's ends.
+    step(u) gives the residual, its slope in u and out. Newton steps, capped
+    at ln 2, bisect the bracket of the residuals' signs where they leave it.
+    The iterate after a Newton step <= 3e-8 (u is quadratically converged),
+    a step below u's rounding or a bracket at machine resolution ends the
+    solve; ConvergenceError(best=u) after _SOLVE_MAX_ITER, as on a NaN.
     """
-    if not (abs_tol >= 0 and math.isfinite(target)):
-        raise ValueError(f"need abs_tol >= 0 and a finite target, got {abs_tol}, {target}")
-    f = functools.lru_cache(maxsize=None)(f)
-    if abs(f(u) - target) <= abs_tol:
-        return u
-    step = math.log(2.0) if f(u) < target else -math.log(2.0)
+    lo, hi, newton = -math.inf, math.inf, False
     for _ in range(_SOLVE_MAX_ITER):
-        if (f(u + step) < target) != (step > 0):
-            break
-        u += step
-    else:
-        raise ConvergenceError(f"no bracket within {_SOLVE_MAX_ITER} steps of ln 2", best=u)
-    # the walk leaves f(lo) < target <= f(hi)
-    lo, hi = sorted((u, u + step))
-    flo, fhi = f(lo) - target, f(hi) - target
-    if abs(flo) <= abs_tol or abs(fhi) <= abs_tol:
-        return lo if abs(flo) <= abs_tol else hi
-    x, fx, x_prev, fx_prev = hi, fhi, lo, flo
-    for _ in range(_SOLVE_MAX_ITER):
-        # secant proposal, safeguarded to land strictly inside the bracket
-        trial = 0.5 * (lo + hi)
-        if fx != fx_prev:
-            s = x - fx * (x - x_prev) / (fx - fx_prev)
-            if lo < s < hi:
-                trial = s
-        ft = f(trial) - target
-        x_prev, fx_prev = x, fx
-        x, fx = trial, ft
-        if ft <= 0:
-            lo = trial
-        else:
-            hi = trial
-        if abs(ft) <= abs_tol:
-            return trial
-        if (hi - lo) <= 4 * np.finfo(float).eps * max(abs(lo), abs(hi), 1.0):
-            return 0.5 * (lo + hi)  # machine-resolution bracket
-    raise ConvergenceError(
-        f"root solve did not converge in {_SOLVE_MAX_ITER} iterations "
-        f"(x={x!r}, residual={fx:.3e})", best=x)
+        r, slope, out = step(u)
+        if (newton and abs(s) <= 3e-8) or hi - lo <= 4.0 * math.ulp(max(abs(u), 1.0)):
+            return u, out
+        lo, hi = (u, hi) if r < 0.0 else (lo, u)
+        d = -r / slope if slope > 0.0 else math.copysign(math.inf, -r)
+        if u + d == u:  # u is the root to rounding
+            return u, out
+        s = d if lo < u + d < hi else 0.5 * (lo + hi) - u
+        newton, u = s == d, u + math.copysign(min(abs(s), math.log(2.0)), s)
+    raise ConvergenceError(f"Newton's method did not converge (u = {u!r})", best=u)
 
 
 # the dimer searches' accuracy: the simplex's value tolerance and budget

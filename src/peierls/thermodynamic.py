@@ -13,9 +13,9 @@ layer at the band center, as that widens the strip.
 The integrands are functions of sin t and cos t, t = s - pi/2, as
 |cos s| = |sin t| keeps its full relative precision at the band center.
 The band energy and the dimer search (given theta_c too) are the finite
-ring's routines, given this ring's band mean (``_band_mean``). theta_c
-inverts the strictly increasing J(x) in ln x from x ~ e^(pi mu/4) and
-shares the finite ring's last step. From x = 1e4 (mu >= 11.1055) it comes in
+ring's routines, given this ring's band mean (``_band_mean``), and so are
+theta_c's start and last step; each Newton iterate of its root of J(x) = mu
+is one band mean. From x = 1e4 (mu >= 11.1055) it comes in
 closed form instead: there the gap equation is BCS's, and the large-x expansions
 J(x) = (4/pi)(ln x + c2 - 1) + pi/(4x^2) and of the sin^2 mean,
 (2/pi)(1 - pi^2/(24x^2)), are exact to rounding (their remainders are
@@ -33,9 +33,9 @@ import numpy as np
 
 from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams,
                            _band_energy, _check_critical_mu, _critical_point,
-                           _minimize_dimer, _tanh_moments)
-from .kernels import _h_prime, _h_second, _tanh_eta
-from .numerics import mode_mean, solve_from_estimate
+                           _minimize_dimer, _start_log_x)
+from .kernels import _h_prime, _h_second, _sech2, _tanh_eta
+from .numerics import _newton_log, mode_mean
 
 __all__ = [
     "BifurcationData",
@@ -95,14 +95,21 @@ def J_thermo(x: float) -> float:
         _tanh_eta(x), _ABS_TOL)
 
 
+def _critical_rows(x: float, sin_t, cos_t):
+    # J_thermo's integrand, its x-derivative and the integrands of m_s, m_c
+    xs, cos_2t = x * sin_t, (cos_t - sin_t) * (cos_t + sin_t)
+    xhp = x * _h_prime(xs ** 2)
+    return np.stack((xhp * cos_2t, _sech2(xs) * cos_2t, xhp * sin_t ** 2, xhp * cos_t ** 2))
+
+
 def theta_critical_thermo(mu: float) -> CriticalPoint:
     """Critical temperature of the infinite ring, for 1e-8 <= mu <= 200.
 
-    Below the seam x0 = e^(pi mu/4) / C = 1e4, that is mu < 11.1055,
-    x inverts J_thermo at mu from ln x = pi mu/4 (criterion 02's law; x is
-    1.37 to 1.63 times e^(pi mu/4) for 0.5 <= mu <= 200); one _band_mean
-    gives both Euler-Lagrange means, and finite_chain._critical_point gives
-    theta_c = [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
+    Below the seam x0 = e^(pi mu/4) / C = 1e4, that is mu < 11.1055, x
+    solves J(x) = mu by numerics._newton_log from _start_log_x(mu, inf); an
+    iterate is one _band_mean of the rows of J_thermo, of its slope in ln x,
+    x J' = 2x <sech^2(x |sin t|) cos 2t>, and of the Euler-Lagrange means,
+    whose last values give theta_c = [mu + (4/pi) int tanh(x cos s) cos s ds] / (mu x).
     From the seam on, the large-x expansions of the module docstring give
     x = x0 e^(-pi^2/(16 x0^2)), W* = 1 + (4/(pi mu))(1 - pi^2/(24 x^2)) and
     theta_c = W*/x, with no mode mean. Their O(x^-4) remainders are below
@@ -119,9 +126,12 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
     x0 = math.exp(u) / asymptotic_constants().C_prefactor
     if not x0 >= _X_WEAK:  # NaN and mu < 1e-8 reach the domain check here
         _check_critical_mu(mu)
-        J = lambda v: J_thermo(math.exp(v))  # dJ/du ~ J at small x, 4/pi at large x,
-        x = math.exp(solve_from_estimate(J, mu, u, 1e-12 * min(1.0, mu)))  # so u is ~1e-12 off
-        return _critical_point(mu, x, *_band_mean(partial(_tanh_moments, x), _tanh_eta(x)))
+        def step(u):  # J(x) - mu at x = e^u, its slope in u and (m_s, m_c)
+            x = math.exp(u)
+            J, dJ, m_s, m_c = _band_mean(partial(_critical_rows, x), _tanh_eta(x))
+            return 2.0 * J - mu, 2.0 * x * dJ, (m_s, m_c)
+        ln_x, means = _newton_log(step, _start_log_x(mu, math.inf))
+        return _critical_point(mu, math.exp(ln_x), *means)
     x = x0 * math.exp(-math.pi ** 2 / (16.0 * x0 * x0))
     W = 1.0 + 4.0 / (math.pi * mu) * (1.0 - math.pi ** 2 / (24.0 * x * x))
     return CriticalPoint(x=x, W_star=W, theta_c=W / x)

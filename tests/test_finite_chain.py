@@ -378,19 +378,39 @@ class TestPhaseFromThetaC:
         def counted(mean):
             return lambda f, eta: means.append(1) or mean(f, eta)
 
+        p = _periodic_params(mu, L, r)
+        minimize = _ring_and_mean(mu, L)[0]
         monkeypatch.setattr(numerics, "minimize_box", no_simplex)
         monkeypatch.setattr(thermodynamic, "_band_mean", counted(thermodynamic._band_mean))
         ring_mean = finite_chain._ring_mean
         monkeypatch.setattr(finite_chain, "_ring_mean", lambda n: counted(ring_mean(n)))
-        p = _periodic_params(mu, L, r)
-        state, value = _ring_and_mean(mu, L)[0](p)
+        state, value = minimize(p)
         assert state.delta == 0.0
-        # the critical point's mean, the root's and the energy's: 6 to 11 measured
+        # the search's own critical point (a band mean per Newton iterate on
+        # the infinite ring, 2 to 5 here; none on a finite ring), the root's
+        # means and the energy's: 3 to 12 measured
         assert len(means) <= 12
         # measured within 1.2e-12 (mu = 0.5, theta = 2 theta_c)
         assert state.W == pytest.approx(_periodic_W_reference(mu, p.theta, L), abs=1e-11)
         energy = g_finite if L else thermodynamic.g_thermo
         assert value == energy(state, p)
+
+    # W of the 1-periodic minimum at mu = 1e-8, theta_c = 9.99998723e7, from
+    # 50-digit mpmath roots of mu (W - 1) = 2 m_s, m_s = <tanh(x |sin t|) |sin t|>
+    # by quadrature; the ring of 8 has the same roots to these digits
+    PERIODIC_W_MU_MIN = {1.0001e8: 10000.749993750833277347, 1.1e8: 10.999999999999725,
+                         2e8: 1.99999999999999995, 1e9: 1.1111111111111111111}
+
+    @pytest.mark.parametrize("L", [None, 8])
+    def test_periodic_W_at_smallest_stiffness(self, L):
+        # mu W and 2 m_s nearly cancel, so a stop at |residual| <= 1e-12
+        # would leave W up to 1.5e-5 off; Newton's stop on its step leaves it
+        # within 2.4e-12 (at 1.0001e8, where W = 1e4) and 2.4e-15 elsewhere,
+        # measured, bound 1e-11
+        minimize = _ring_and_mean(1e-8, L)[0]
+        for theta, want in self.PERIODIC_W_MU_MIN.items():
+            state, _ = minimize(ModelParams(1e-8, theta, L))
+            assert state.W == pytest.approx(want, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("mu, L, r", _PERIODIC_POINTS)
     def test_no_dimerized_state_is_lower(self, mu, L, r):
@@ -647,11 +667,14 @@ class TestThetaCriticalFinite:
     def test_one_band_mean_per_solve(self, monkeypatch):
         # both Euler-Lagrange means come from the last iterate's tanh pass
         # and reach _critical_point once (none past the threshold of
-        # L = 2 mod 4); no separate band mean and no root solver is called
+        # L = 2 mod 4), after the one Newton solve; no band mean is called
         def banned(*args):
-            raise AssertionError("band mean or root solver called")
+            raise AssertionError("band mean called")
         monkeypatch.setattr(finite_chain, "_ring_mean", banned)
-        monkeypatch.setattr(finite_chain, "solve_from_estimate", banned)
+        solves = []
+        newton_log = finite_chain._newton_log
+        monkeypatch.setattr(finite_chain, "_newton_log",
+                            lambda step, u: solves.append(u) or newton_log(step, u))
         means = []
         critical_point = finite_chain._critical_point
         monkeypatch.setattr(finite_chain, "_critical_point",
@@ -659,8 +682,19 @@ class TestThetaCriticalFinite:
                             or critical_point(mu, x, m_s, m_c))
         for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
             means.clear()
+            solves.clear()
             cp = theta_critical_finite(mu, L)
-            assert len(means) == (cp is not None)
+            assert len(means) == len(solves) == (cp is not None)
+
+    @pytest.mark.parametrize("mu", [903.0, 1e3, 1e4, 1e6])
+    def test_large_stiffness(self, mu):
+        # the start's weak-coupling x0 = e^(pi mu/4)/C would overflow from
+        # mu ~ 902 but for its cap; J_finite at the root is mu to 8.9e-16
+        # relative measured, bound 2e-15. L = 10 is past 2 mu_critical(10) = 1.39
+        for L in (4, 8, 1024):
+            cp = theta_critical_finite(mu, L)
+            assert abs(J_finite(cp.x, L) / mu - 1.0) <= 2e-15
+        assert theta_critical_finite(mu, 10) is None
 
     def test_returns_on_the_whole_domain(self, monkeypatch):
         # 25 log-spaced mu over the domain [1e-8, 200] on short, long and

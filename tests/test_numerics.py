@@ -7,8 +7,7 @@ import pytest
 
 from peierls import numerics
 from peierls.kernels import _h_prime
-from peierls.numerics import (ConvergenceError, lattice_points, minimize_box,
-                              mode_mean, solve_from_estimate)
+from peierls.numerics import ConvergenceError, lattice_points, minimize_box, mode_mean
 from peierls.thermodynamic import J_thermo, theta_critical_thermo
 
 # the absolute tolerance of the infinite ring's integrals, for the mode mean
@@ -59,8 +58,6 @@ def test_engines_reject_bad_abs_tol(abs_tol):
         raise AssertionError("evaluated")
     with pytest.raises(ValueError, match="abs_tol"):
         mode_mean(f, math.inf, abs_tol)
-    with pytest.raises(ValueError, match="abs_tol"):
-        solve_from_estimate(f, 0.5, 0.3, abs_tol)
 
 
 class TestModeMean:
@@ -289,82 +286,88 @@ class TestModeMean:
 
 
 class TestSolveIncreasing:
-    """solve_from_estimate on increasing functions: the ln 2 walk, then
-    the safeguarded secant inside the bracket it leaves."""
+    """numerics._newton_log on increasing residuals: Newton steps capped at
+    ln 2, bisection where a step leaves the bracket of the residuals' signs."""
 
     @staticmethod
-    def _recording(f):
+    def _solve(f, df, target, u):
+        # the root of f(u) = target and the points the solve evaluated
         calls = []
-        return lambda t: calls.append(t) or f(t), calls
+
+        def step(v):
+            calls.append(v)
+            return f(v) - target, df(v), None
+        return numerics._newton_log(step, u)[0], calls
 
     def test_identity(self):
-        x = solve_from_estimate(lambda t: t, 3.0, 2.5, TOL)
-        assert x == pytest.approx(3.0, abs=1e-10)
+        x, _ = self._solve(lambda t: t, lambda t: 1.0, 3.0, 2.5)
+        assert x == 3.0
 
     def test_tanh_inverse(self):
-        # a converged secant step lands next to the endpoint it last moved,
-        # and must still be taken rather than replaced by a bisection
-        f, calls = self._recording(math.tanh)
-        x = solve_from_estimate(f, 0.5, 0.3, TOL)
-        assert x == pytest.approx(math.atanh(0.5), abs=1e-10)
-        assert len(calls) <= 12
+        # quadratic convergence: steps of 0.23, 2.1e-3, 2.2e-7 and 2.4e-8,
+        # and the iterate after the first step below 3e-8 is returned
+        x, calls = self._solve(math.tanh, lambda t: 1.0 / math.cosh(t) ** 2, 0.5, 0.3)
+        assert x == pytest.approx(math.atanh(0.5), rel=1e-15)
+        assert len(calls) == 5
 
     def test_cube_root(self):
-        x = solve_from_estimate(lambda t: t ** 3, 8.0, 1.0, TOL)
-        assert x == pytest.approx(2.0, abs=1e-10)
+        x, _ = self._solve(lambda t: t ** 3, lambda t: 3.0 * t * t, 8.0, 1.0)
+        assert x == pytest.approx(2.0, rel=1e-15)
 
     def test_monotone_consistency(self):
         f = lambda t: t + math.sin(t) / 2
         target = 2.3
-        x = solve_from_estimate(f, target, 0.0, TOL)
-        eps = 2e-11
+        x, _ = self._solve(f, lambda t: 1.0 + math.cos(t) / 2, target, 0.0)
+        eps = 1e-14
         assert f(x - eps) < target < f(x + eps)
 
     def test_downward_walk(self):
-        # an estimate above the root: the bracket steps down by ln 2 until
-        # f falls below the target, and each point is evaluated once
-        f, calls = self._recording(lambda t: t)
-        x = solve_from_estimate(f, -3.0, 2.0, TOL)
-        assert x == pytest.approx(-3.0, abs=1e-10)
-        walk = [2.0 - k * math.log(2.0) for k in range(9)]
-        assert calls[:9] == pytest.approx(walk, abs=1e-14)
-        assert len(calls) == len(set(calls))
-        assert calls[8] < -3.0 < calls[7]
+        # an estimate 5 above the root of a line: each Newton step is capped
+        # at ln 2 until the root is within reach, which the next step hits
+        x, calls = self._solve(lambda t: t, lambda t: 1.0, -3.0, 2.0)
+        assert x == -3.0
+        walk = [2.0 - k * math.log(2.0) for k in range(8)]
+        assert calls[:8] == pytest.approx(walk, abs=1e-14)
+        assert calls[8:] == [-3.0]
 
-    @pytest.mark.parametrize("target, u, root, walked", [
-        (math.log(2.0), 0.0, math.log(2.0), 2),  # on the upper end
-        (0.0, 0.0, 0.0, 1),                      # on the estimate, no walk
-        (0.0, math.log(2.0), 0.0, 3),            # one step of walk first
-        (1e-13, 0.0, 0.0, 1),                    # within abs_tol of the estimate
+    @pytest.mark.parametrize("target, u, root, evaluated", [
+        (math.log(2.0), 0.0, math.log(2.0), 2),  # one step of ln 2 onto the root
+        (0.0, 0.0, 0.0, 1),                      # on the estimate: no step
+        (0.0, math.log(2.0), 0.0, 2),            # one step down onto the root
+        (1e-13, 0.0, 1e-13, 2),                  # a step of 1e-13 is taken
     ])
-    def test_root_on_bracket_end(self, target, u, root, walked):
-        # a root on the estimate, or on an end of the walked bracket, is
-        # returned as that point, from the walk's evaluations alone
-        f, calls = self._recording(lambda t: t)
-        assert solve_from_estimate(f, target, u, TOL) == root
-        assert len(calls) == walked
+    def test_root_on_bracket_end(self, target, u, root, evaluated):
+        # a root on the estimate costs one evaluation; one a step lands on
+        # exactly costs one more, which confirms it
+        x, calls = self._solve(lambda t: t, lambda t: 1.0, target, u)
+        assert x == root
+        assert len(calls) == evaluated
+
+    def test_overshoot_bisects(self):
+        # the root of atan(100 u) from u = -0.5: a step capped at ln 2 crosses
+        # it, and from there, where atan is flat, the Newton step of -5.7
+        # lands below the bracket [-0.5, ln 2 - 0.5], so the next iterate
+        # is the bracket's midpoint
+        x, calls = self._solve(lambda t: math.atan(100.0 * t),
+                               lambda t: 100.0 / (1.0 + (100.0 * t) ** 2), 0.0, -0.5)
+        assert x == pytest.approx(0.0, abs=1e-15)
+        lo, hi = -0.5, math.log(2.0) - 0.5
+        assert calls[:3] == pytest.approx([lo, hi, 0.5 * (lo + hi)], abs=1e-15)
 
     def test_iteration_budget_raises_with_best(self, monkeypatch):
         monkeypatch.setattr(numerics, "_SOLVE_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_from_estimate(math.tanh, 0.5, 0.3, 1e-15)
+            self._solve(math.tanh, lambda t: 1.0 / math.cosh(t) ** 2, 0.5, 0.3)
         assert 0.3 < err.value.best < 0.3 + math.log(2.0)
 
     def test_bad_input_ends(self):
-        # a NaN f, and a target that f never reaches, spend the walk's budget
-        # of ln 2 steps and raise with the last estimate; a non-finite
-        # target is refused before f is evaluated
-        for f, target in ((lambda u: math.nan, 1.0), (math.atan, 2.0)):
-            f, calls = self._recording(f)
+        # a NaN residual, and a target that f never reaches, spend the budget
+        # in steps of ln 2 (down for the NaN, which sets no lower end) and
+        # raise with the last u
+        for f, target, sign in ((lambda u: math.nan, 1.0, -1.0), (math.atan, 2.0, 1.0)):
             with pytest.raises(ConvergenceError) as err:
-                solve_from_estimate(f, target, 0.0, 1e-12)
-            assert len(calls) == numerics._SOLVE_MAX_ITER + 1
-            assert abs(err.value.best) == pytest.approx(numerics._SOLVE_MAX_ITER * math.log(2.0))
-        f, calls = self._recording(math.atan)
-        for target in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="target"):
-                solve_from_estimate(f, target, 0.0, 1e-12)
-        assert calls == []
+                self._solve(f, lambda t: 1.0 / (1.0 + t * t), target, 0.0)
+            assert err.value.best == pytest.approx(sign * numerics._SOLVE_MAX_ITER * math.log(2.0))
 
 
 class TestMinimizeBox:

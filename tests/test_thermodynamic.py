@@ -222,28 +222,55 @@ class TestThetaCritical:
             assert abs(r2) <= 1e-13
 
     def test_j_call_budget(self, monkeypatch):
-        # the bracket starts at ln x = pi mu/4 and the secant converges:
-        # a handful of J_thermo calls at mu = 11.1, the largest root solve,
-        # just below the closed form's seam at 11.1055; none past it
+        # J is evaluated once per Newton iterate, as a row of one band mean,
+        # never by J_thermo: 2 means measured at mu = 11.1, the largest root
+        # solve, just below the closed form's seam at 11.1055; none past it
         calls = []
-        J = thermodynamic.J_thermo
-        monkeypatch.setattr(thermodynamic, "J_thermo",
-                            lambda x: calls.append(x) or J(x))
+        mean = thermodynamic._band_mean
+        monkeypatch.setattr(thermodynamic, "_band_mean",
+                            lambda f, eta: calls.append(eta) or mean(f, eta))
+        monkeypatch.setattr(thermodynamic, "J_thermo", None)
         theta_critical_thermo(11.1)
-        assert 0 < len(calls) <= 12
+        assert len(calls) == 2
         calls.clear()
         theta_critical_thermo(11.2)
         theta_critical_thermo(200.0)
         assert calls == []
 
     def test_one_band_mean_per_solve(self, monkeypatch):
-        # both Euler-Lagrange means come from one stacked band mean
-        calls = []
+        # the Euler-Lagrange means are the last iterate's, at its x: no
+        # band mean follows the root solve
+        means, points = [], []
         mean = thermodynamic._band_mean
         monkeypatch.setattr(thermodynamic, "_band_mean",
-                            lambda f, eta: calls.append(eta) or mean(f, eta))
-        theta_critical_thermo(2.0)
-        assert len(calls) == 1
+                            lambda f, eta: means.append((f.args[0], mean(f, eta))) or means[-1][1])
+        critical_point = thermodynamic._critical_point
+        monkeypatch.setattr(thermodynamic, "_critical_point",
+                            lambda mu, x, m_s, m_c: points.append((x, m_s, m_c))
+                            or critical_point(mu, x, m_s, m_c))
+        for mu in (1e-8, 2.0, 11.1):
+            means.clear()
+            points.clear()
+            theta_critical_thermo(mu)
+            x, rows = means[-1]
+            assert points == [(x, *rows[2:])]
+
+    def test_band_mean_budget(self, monkeypatch):
+        # Newton from the shared start rule: on 101 log-spaced mu over the
+        # root solve's range [1e-8, 11.1], measured 3.85 mode means a solve on
+        # average and at most 6, bounds 4.5 and 7; every mode mean counts,
+        # the band mean's and J_thermo's
+        calls = []
+        for name in ("_band_mean", "mode_mean"):
+            mean = getattr(thermodynamic, name)
+            monkeypatch.setattr(thermodynamic, name, lambda f, *args, mean=mean:
+                                calls.append(1) or mean(f, *args))
+        counts = []
+        for mu in np.logspace(-8, math.log10(11.1), 101):
+            calls.clear()
+            theta_critical_thermo(float(mu))
+            counts.append(len(calls))
+        assert np.mean(counts) <= 4.5 and max(counts) <= 7
 
     def test_fields_are_python_floats(self):
         for mu in (2.0, 50.0):
@@ -325,8 +352,9 @@ class TestWeakCoupling:
 
     def test_decreasing_across_the_seam(self, monkeypatch):
         # on a grid within 1e-6 of the seam, and on the two neighbouring
-        # doubles that straddle it, the first by a root solve (one band
-        # mean), the second by the closed form (none)
+        # doubles that straddle it, the first by a root solve (two band
+        # means measured, one per Newton iterate), the second by the closed
+        # form (none)
         C = asymptotic_constants().C_prefactor
 
         def closed(mu):
@@ -347,7 +375,7 @@ class TestWeakCoupling:
                             lambda f, eta: calls.append(eta) or mean(f, eta))
         theta_critical_thermo(seam)
         theta_critical_thermo(math.nextafter(seam, math.inf))
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_gap_to_theta_c_ratio(self):
         # delta_opt / theta_c -> pi e^(-gamma)/2, BCS's 2 delta = 3.53 theta_c;
@@ -644,16 +672,22 @@ class TestIntegrandsOnSinCos:
             old = h_theta(w2 * np.sin(t) ** 2 + d2 * np.cos(t) ** 2, theta)
             assert np.array_equal(band(np.sin(t), np.cos(t)), old)
 
-    def test_critical_point_moments(self, monkeypatch):
+    def test_critical_point_moments(self):
+        # the rows of a theta_c Newton iterate: J_thermo's integrand and the
+        # two Euler-Lagrange means' integrands to the bit, and the
+        # slope's sech^2(x |sin t|) cos 2t within 8 ulps of its 1/cosh^2 form
+        # (measured 5; theta_critical_thermo hands _band_mean these rows, see
+        # TestThetaCritical.test_one_band_mean_per_solve)
         from peierls.kernels import _h_prime
         x = theta_critical_thermo(2.0).x
-        moments = self._captured(monkeypatch, "_band_mean",
-                                 lambda: theta_critical_thermo(2.0))
         for t in self._nodes():
-            sin_t = np.sin(t)
-            xhp = x * _h_prime((x * sin_t) ** 2)
-            old = np.stack((xhp * sin_t ** 2, xhp * np.cos(t) ** 2))
-            assert np.array_equal(moments(np.sin(t), np.cos(t)), old)
+            sn, cs = np.sin(t), np.cos(t)
+            rows = thermodynamic._critical_rows(x, sn, cs)
+            xhp = x * _h_prime((x * sn) ** 2)
+            assert np.array_equal(rows[0], x * _h_prime((x * sn) ** 2) * ((cs - sn) * (cs + sn)))
+            assert np.array_equal(rows[2:], np.stack((xhp * sn ** 2, xhp * cs ** 2)))
+            slope = (cs - sn) * (cs + sn) / np.cosh(x * sn) ** 2
+            assert np.all(np.abs(rows[1] - slope) <= 8 * np.spacing(np.abs(slope)))
 
     def test_bifurcation_moments(self, monkeypatch):
         from peierls.kernels import _h_second
