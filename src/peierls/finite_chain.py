@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import numerics
-from .kernels import _h_prime, _sech2, _tanh_eta, h_theta
+from .kernels import _EPS, _h_prime, _sech2, _tanh_eta, h_theta
 from .numerics import ConvergenceError, _mode_nodes, _newton_box, _newton_log, lattice_points
 
 __all__ = [
@@ -42,10 +42,10 @@ DELTA_ZERO = 1e-8
 T_BOX = (0.05, 3.0)
 # Newton steps per start of minimize_chain_full (~55 at theta_c, where F is quartic)
 _NEWTON_STEPS = 100
-# the validated stiffnesses: every critical point from _MU_MIN, as J ~ x^3/6 is
-# summed from terms of size x, so x is off by ~eps/x^2 (2.3e-11 at 1e-8, 4.6e-6
-# at 1e-16); the infinite ring's routines up to _MU_MAX, the largest of the
-# tests' 30-digit mpmath references (theta_c = 3.7e-69, x = 2.7e68, gap 3.4e-138)
+# the validated stiffnesses, checked by _check_mu alone: from _MU_MIN, as J ~ x^3/6
+# is summed from terms of size x (x off by ~eps/x^2, 2.3e-11 at 1e-8); with no top
+# for a finite ring's theta_c, up to _MU_MAX for the infinite ring's and zero-T
+# routines, the tests' largest 30-digit mpmath reference (theta_c = 3.7e-69)
 _MU_MIN, _MU_MAX = 1e-8, 200.0
 
 
@@ -131,10 +131,9 @@ def _periodic_rows(x: float, sin_t, cos_t):
     return np.stack((x * _h_prime((x * sin_t) ** 2), _sech2(x * sin_t))) * sin_t ** 2
 
 
-def _check_critical_mu(mu: float) -> None:
-    if not _MU_MIN <= mu < math.inf:  # NaN and inf never bracket the root
-        raise ValueError(
-            f"critical temperatures are validated for finite mu >= {_MU_MIN:g}, got {mu}")
+def _check_mu(mu: float, top: float) -> None:
+    if not (_MU_MIN <= mu <= top and math.isfinite(mu)):  # NaN and inf bracket no root
+        raise ValueError(f"validated for finite mu in [{_MU_MIN:g}, {top:g}], got {mu}")
 
 
 def _start_log_x(mu: float, L: float) -> float:
@@ -151,11 +150,12 @@ def _start_log_x(mu: float, L: float) -> float:
 def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoint:
     """A ring's critical point from its root x of J and the means m_s, m_c of
     x h'(x^2 sin^2 t) times sin^2 t and cos^2 t there: mu (W - 1) = 2 m_s and
-    mu W = 2 m_c to 1e-8 absolute, which mu W's rounding breaks from mu ~ 1e8."""
+    mu W = 2 m_c to 1e-8 absolute, or to mu W's rounding 64 eps |mu W| past
+    mu W = 7e5. From mu ~ 1e152 mu x overflows, so W = 0 and that raises."""
     theta = (mu + 2.0 * m_s) / (mu * x)
     W = x * theta
     residual = mu * W - 2.0 * m_c
-    if abs(residual) > 1e-8:
+    if abs(residual) > max(1e-8, 64.0 * _EPS * abs(mu * W)):
         raise RuntimeError(
             f"critical-point equations inconsistent (residual {residual:.3e}); "
             "root solve or kernel evaluation drifted")
@@ -396,10 +396,10 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     method in u = ln x (numerics._newton_log) starts from
     :func:`_start_log_x`; an iterate is one tanh(x a) pass over the
     :func:`_ring_nodes`, which gives J as J_finite sums it, its slope and,
-    at the last, the two means of _critical_point. From mu ~ 1e8 its absolute
-    check of mu W fails to the rounding of mu W and raises RuntimeError.
+    at the last, the two means of _critical_point. mu has no top, but from
+    mu ~ 1e53 the rounding of ln x (~eps ln x in x) fails its check at some mu.
     """
-    _check_critical_mu(mu)  # before the 2-mod-4 threshold, which inf passes
+    _check_mu(mu, math.inf)  # before the 2-mod-4 threshold, which inf passes
     L = _check_even_length(L)
     sin_t, cos_t, a, b = _ring_nodes(L)
     center = L % 4 == 0  # the band centre node t = 0, where tanh(x a)/a tends to x

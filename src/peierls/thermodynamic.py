@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams,
-                           _band_energy, _check_critical_mu, _critical_point,
+                           _band_energy, _check_mu, _critical_point,
                            _minimize_dimer, _start_log_x)
 from .kernels import _h_prime, _h_second, _sech2, _tanh_eta
 from .numerics import _newton_log, mode_mean
@@ -103,7 +103,7 @@ def _critical_rows(x: float, sin_t, cos_t):
 
 
 def theta_critical_thermo(mu: float) -> CriticalPoint:
-    """Critical temperature of the infinite ring, for 1e-8 <= mu <= 200.
+    """Critical temperature of the infinite ring; ValueError unless 1e-8 <= mu <= 200.
 
     Below the seam x0 = e^(pi mu/4) / C = 1e4, that is mu < 11.1055, x
     solves J(x) = mu by numerics._newton_log from _start_log_x(mu, inf); an
@@ -118,14 +118,11 @@ def theta_critical_thermo(mu: float) -> CriticalPoint:
     30-digit mpmath at mu = 30, 50, 100 and 200, and J_thermo(x) = mu to
     rounding from mu = 11.2 to 200.
     """
-    if mu > _MU_MAX:
-        raise ValueError(
-            f"theta_critical_thermo is validated up to mu = {_MU_MAX:g}, got {mu}")
+    _check_mu(mu, _MU_MAX)
     u = 0.25 * math.pi * mu
     # C apart from the exponent: u + 1 - c2 would round a number ~u twice more
     x0 = math.exp(u) / asymptotic_constants().C_prefactor
-    if not x0 >= _X_WEAK:  # NaN and mu < 1e-8 reach the domain check here
-        _check_critical_mu(mu)
+    if x0 < _X_WEAK:
         def step(u):  # J(x) - mu at x = e^u, its slope in u and (m_s, m_c)
             x = math.exp(u)
             J, dJ, m_s, m_c = _band_mean(partial(_critical_rows, x), _tanh_eta(x))

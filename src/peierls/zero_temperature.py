@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_chain import _MU_MAX, _MU_MIN, DimerState
+from .finite_chain import _MU_MAX, DimerState, _check_mu
 from .kernels import _EPS, _elliptic_ke, elliptic_side
 from .numerics import ConvergenceError
 
@@ -96,9 +96,7 @@ def dimer_optimum_zero(mu: float) -> GapResult:
     solves it in at most 5 means; the last one's K and E give W, delta and
     the gain, ~ (16/pi) e^-4 W1 e^(-pi mu/2), summed from terms of its size.
     """
-    if not _MU_MIN <= mu <= _MU_MAX:  # a NaN would never meet the stopping rule
-        raise ValueError(
-            f"dimer_optimum_zero is validated for {_MU_MIN:g} <= mu <= {_MU_MAX:g}, got {mu}")
+    _check_mu(mu, _MU_MAX)  # a NaN would never meet the stopping rule
     W1, f0_per = periodic_optimum_zero(mu)
     v = 0.25 * math.pi * mu + 2.0 - math.log(4.0)
     for _ in range(_NEWTON_MAX_ITER):

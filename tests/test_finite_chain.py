@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                                   g_finite, minimize_chain_full,
                                   minimize_dimer_finite, mu_critical,
                                   theta_critical_finite)
-from peierls import finite_chain, numerics, thermodynamic
+from peierls import finite_chain, numerics, thermodynamic, zero_temperature
 from peierls.finite_chain import T_BOX, _ring_derivatives
 from peierls.kernels import h_theta
 from peierls.numerics import ConvergenceError
@@ -696,6 +697,49 @@ class TestThetaCriticalFinite:
             assert abs(J_finite(cp.x, L) / mu - 1.0) <= 2e-15
         assert theta_critical_finite(mu, 10) is None
 
+    @pytest.mark.parametrize("mu", [1e8, 1e9, 1e12, 1e15])
+    def test_huge_stiffness(self, mu):
+        # from mu ~ 1e8 mu W - 2 m_c rounds to more than 1e-8 (8.9e-8, -3.0e-8
+        # and -7.5e-8 at 1e8), so it is held to 64 eps |mu W| there; J_finite
+        # at the root is mu to 2.1e-15 relative measured, bound 1e-14
+        for L in (4, 8, 1024):
+            cp = theta_critical_finite(mu, L)
+            assert abs(J_finite(cp.x, L) / mu - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_stiffness_check_is_not_vacuous(self, monkeypatch, sign):
+        # m_c off by 1e-12 relative at mu = 1e12 moves mu W - 2 m_c by ~1,
+        # which the relative bound (~1.4e-2 there) still catches
+        critical_point = finite_chain._critical_point
+        monkeypatch.setattr(finite_chain, "_critical_point",
+                            lambda mu, x, m_s, m_c:
+                            critical_point(mu, x, m_s, m_c * (1.0 + sign * 1e-12)))
+        for L in (4, 8, 1024):
+            with pytest.raises(RuntimeError, match="critical-point equations inconsistent"):
+                theta_critical_finite(1e12, L)
+
+    def test_threshold_approach_of_mod2_rings(self, monkeypatch):
+        # mu = 2 mu_critical(L)(1 - 10^-k) up to k = 16, where J flattens
+        # towards its saturation: a critical point wherever mu is below the
+        # threshold, J at the root within 4.4e-16 of mu/2 (3.3e-16 measured)
+        # in at most 90 Newton iterates (82 measured, L = 6 at k = 16)
+        iterates = []
+        newton_log = finite_chain._newton_log
+
+        def counted(step, u):
+            return newton_log(lambda u: iterates.append(u) or step(u), u)
+        monkeypatch.setattr(finite_chain, "_newton_log", counted)
+        for L in (6, 10, 14, 62, 1022):
+            threshold = 2.0 * mu_critical(L)
+            for k in range(2, 17):
+                mu = threshold * (1.0 - 10.0 ** -k)
+                iterates.clear()
+                cp = theta_critical_finite(mu, L)
+                assert (cp is None) == (mu >= threshold)
+                if cp is not None:
+                    assert abs(J_finite(cp.x, L) / (0.5 * mu) - 1.0) <= 4.4e-16
+                    assert len(iterates) <= 90
+
     def test_returns_on_the_whole_domain(self, monkeypatch):
         # 25 log-spaced mu over the domain [1e-8, 200] on short, long and
         # both parities of ring: a critical point exactly where the ring
@@ -784,6 +828,38 @@ class TestThetaCriticalFinite:
                     continue
                 assert cp is not None
                 assert 0 < cp.theta_c < 1.0 / mu
+
+
+class TestStiffnessDomain:
+    """Every routine that takes theta_c's stiffness, or the zero-temperature
+    optimum's, checks it by one rule with one message: finite mu from 1e-8,
+    up to 200 but on a finite ring. The dimer searches run far above theta_c,
+    where they take the 1-periodic root (below it they raise for mu < 1e-7),
+    and their ModelParams refuses a mu that is not positive and finite first."""
+
+    ENTRIES = {
+        "theta_critical_finite": (lambda mu: theta_critical_finite(mu, 8), math.inf),
+        "minimize_dimer_finite":
+            (lambda mu: minimize_dimer_finite(ModelParams(mu=mu, theta=1e9, L=8)), math.inf),
+        "theta_critical_thermo": (thermodynamic.theta_critical_thermo, 200.0),
+        "bifurcation_data": (thermodynamic.bifurcation_data, 200.0),
+        "minimize_dimer_thermo":
+            (lambda mu: thermodynamic.minimize_dimer_thermo(ModelParams(mu=mu, theta=1e9)), 200.0),
+        "dimer_optimum_zero": (zero_temperature.dimer_optimum_zero, 200.0),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_one_rule(self, entry):
+        call, top = self.ENTRIES[entry]
+        outside = (0.0, -1.0, 0.99e-8, math.nan, math.inf, -math.inf)
+        for mu in outside + ((200.5,) if top < math.inf else ()):
+            message = (f"validated for finite mu in [1e-08, {top:g}], got {mu}"
+                       if "minimize" not in entry or 0 < mu < math.inf
+                       else "stiffness must be positive and finite")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(mu)
+        for mu in (1e-8, 200.0) + ((200.5,) if top == math.inf else ()):
+            call(mu)
 
 
 class TestCriticalPointHessian:

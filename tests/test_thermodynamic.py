@@ -313,12 +313,12 @@ class TestThetaCritical:
         for bad in (0.0, math.nan):
             with pytest.raises(ValueError):
                 theta_critical_thermo(bad)
-        with pytest.raises(ValueError, match="validated for finite mu >= 1e-08"):
+        with pytest.raises(ValueError, match=r"validated for finite mu in \[1e-08, 200\]"):
             theta_critical_thermo(0.99e-8)
         with pytest.raises(ValueError):
             theta_critical_thermo(1e6)
         # the largest mu of THETA_C_LARGE_MU bounds the domain
-        with pytest.raises(ValueError, match="validated up to mu = 200"):
+        with pytest.raises(ValueError, match=r"mu in \[1e-08, 200\], got 200.5"):
             theta_critical_thermo(200.5)
 
     def test_node_cap_fits_the_largest_stiffness(self, monkeypatch):
@@ -494,9 +494,9 @@ class TestMinimizeDimerThermo:
 
     def test_domain(self):
         # theta_critical_thermo's, which sets the phase
-        with pytest.raises(ValueError, match="validated up to mu = 200"):
+        with pytest.raises(ValueError, match=r"mu in \[1e-08, 200\], got 200.5"):
             minimize_dimer_thermo(ModelParams(mu=200.5, theta=0.1))
-        with pytest.raises(ValueError, match="mu >= 1e-08"):
+        with pytest.raises(ValueError, match=r"mu in \[1e-08, 200\], got 1e-09"):
             minimize_dimer_thermo(ModelParams(mu=1e-9, theta=0.1))
         assert minimize_dimer_thermo(ModelParams(mu=200.0, theta=0.1))[0].delta == 0.0
 
@@ -581,9 +581,9 @@ class TestBifurcationData:
         # at 200 exactly, where arange's last point is 200 + 9e-12
         for mu in np.linspace(160.0, 200.0, 801):
             assert bifurcation_data(float(mu)).coeff > 0
-        with pytest.raises(ValueError, match="theta_critical_thermo is validated up to mu = 200"):
+        with pytest.raises(ValueError, match=r"mu in \[1e-08, 200\], got 200.5"):
             bifurcation_data(200.5)
-        with pytest.raises(ValueError, match="validated for finite mu >= 1e-08"):
+        with pytest.raises(ValueError, match=r"validated for finite mu in \[1e-08, 200\]"):
             bifurcation_data(0.99e-8)
 
     def test_strong_coupling_expansions(self):
