@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -47,6 +47,7 @@ _NEWTON_STEPS = 100
 # for a finite ring's theta_c, up to _MU_MAX for the infinite ring's and zero-T
 # routines, the tests' largest 30-digit mpmath reference (theta_c = 3.7e-69)
 _MU_MIN, _MU_MAX = 1e-8, 200.0
+_RING_CACHE = 32  # rings kept by _ring_nodes, ~24 L bytes each: <= 0.8 MB for L <= 1024
 
 
 def _check_even_length(L) -> int:
@@ -150,12 +151,12 @@ def _start_log_x(mu: float, L: float) -> float:
 def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoint:
     """A ring's critical point from its root x of J and the means m_s, m_c of
     x h'(x^2 sin^2 t) times sin^2 t and cos^2 t there: mu (W - 1) = 2 m_s and
-    mu W = 2 m_c to 1e-8 absolute, or to mu W's rounding 64 eps |mu W| past
-    mu W = 7e5. From mu ~ 1e152 mu x overflows, so W = 0 and that raises."""
+    mu W = 2 m_c to 1e-8 absolute or, if larger, 64 eps |mu W| max(1, ln x), the rounding
+    of mu W and of x solved in ln x. From mu ~ 1e152 mu x overflows: W = 0 raises."""
     theta = (mu + 2.0 * m_s) / (mu * x)
     W = x * theta
     residual = mu * W - 2.0 * m_c
-    if abs(residual) > max(1e-8, 64.0 * _EPS * abs(mu * W)):
+    if abs(residual) > max(1e-8, 64.0 * _EPS * abs(mu * W) * max(1.0, math.log(x))):
         raise RuntimeError(
             f"critical-point equations inconsistent (residual {residual:.3e}); "
             "root solve or kernel evaluation drifted")
@@ -206,14 +207,19 @@ def _dimer_band(W: float, delta: float, theta: float):
     return lambda sin_t, cos_t: h_theta(w2 * sin_t ** 2 + d2 * cos_t ** 2, theta)
 
 
+@lru_cache(maxsize=_RING_CACHE)
 def _ring_nodes(L: int):
-    """(sin t, cos t, a, b) on a ring's L/2 mode nodes t, built once per call:
-    sin t and cos t for the band mean and m_c, and J's a = |sin t| and b =
-    cos 2t / a less the band centre t = 0 (L = 0 mod 4), where tanh(x a) b -> x."""
+    """Read-only (sin t, cos t, a, b, a b, cos^2 t / a, sum b) on a ring's L/2 mode nodes t,
+    built once per L: J's a = |sin t|, b = cos 2t / a, its slope's a b and m_c's weights
+    skip the band centre t = 0 (L = 0 mod 4), where tanh(x a) b -> x."""
     t = _mode_nodes(L // 2)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    a = np.abs(sin_t[t != 0.0])
-    return sin_t, cos_t, a, np.cos(2.0 * t[t != 0.0]) / a
+    sin_t, cos_t, off = np.sin(t), np.cos(t), t != 0.0
+    a = np.abs(sin_t[off])
+    b = np.cos(2.0 * t[off]) / a
+    nodes = (sin_t, cos_t, a, b, a * b, cos_t[off] ** 2 / a)
+    for v in nodes:
+        v.flags.writeable = False
+    return (*nodes, float(b.sum()))
 
 
 def _ring_mean(nodes):
@@ -361,7 +367,7 @@ def J_finite(x: float, L: int) -> float:
     L = _check_even_length(L)
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
-    _, _, a, b = _ring_nodes(L)
+    a, b = _ring_nodes(L)[2:4]
     total = float(np.add.reduce(np.tanh(x * a) * b))  # np.sum's pairwise add.reduce
     return (x + total) / (L // 4) if L % 4 == 0 else total / (L // 2)
 
@@ -382,7 +388,7 @@ def mu_critical(L: int) -> float:
         raise ValueError(
             f"mu_critical needs L = 2 mod 4 (got {L}); rings with L = 0 mod 4 "
             "dimerize at every stiffness")
-    return float(_ring_nodes(L)[3].sum()) / (L // 2)
+    return _ring_nodes(L)[6] / (L // 2)
 
 
 def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
@@ -397,16 +403,16 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
     :func:`_start_log_x`; an iterate is one tanh(x a) pass over the
     :func:`_ring_nodes`, which gives J as J_finite sums it, its slope and,
     at the last, the two means of _critical_point. mu has no top, but from
-    mu ~ 1e53 the rounding of ln x (~eps ln x in x) fails its check at some mu.
+    mu ~ 2.7e154/sqrt(L) (1e152 at L = 1024) mu x overflows, and that raises.
     """
     _check_mu(mu, math.inf)  # before the 2-mod-4 threshold, which inf passes
     L = _check_even_length(L)
-    sin_t, cos_t, a, b = _ring_nodes(L)
+    _, _, a, b, ab, c2a, b_sum = _ring_nodes(L)
     center = L % 4 == 0  # the band centre node t = 0, where tanh(x a)/a tends to x
     n = L // 4 if center else L // 2
-    if not center and mu >= 2.0 * (float(b.sum()) / n):  # 2 * mu_critical(L)
+    if not center and mu >= 2.0 * (b_sum / n):  # 2 * mu_critical(L)
         return None
-    target, ab = (mu if center else 0.5 * mu), a * b
+    target = mu if center else 0.5 * mu
 
     def step(u):  # J - target at x = e^u, its slope in u, and x with the tanh pass
         x = math.exp(u)
@@ -414,5 +420,5 @@ def theta_critical_finite(mu: float, L: int) -> CriticalPoint | None:
         r = (center * x + float(np.add.reduce(th * b))) / n - target  # as J_finite sums it
         return r, x * (center + float(ab @ (1.0 - th * th))) / n, (x, th)
     x, th = _newton_log(step, _start_log_x(mu, L))[1]
-    m_c = float(th @ (cos_t[sin_t != 0.0] ** 2 / a)) + center * x
+    m_c = float(th @ c2a) + center * x
     return _critical_point(mu, x, float(th @ a) / (L // 2), m_c / (L // 2))

@@ -700,8 +700,8 @@ class TestThetaCriticalFinite:
     @pytest.mark.parametrize("mu", [1e8, 1e9, 1e12, 1e15])
     def test_huge_stiffness(self, mu):
         # from mu ~ 1e8 mu W - 2 m_c rounds to more than 1e-8 (8.9e-8, -3.0e-8
-        # and -7.5e-8 at 1e8), so it is held to 64 eps |mu W| there; J_finite
-        # at the root is mu to 2.1e-15 relative measured, bound 1e-14
+        # and -7.5e-8 at 1e8), so it is held to 64 eps |mu W| max(1, ln x) there;
+        # J_finite at the root is mu to 2.1e-15 relative measured, bound 1e-14
         for L in (4, 8, 1024):
             cp = theta_critical_finite(mu, L)
             assert abs(J_finite(cp.x, L) / mu - 1.0) <= 1e-14
@@ -709,7 +709,8 @@ class TestThetaCriticalFinite:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_huge_stiffness_check_is_not_vacuous(self, monkeypatch, sign):
         # m_c off by 1e-12 relative at mu = 1e12 moves mu W - 2 m_c by ~1,
-        # which the relative bound (~1.4e-2 there) still catches
+        # which the relative bound still catches: 0.39 at L = 4 (ln x = 27.6)
+        # and 0.47 at L = 1024 (ln x = 33.2), a margin of about 2x there
         critical_point = finite_chain._critical_point
         monkeypatch.setattr(finite_chain, "_critical_point",
                             lambda mu, x, m_s, m_c:
@@ -717,6 +718,20 @@ class TestThetaCriticalFinite:
         for L in (4, 8, 1024):
             with pytest.raises(RuntimeError, match="critical-point equations inconsistent"):
                 theta_critical_finite(1e12, L)
+
+    def test_ln_x_rounding_is_in_the_bound(self):
+        # x solved in ln x is off by ~eps ln x relative, which moved mu W - 2 m_c
+        # past 64 eps |mu W| from mu ~ 7.4e53 (at 1512 of these 9000 points);
+        # held to 64 eps |mu W| max(1, ln x), no point raises (residuals at
+        # most 0.8 % of the bound) up to where mu x overflows (mu ~ 2.7e154 /
+        # sqrt(L)), and J at the root is its target to 2.8e-14 relative
+        # measured, bound 4e-14. L = 1022 is past its threshold throughout
+        for L in (4, 8, 64, 256, 1022, 1024):
+            for mu in np.logspace(50, 151, 1500):
+                cp = theta_critical_finite(float(mu), L)
+                assert (cp is None) == (L == 1022)
+                if cp is not None:
+                    assert abs(J_finite(cp.x, L) / mu - 1.0) <= 4e-14
 
     def test_threshold_approach_of_mod2_rings(self, monkeypatch):
         # mu = 2 mu_critical(L)(1 - 10^-k) up to k = 16, where J flattens
@@ -772,16 +787,49 @@ class TestThetaCriticalFinite:
         assert theta_critical_finite(mu, L).theta_c == pytest.approx(ref, rel=2e-15, abs=0)
 
     def test_node_terms_once_per_solve(self, monkeypatch):
-        # the threshold of L = 2 mod 4, every J call and the band mean share
-        # one build of the mode nodes
+        # the mode nodes are built once per ring length, not once per call:
+        # the threshold of L = 2 mod 4, every J call and the band mean of
+        # repeated solves, J_finite, mu_critical, g_finite and
+        # minimize_dimer_finite at one L share one build
         builds = []
         mode_nodes = finite_chain._mode_nodes
         monkeypatch.setattr(finite_chain, "_mode_nodes",
                             lambda n: builds.append(n) or mode_nodes(n))
-        for mu, L in ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10)):
-            builds.clear()
-            theta_critical_finite(mu, L)
-            assert builds == [L // 2]
+        finite_chain._ring_nodes.cache_clear()
+        cases = ((2.0, 8), (0.5, 10), (2.0, 1024), (2.0, 1022), (1.39, 10))
+        for _ in range(2):
+            for mu, L in cases:
+                theta_critical_finite(mu, L)
+                J_finite(1.5, L)
+                if L % 4 == 2:
+                    mu_critical(L)
+                p = ModelParams(mu=mu, theta=2.0, L=L)  # above theta_c: one root
+                g_finite(DimerState(W=1.1, delta=0.1), p)
+                minimize_dimer_finite(p)
+        assert builds == [4, 5, 512, 511]
+
+    def test_cached_nodes_are_read_only_and_bounded(self):
+        nodes = finite_chain._ring_nodes(8)
+        for v in nodes[:6]:
+            with pytest.raises(ValueError):
+                v[0] = 1.0
+        assert finite_chain._ring_nodes.cache_info().maxsize == finite_chain._RING_CACHE
+
+    def test_solve_after_eviction_is_the_cold_solve(self):
+        # a ring whose nodes were evicted by more than the cache's size of
+        # other rings is rebuilt, and its outputs keep the bits of the cold
+        # build's, as do the warm calls before the eviction
+        calls = lambda: (theta_critical_finite(1.25, 32), theta_critical_finite(0.5, 30),
+                         J_finite(0.7, 32), mu_critical(30),
+                         g_finite(DimerState(W=1.1, delta=0.1), ModelParams(2.0, 0.1, 30)))
+        cache = finite_chain._ring_nodes
+        cache.cache_clear()
+        cold = calls()
+        assert calls() == cold and cache.cache_info().misses == 2
+        for L in range(34, 36 + 2 * finite_chain._RING_CACHE, 2):
+            cache(L)
+        misses = cache.cache_info().misses
+        assert calls() == cold and cache.cache_info().misses == misses + 2
 
     def test_domain(self):
         # NaN and inf stiffnesses made the bracket walk loop forever, and
