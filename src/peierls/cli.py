@@ -208,9 +208,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 2
-    if all(row.status != "ok" for row in rows):
-        return 3
-    return 0
+    return 3 if all(row.status != "ok" for row in rows) else 0
 
 
 if __name__ == "__main__":

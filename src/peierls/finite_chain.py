@@ -48,6 +48,8 @@ _NEWTON_STEPS = 100
 # routines, the tests' largest 30-digit mpmath reference (theta_c = 3.7e-69)
 _MU_MIN, _MU_MAX = 1e-8, 200.0
 _RING_CACHE = 32  # rings kept by _ring_nodes, ~24 L bytes each: <= 0.8 MB for L <= 1024
+# the rounding of mu W - 2 m_c: of mu W and of x solved in ln x
+_rounding = lambda mu_W, x: 64.0 * _EPS * abs(mu_W) * max(1.0, math.log(x))
 
 
 def _check_even_length(L) -> int:
@@ -107,8 +109,7 @@ class DimerState:
         L = _check_even_length(L)
         if self.delta >= self.W:
             raise ValueError("W must exceed delta to produce positive hoppings")
-        i = np.arange(L)
-        return HoppingConfig(self.W + self.sign * (-1.0) ** i * self.delta)
+        return HoppingConfig(self.W + self.sign * (-1.0) ** np.arange(L) * self.delta)
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,9 @@ class CriticalPoint:
 
 def _periodic_rows(x: float, sin_t, cos_t):
     # x h'(x^2 sin^2 t) = tanh(x |sin t|)/|sin t| and its x-derivative
-    # sech^2(x |sin t|), times sin^2 t: the means m_s and dm_s/dx
-    return np.stack((x * _h_prime((x * sin_t) ** 2), _sech2(x * sin_t))) * sin_t ** 2
+    # sech^2(x |sin t|), times sin^2 t, and the first times cos^2 t: m_s, dm_s/dx, m_c
+    xhp, sin2 = x * _h_prime((x * sin_t) ** 2), sin_t ** 2
+    return np.stack((xhp * sin2, _sech2(x * sin_t) * sin2, xhp * cos_t ** 2))
 
 
 def _check_mu(mu: float, top: float) -> None:
@@ -151,12 +153,12 @@ def _start_log_x(mu: float, L: float) -> float:
 def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoint:
     """A ring's critical point from its root x of J and the means m_s, m_c of
     x h'(x^2 sin^2 t) times sin^2 t and cos^2 t there: mu (W - 1) = 2 m_s and
-    mu W = 2 m_c to 1e-8 absolute or, if larger, 64 eps |mu W| max(1, ln x), the rounding
-    of mu W and of x solved in ln x. From mu ~ 1e152 mu x overflows: W = 0 raises."""
+    mu W = 2 m_c to 1e-8 absolute or, if larger, _rounding(mu W, x).
+    From mu ~ 1e152 mu x overflows: W = 0 raises."""
     theta = (mu + 2.0 * m_s) / (mu * x)
     W = x * theta
     residual = mu * W - 2.0 * m_c
-    if abs(residual) > max(1e-8, 64.0 * _EPS * abs(mu * W) * max(1.0, math.log(x))):
+    if abs(residual) > max(1e-8, _rounding(mu * W, x)):
         raise RuntimeError(
             f"critical-point equations inconsistent (residual {residual:.3e}); "
             "root solve or kernel evaluation drifted")
@@ -165,14 +167,9 @@ def _critical_point(mu: float, x: float, m_s: float, m_c: float) -> CriticalPoin
 
 def build_hopping_matrix(cfg: HoppingConfig) -> np.ndarray:
     """The symmetric ring matrix: T[i, i+1] = t_i with the corner t_L."""
-    t = cfg.t
-    L = t.size
-    T = np.zeros((L, L))
-    idx = np.arange(L - 1)
-    T[idx, idx + 1] = t[:-1]
-    T[idx + 1, idx] = t[:-1]
-    T[0, L - 1] = T[L - 1, 0] = t[-1]
-    return T
+    T = np.diag(cfg.t[:-1], 1)
+    T[0, -1] = cfg.t[-1]
+    return T + T.T
 
 
 def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
@@ -252,27 +249,41 @@ def g_finite(s: DimerState, p: ModelParams) -> float:
                         _ring_mean(_ring_nodes(_check_even_length(p.L))))
 
 
-def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
-    """Minimum (DimerState, value) of the band energy over W, delta >= 0,
-    given the ring's band mean and critical point (None: never dimerized).
+def _start_log_W(mu: float, theta: float) -> float:
+    """ln W where the 1-periodic root starts: x theta where the positive root x
+    of x^3/4 + (mu theta - 1) x = mu (tanh z >= z - z^3/3) is below 1, else the least
+    of W1 (m_s < 2/pi) and, for mu theta > 1, mu theta/(mu theta - 1) (tanh z <= z)."""
+    p, q = 4.0 * (mu * theta - 1.0), 4.0 * mu  # x^3 + p x = q: a sinh, cosh or cos of a third
+    a = 1.5 * q / abs(p) * math.sqrt(3.0 / abs(p)) if p else math.inf
+    x = 2.0 * math.sqrt(abs(p) / 3.0) * (
+        math.sinh(math.asinh(a) / 3.0) if p > 0 else math.cosh(math.acosh(a) / 3.0) if a >= 1.0
+        else math.cos(math.acos(a) / 3.0)) if p else q ** (1.0 / 3.0)
+    bound = 1.0 / (1.0 - 1.0 / (mu * theta)) if mu * theta > 1.0 else math.inf
+    return math.log(x * theta if 0.0 < x < 1.0 else min(1.0 + 4.0 / (math.pi * mu), bound))
 
-    Dimerized iff theta < theta_c, as the paper proves. Else W solves
-    mu (W - 1) = 2 m_s by numerics._newton_log in ln W from ln W* (or ln W1 =
-    ln(1 + 4/(pi mu))), a band mean of :func:`_periodic_rows` a step. Below
-    theta_c, the first lowest numerics.minimize_box minimum of a fan of 4
-    starts is restarted (a simplex of relative size 1e-6) at most 3 times
-    while it gains 1e-15, as the energy is quartically flat in delta near
-    theta_c. Errors propagate; a delta below DELTA_ZERO is unresolved and raises.
-    """
-    w_guess = 1.0 + 4.0 / (math.pi * p.mu)
-    if crit is None or p.theta >= crit.theta_c:
-        def step(u):  # mu (W - 1) - 2 m_s at W = e^u and its slope in u
-            W = math.exp(u)
-            x = W / p.theta
-            m_s, dm_s = mean(partial(_periodic_rows, x), _tanh_eta(x))
-            return p.mu * (W - 1.0) - 2.0 * m_s, p.mu * W - 2.0 * x * dm_s, W
-        W = _newton_log(step, math.log(crit.W_star if crit else w_guess))[1]
+
+def _minimize_dimer(p: ModelParams, mean):
+    """Minimum (DimerState, value) of the band energy over W, delta >= 0, given the
+    ring's band mean: W solves mu (W - 1) = 2 m_s by numerics._newton_log in ln W from
+    :func:`_start_log_W`, a band mean of :func:`_periodic_rows` a step. As F is convex in
+    (W^2, delta^2), delta = 0 is the minimum iff dF/d(delta^2) = (mu W - 2 m_c)/(2W) >= 0
+    there, to the _rounding that keeps theta_c 1-periodic; else :func:`_dimer_fan`."""
+    def step(u):  # mu (W - 1) - 2 m_s at W = e^u, its slope in u, and (W, x, m_c)
+        W = math.exp(u)
+        x = W / p.theta
+        m_s, dm_s, m_c = mean(partial(_periodic_rows, x), _tanh_eta(x))
+        return p.mu * (W - 1.0) - 2.0 * m_s, p.mu * W - 2.0 * x * dm_s, (W, x, m_c)
+    W, x, m_c = _newton_log(step, _start_log_W(p.mu, p.theta))[1]
+    if p.mu * W - 2.0 * m_c >= -_rounding(p.mu * W, x):
         return DimerState(W=W, delta=0.0), _band_energy(W, 0.0, p.mu, p.theta, mean)
+    return _dimer_fan(p, mean)
+
+
+def _dimer_fan(p: ModelParams, mean):
+    """The dimerized minimum: the first lowest numerics.minimize_box minimum of a fan
+    of 4 starts, restarted at relative size 1e-6 while it gains 1e-15 (at most 3 times:
+    F is quartically flat in delta near theta_c); a delta below DELTA_ZERO raises."""
+    w_guess = 1.0 + 4.0 / (math.pi * p.mu)
     f = lambda z: _band_energy(z[0], z[1], p.mu, p.theta, mean)
     starts = [(w_guess, 0.5), (w_guess, 0.05), (w_guess, 0.005), (1.0, 0.3)]  # delta falls
     steps = [(0.2, 0.2), (0.1, 0.03), (0.05, 0.003), (0.2, 0.2)]
@@ -291,14 +302,14 @@ def _minimize_dimer(p: ModelParams, mean, crit: CriticalPoint | None):
 def minimize_dimer_finite(p: ModelParams):
     """Minimize the ring's per-atom energy over W, delta >= 0: (DimerState, value).
 
-    Its phase comes from theta_critical_finite(mu, L), so mu >= 1e-8, but below
-    theta_c it raises ConvergenceError for mu < 1e-7; a 2-mod-4 ring past
-    2 mu_critical(L) is 1-periodic at every theta.
+    mu >= 1e-8, with no top, but below theta_c it raises ConvergenceError for
+    mu < 1e-7; a 2-mod-4 ring past 2 mu_critical(L) is 1-periodic at every theta.
     """
     if p.theta <= 0:
         raise ValueError("minimize_dimer_finite needs theta > 0")
     L = _check_even_length(p.L)
-    return _minimize_dimer(p, _ring_mean(_ring_nodes(L)), theta_critical_finite(p.mu, L))
+    _check_mu(p.mu, math.inf)
+    return _minimize_dimer(p, _ring_mean(_ring_nodes(L)))
 
 
 def _ring_derivatives(t: np.ndarray, mu: float, theta: float):

@@ -110,9 +110,8 @@ def electron_free_energy(eigs, theta: float):
     direct = 2.0 * float(np.sum(eigs * occ + theta * entropy(occ)))
     closed = float(np.sum(eigs)) - float(np.sum(h_theta(eigs * eigs, theta)))
     if abs(direct - closed) > 1e-10:
-        raise RuntimeError(
-            "Fermi-Dirac evaluations disagree: "
-            f"direct={direct!r}, closed={closed!r}")
+        raise RuntimeError(f"Fermi-Dirac evaluations disagree: direct={direct!r}, "
+                           f"closed={closed!r}")
     return closed, occ
 
 

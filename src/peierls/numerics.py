@@ -246,17 +246,12 @@ def minimize_box(f: Callable[[np.ndarray], float], init: Sequence[float],
         if fr < fs[0]:
             xe = np.maximum(centroid + gamma * (xr - centroid), 0.0)
             fe = f(xe)
-            if fe < fr:
-                simplex[-1], fs[-1] = xe, fe
-            else:
-                simplex[-1], fs[-1] = xr, fr
+            simplex[-1], fs[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fs[-2]:
             simplex[-1], fs[-1] = xr, fr
         else:
-            if fr < fs[-1]:
-                xc = np.maximum(centroid + beta * (xr - centroid), 0.0)
-            else:
-                xc = np.maximum(centroid + beta * (simplex[-1] - centroid), 0.0)
+            pull = xr if fr < fs[-1] else simplex[-1]  # the outside or the inside contraction
+            xc = np.maximum(centroid + beta * (pull - centroid), 0.0)
             fc = f(xc)
             if fc < min(fr, fs[-1]):
                 simplex[-1], fs[-1] = xc, fc

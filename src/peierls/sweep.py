@@ -142,9 +142,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
 
 def _format(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     return f"{float(value):.12g}"
 

@@ -12,9 +12,9 @@ layer at the band center, as that widens the strip.
 
 The integrands are functions of sin t and cos t, t = s - pi/2, as
 |cos s| = |sin t| keeps its full relative precision at the band center.
-The band energy and the dimer search (given theta_c too) are the finite
-ring's routines, given this ring's band mean (``_band_mean``), and so are
-theta_c's start and last step; each Newton iterate of its root of J(x) = mu
+The band energy and the dimer search are the finite ring's routines,
+given this ring's band mean (``_band_mean``), and so are theta_c's start
+and last step; each Newton iterate of its root of J(x) = mu
 is one band mean. From x = 1e4 (mu >= 11.1055) it comes in
 closed form instead: there the gap equation is BCS's, and the large-x expansions
 J(x) = (4/pi)(ln x + c2 - 1) + pi/(4x^2) and of the sin^2 mean,
@@ -31,9 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams,
-                           _band_energy, _check_mu, _critical_point,
-                           _minimize_dimer, _start_log_x)
+from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams, _band_energy,
+                           _check_mu, _critical_point, _minimize_dimer, _start_log_x)
 from .kernels import _h_prime, _h_second, _sech2, _tanh_eta
 from .numerics import _newton_log, mode_mean
 
@@ -68,13 +67,14 @@ def g_thermo(s: DimerState, p: ModelParams) -> float:
 def minimize_dimer_thermo(p: ModelParams):
     """Minimize g_thermo over W, delta >= 0: (DimerState, value), 1e-8 <= mu <= 200.
 
-    The phase comes from theta_critical_thermo(mu), whose domain it shares,
-    but below theta_c it raises ConvergenceError for mu < 1e-7.
+    The domain is theta_critical_thermo's, but below theta_c it raises
+    ConvergenceError for mu < 1e-7.
     """
     if p.theta <= 0 or p.L is not None:
         raise ValueError("minimize_dimer_thermo needs theta > 0 and no L "
                          f"(minimize_dimer_finite takes one), got {p}")
-    return _minimize_dimer(p, _band_mean, theta_critical_thermo(p.mu))
+    _check_mu(p.mu, _MU_MAX)
+    return _minimize_dimer(p, _band_mean)
 
 
 def J_thermo(x: float) -> float:
@@ -90,9 +90,8 @@ def J_thermo(x: float) -> float:
         raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0:
         return 0.0
-    return 2.0 * mode_mean(
-        lambda s, c: x * _h_prime((x * s) ** 2) * ((c - s) * (c + s)),
-        _tanh_eta(x), _ABS_TOL)
+    return 2.0 * mode_mean(lambda s, c: x * _h_prime((x * s) ** 2) * ((c - s) * (c + s)),
+                           _tanh_eta(x), _ABS_TOL)
 
 
 def _critical_rows(x: float, sin_t, cos_t):

@@ -320,13 +320,17 @@ def test_dimer_search_path(monkeypatch):
                                  ConvergenceError("inner mean", best=0.5)])
 @pytest.mark.parametrize("theta", [0.1, 0.5])  # the fan and the one root: theta_c = 0.32
 def test_band_mean_errors_propagate(exc, theta):
-    # the dimer search lets a band mean's error through as it was raised
-    def mean(f, eta):
-        raise exc
-    with pytest.raises(type(exc)) as err:
-        finite_chain._minimize_dimer(ModelParams(2.0, theta, 8), mean,
-                                     theta_critical_finite(2.0, 8))
-    assert err.value is exc
+    # the dimer search lets a band mean's error through as it was raised: the
+    # 1-periodic root's, and after it the energy's, in the fan at theta = 0.1
+    ring_mean = finite_chain._ring_mean(finite_chain._ring_nodes(8))
+    for in_root in (True, False):
+        def mean(f, eta):
+            if (getattr(f, "func", None) is finite_chain._periodic_rows) == in_root:
+                raise exc
+            return ring_mean(f, eta)
+        with pytest.raises(type(exc)) as err:
+            finite_chain._minimize_dimer(ModelParams(2.0, theta, 8), mean)
+        assert err.value is exc
 
 
 def _periodic_W_reference(mu, theta, L):
@@ -367,7 +371,49 @@ def _periodic_params(mu, L, r):
 
 class TestPhaseFromThetaC:
     """At or above theta_c, or where a ring never dimerizes, the minimum is
-    1-periodic and comes from one root, with no simplex."""
+    1-periodic and comes from one root, with no simplex. The search reads its
+    phase from the sign of mu W - 2 m_c at that root, not from theta_c: the
+    paper's theorem, one theta_c and dimerized exactly below it, is tested here."""
+
+    MUS = (1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 20.0, 50.0, 100.0, 200.0)
+    RATIOS = (0.01, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1.1, 3.0)
+
+    @pytest.mark.parametrize("L", [None, 4, 8, 10, 16, 64, 1024])
+    def test_kkt_sign_is_the_phase_of_theta_c(self, monkeypatch, L):
+        # dimerized iff theta < theta_c over 15 mu x 11 theta/theta_c, theta_c
+        # itself 1-periodic; an L = 10 ring past 2 mu_critical(10) = 1.39 (mu
+        # >= 2 here, no theta_c) is 1-periodic at the infinite ring's theta
+        # grid. Every root takes at most 6 band means (3.9 on average), measured
+        monkeypatch.setattr(finite_chain, "_dimer_fan", lambda p, mean: (None, "dimerized"))
+        ring_mean = (thermodynamic._band_mean if L is None
+                     else finite_chain._ring_mean(finite_chain._ring_nodes(L)))
+        means = []
+
+        def mean(f, eta):
+            means.append(1)
+            return ring_mean(f, eta)
+
+        for mu in self.MUS:
+            crit = _ring_and_mean(mu, L)[2]
+            theta_c = (crit or thermodynamic.theta_critical_thermo(mu)).theta_c
+            for r in self.RATIOS:
+                means.clear()
+                _, value = finite_chain._minimize_dimer(ModelParams(mu, r * theta_c, L), mean)
+                dimerized = value == "dimerized"
+                assert dimerized == (crit is not None and r * theta_c < theta_c), (mu, r)
+                assert len(means) - (not dimerized) <= 6, (mu, r)  # the 1-periodic energy's mean
+
+    def test_searches_call_no_theta_c(self, monkeypatch):
+        # both searches, 1-periodic (theta = 0.5) and dimerized (theta = 0.1), with
+        # every theta_c solve raising: theta_c(2) = 0.21, and 0.32 on the ring of 8
+        def no_theta_c(*args):
+            raise AssertionError("theta_c called")
+        monkeypatch.setattr(thermodynamic, "theta_critical_thermo", no_theta_c)
+        monkeypatch.setattr(finite_chain, "theta_critical_finite", no_theta_c)
+        for L in (None, 8):
+            minimize = thermodynamic.minimize_dimer_thermo if L is None else minimize_dimer_finite
+            assert minimize(ModelParams(2.0, 0.5, L))[0].delta == 0.0
+            assert minimize(ModelParams(2.0, 0.1, L))[0].delta > 0.0
 
     @pytest.mark.parametrize("mu, L, r", _PERIODIC_POINTS)
     def test_periodic_minimum_is_one_root(self, monkeypatch, mu, L, r):
@@ -387,10 +433,8 @@ class TestPhaseFromThetaC:
         monkeypatch.setattr(finite_chain, "_ring_mean", lambda n: counted(ring_mean(n)))
         state, value = minimize(p)
         assert state.delta == 0.0
-        # the search's own critical point (a band mean per Newton iterate on
-        # the infinite ring, 2 to 5 here; none on a finite ring), the root's
-        # means and the energy's: 3 to 12 measured
-        assert len(means) <= 12
+        # the root's means and the energy's: 4 to 6 measured
+        assert len(means) <= 6
         # measured within 1.2e-12 (mu = 0.5, theta = 2 theta_c)
         assert state.W == pytest.approx(_periodic_W_reference(mu, p.theta, L), abs=1e-11)
         energy = g_finite if L else thermodynamic.g_thermo
@@ -415,16 +459,15 @@ class TestPhaseFromThetaC:
 
     @pytest.mark.parametrize("mu, L, r", _PERIODIC_POINTS)
     def test_no_dimerized_state_is_lower(self, mu, L, r):
-        # the paper's theorem that the root relies on, checked by the 2-D
-        # simplex fan of the dimerized phase, forced by a critical point far
-        # above theta: its best value is never below the root's by more than
-        # 1e-13 (measured at most 1.8e-15 below, the band mean's rounding)
+        # the paper's theorem that the root's sign relies on, checked by the
+        # 2-D simplex fan of the dimerized phase, run on its own: its best value
+        # is never below the root's by more than 1e-13 (measured at most
+        # 1.8e-15 below, the band mean's rounding)
         minimize, mean, _ = _ring_and_mean(mu, L)
         p = _periodic_params(mu, L, r)
         _, root_value = minimize(p)
-        forced = CriticalPoint(x=1.0, W_star=10.0, theta_c=10.0)
         try:
-            fan_value = finite_chain._minimize_dimer(p, mean, forced)[1]
+            fan_value = finite_chain._dimer_fan(p, mean)[1]
         except ConvergenceError as err:  # the fan's delta fell below DELTA_ZERO
             fan_value = err.best[1]
         assert fan_value >= root_value - 1e-13
