@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import numerics
-from .kernels import _EPS, _h_prime, _sech2, _tanh_eta, h_theta
+from .kernels import _EPS, _sech2, _tanh_eta, _tanh_ratio, h_theta
 from .numerics import ConvergenceError, _mode_nodes, _newton_box, _newton_log, lattice_points
 
 __all__ = [
@@ -128,10 +128,10 @@ class CriticalPoint:
 
 
 def _periodic_rows(x: float, sin_t, cos_t):
-    # x h'(x^2 sin^2 t) = tanh(x |sin t|)/|sin t| and its x-derivative
-    # sech^2(x |sin t|), times sin^2 t, and the first times cos^2 t: m_s, dm_s/dx, m_c
-    xhp, sin2 = x * _h_prime((x * sin_t) ** 2), sin_t ** 2
-    return np.stack((xhp * sin2, _sech2(x * sin_t) * sin2, xhp * cos_t ** 2))
+    # x h'(x^2 sin^2 t) = tanh(x sin t)/sin t and its x-derivative
+    # sech^2(x sin t), times sin^2 t, and the first times cos^2 t: m_s, dm_s/dx, m_c
+    ratio, sin2 = _tanh_ratio(x, sin_t), sin_t ** 2
+    return np.stack((ratio * sin2, _sech2(x * sin_t) * sin2, ratio * cos_t ** 2))
 
 
 def _check_mu(mu: float, top: float) -> None:

@@ -2,10 +2,10 @@
 
 The occupation entropy S and the temperature-scaled per-mode free energy
 h_theta(x) = theta h(x / (4 theta^2)) of h(y) = 2 ln(2 cosh sqrt(y)), each on
-a float or an array; h' and h'' on arrays; the Fermi-Dirac electronic free
-energy of an eigenvalue list; and the complete elliptic integrals K and E,
-both from one arithmetic-geometric mean, in the form the zero-temperature
-analysis needs.
+a float or an array; h'' and x h'(x^2 s^2) = tanh(x s)/s on arrays; the
+Fermi-Dirac electronic free energy of an eigenvalue list; and the complete
+elliptic integrals K and E, both from one arithmetic-geometric mean, in the
+form the zero-temperature analysis needs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ __all__ = [
     "elliptic_side",
 ]
 
-# below this, h' switches to its truncated Taylor series (0/0 guard)
-_SERIES_CUTOFF = 1e-6
 # 1/(2k+3)! for k = 11 down to 0: the series of Q(s) = (sinh s - s)/s^3 in
 # s^2, to rounding for s^2 < 4
 _Q_SERIES = [1.0 / math.factorial(2 * k + 3) for k in range(11, -1, -1)]
@@ -56,13 +54,10 @@ def h_theta(x, theta: float):
     return float(out) if scalar else out
 
 
-def _h_prime(y: np.ndarray) -> np.ndarray:
-    # h'(y) = tanh(sqrt y)/sqrt y, h'(0) = 1: its series on every node, then
-    # tanh(r)/r over it from the cutoff up (y^2 overflows past y ~ 1e154)
-    y = np.asarray(y, dtype=float)
-    r = np.sqrt(y)
-    return np.divide(np.tanh(r), r, out=1.0 - y / 3.0 + 2.0 * y * y / 15.0,
-                     where=y >= _SERIES_CUTOFF)
+def _tanh_ratio(x: float, s: np.ndarray) -> np.ndarray:
+    # x h'(x^2 s^2) = tanh(x s)/s, even in s, and its limit x at s = 0 (-0.0
+    # too): x s is never squared, so it needs no series and does not overflow
+    return np.divide(np.tanh(x * s), s, out=np.full_like(s, x), where=s != 0)
 
 
 def _h_second(y: np.ndarray) -> np.ndarray:

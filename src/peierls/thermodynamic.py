@@ -33,7 +33,7 @@ import numpy as np
 
 from .finite_chain import (_MU_MAX, CriticalPoint, DimerState, ModelParams, _band_energy,
                            _check_mu, _critical_point, _minimize_dimer, _start_log_x)
-from .kernels import _h_prime, _h_second, _sech2, _tanh_eta
+from .kernels import _h_second, _sech2, _tanh_eta, _tanh_ratio
 from .numerics import _newton_log, mode_mean
 
 __all__ = [
@@ -80,25 +80,24 @@ def minimize_dimer_thermo(p: ModelParams):
 def J_thermo(x: float) -> float:
     """-(4/pi) int_0^{pi/2} tanh(x cos s) cos(2s)/cos(s) ds.
 
-    Strictly increasing from 0 to infinity; the apparent s = pi/2 blowup
-    cancels against tanh and is evaluated through the series form. As a
-    mean in t = s - pi/2, with tanh(x c)/c = x h'(x^2 c^2) and
-    cos 2s = -cos 2t, this is 2 <x h'(x^2 sin^2 t) cos 2t>, with cos 2t as
-    (cos t - sin t)(cos t + sin t).
+    Strictly increasing from 0 to infinity. As a mean in t = s - pi/2, with
+    cos 2s = -cos 2t, this is 2 <tanh(x sin t)/sin t cos 2t>, with cos 2t as
+    (cos t - sin t)(cos t + sin t); the ratio takes its limit x at the band
+    centre sin t = 0, where the apparent s = pi/2 blowup cancels.
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0:
         return 0.0
-    return 2.0 * mode_mean(lambda s, c: x * _h_prime((x * s) ** 2) * ((c - s) * (c + s)),
+    return 2.0 * mode_mean(lambda s, c: _tanh_ratio(x, s) * ((c - s) * (c + s)),
                            _tanh_eta(x), _ABS_TOL)
 
 
 def _critical_rows(x: float, sin_t, cos_t):
     # J_thermo's integrand, its x-derivative and the integrands of m_s, m_c
-    xs, cos_2t = x * sin_t, (cos_t - sin_t) * (cos_t + sin_t)
-    xhp = x * _h_prime(xs ** 2)
-    return np.stack((xhp * cos_2t, _sech2(xs) * cos_2t, xhp * sin_t ** 2, xhp * cos_t ** 2))
+    ratio, cos_2t = _tanh_ratio(x, sin_t), (cos_t - sin_t) * (cos_t + sin_t)
+    return np.stack((ratio * cos_2t, _sech2(x * sin_t) * cos_2t, ratio * sin_t ** 2,
+                     ratio * cos_t ** 2))
 
 
 def theta_critical_thermo(mu: float) -> CriticalPoint:

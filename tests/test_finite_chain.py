@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                                   theta_critical_finite)
 from peierls import finite_chain, numerics, thermodynamic, zero_temperature
 from peierls.finite_chain import T_BOX, _ring_derivatives
-from peierls.kernels import h_theta
+from peierls.kernels import _h_second, h_theta
 from peierls.numerics import ConvergenceError
 
 # independently solved reference values (Brent root of J + explicit sums,
@@ -259,6 +260,24 @@ class TestDimerMinimization:
             minus = chain_free_energy(DimerState(state.W, state.delta, -1).hoppings(L), p)
             assert plus == pytest.approx(minus, abs=1e-12)
 
+    def test_coldest_rings_keep_their_state(self):
+        # x = W/theta passes 1e154 here: squared, x sin t overflowed and a
+        # 2-mod-4 ring's 1-periodic root ended at W = 1 with a wrong value.
+        # tanh(x sin t)/sin t keeps the theta = 1e-100 state down to 1e-300,
+        # with no floating-point warning. The infinite ring still raises at
+        # 1e-160: its root's mode mean needs more than numerics._MEAN_MAX_NODES
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for L in (6, 8, 10, 14):
+                state, value = minimize_dimer_finite(ModelParams(2.0, 1e-100, L))
+                for theta in (1e-160, 1e-300):
+                    got, got_value = minimize_dimer_finite(ModelParams(2.0, theta, L))
+                    assert abs(got.W - state.W) <= 1e-15, (L, theta)
+                    assert abs(got.delta - state.delta) <= 1e-15, (L, theta)
+                    assert abs(got_value - value) <= 1e-15, (L, theta)
+            with pytest.raises(ConvergenceError):
+                thermodynamic.minimize_dimer_thermo(ModelParams(2.0, 1e-160))
+
     @pytest.mark.parametrize("L", [None, 8])
     def test_smallest_stiffness_raises_below_theta_c(self, L):
         # at mu = 1e-8, the bottom of the stated domain, W and delta are
@@ -290,6 +309,57 @@ class TestDimerReductionHessian:
         assert F / L == pytest.approx(value, abs=1e-14)
         assert np.linalg.eigvalsh(H)[0] > 0.1  # measured 0.198 to 1.31
         assert np.max(np.abs(g)) <= 1e-7
+
+
+def _hessian_in_squares(W, delta, mu, theta, L):
+    """The Hessian of the dimer energy F in (P, s) = (W^2, delta^2) from band
+    means of h_theta''(y) = h''(y/(4 theta^2))/(16 theta^3) at the squared
+    levels y = 4 P sin^2 t + 4 s cos^2 t: H_PP = (mu/4) P^(-3/2) - 16 <h_theta''
+    sin^4 t>, H_Ps = -16 <h_theta'' sin^2 t cos^2 t>, H_ss = -16 <h_theta'' cos^4 t>."""
+    def rows(sin_t, cos_t):
+        sn2, cs2 = sin_t ** 2, cos_t ** 2
+        hpp = _h_second((W * W * sn2 + delta * delta * cs2) / (theta * theta)) / (16 * theta ** 3)
+        return np.stack((hpp * sn2 * sn2, hpp * sn2 * cs2, hpp * cs2 * cs2))
+    # h''s singularities are h_theta's, so the strip is finite_chain._band_energy's
+    big, small = max(W, delta), min(W, delta)
+    eta = math.asinh(math.sqrt((small ** 2 + (0.5 * math.pi * theta) ** 2) / (big ** 2 - small ** 2)))
+    m_pp, m_ps, m_ss = _ring_and_mean(mu, L)[1](rows, eta)
+    return np.array([[0.25 * mu * W ** -3 - 16 * m_pp, -16 * m_ps], [-16 * m_ps, -16 * m_ss]])
+
+
+class TestConvexityInSquares:
+    """F is convex in (P, s) = (W^2, delta^2), the premise of the dimer search's
+    phase rule: delta = 0 is the minimum iff dF/ds >= 0 at the 1-periodic root."""
+
+    def test_hessian_matches_finite_differences(self):
+        # against central second differences of _band_energy in (P, s), step
+        # 1e-3: measured within 1.2e-5 of the largest entry, bound 1e-4
+        for mu, theta, L, W, delta in ((2.0, 0.3, None, 1.2, 0.3), (0.5, 0.05, 8, 1.6, 0.4),
+                                       (4.0, 1.0, 6, 1.1, 0.2)):
+            mean = _ring_and_mean(mu, L)[1]
+            F = lambda P, s: finite_chain._band_energy(math.sqrt(P), math.sqrt(s), mu, theta,
+                                                       mean)
+            P, s, h = W * W, delta * delta, 1e-3
+            fd = np.array([
+                [(F(P + h, s) - 2 * F(P, s) + F(P - h, s)) / h ** 2,
+                 (F(P + h, s + h) - F(P + h, s - h) - F(P - h, s + h) + F(P - h, s - h))
+                 / (4 * h * h)],
+                [0.0, (F(P, s + h) - 2 * F(P, s) + F(P, s - h)) / h ** 2]])
+            fd[1, 0] = fd[0, 1]
+            H = _hessian_in_squares(W, delta, mu, theta, L)
+            assert np.all(np.abs(H - fd) <= 1e-4 * np.abs(H).max()), (mu, theta, L)
+
+    @pytest.mark.parametrize("L", [None, 4, 6, 8, 14, 64])
+    def test_positive_definite(self, L):
+        # on 40 seeded points, mu 1e-2 to 20 and theta 1e-3 to 3 log-uniform,
+        # W in [0.2, 3] and delta in [0, W): both eigenvalues positive (the
+        # smaller at least 4.7e-4 of the larger, measured)
+        rng = np.random.default_rng(33)
+        for mu, theta, W, d in zip(10 ** rng.uniform(-2, math.log10(20), 40),
+                                   10 ** rng.uniform(-3, math.log10(3), 40),
+                                   rng.uniform(0.2, 3.0, 40), rng.uniform(0.0, 1.0, 40)):
+            H = _hessian_in_squares(W, d * W, mu, theta, L)
+            assert np.linalg.eigvalsh(H)[0] > 0, (mu, theta, W, d * W)
 
 
 def test_dimer_search_path(monkeypatch):
@@ -902,11 +972,11 @@ class TestThetaCriticalFinite:
     def test_euler_lagrange_on_ring_angles(self):
         # both equations as sums over the L ring angles 2 pi k/L, which as a
         # set are the L/2 mode nodes the solver averages over
-        from peierls.kernels import _h_prime
         mu, L = 2.0, 8
         cp = theta_critical_finite(mu, L)
         ang = 2.0 * np.pi * np.arange(1, L + 1) / L
-        xhp = cp.x * _h_prime((cp.x * np.cos(ang)) ** 2)
+        r = np.abs(cp.x * np.cos(ang))  # x h'(r^2) as x tanh(r)/r, 1 at r = 0
+        xhp = cp.x * np.divide(np.tanh(r), r, out=np.ones_like(r), where=r != 0)
         assert abs(mu * (cp.W_star - 1) - 2.0 * np.mean(xhp * np.cos(ang) ** 2)) <= 1e-8
         assert abs(mu * cp.W_star - 2.0 * np.mean(xhp * np.sin(ang) ** 2)) <= 1e-8
 

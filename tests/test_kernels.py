@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from peierls.kernels import (_h_prime, _h_second, electron_free_energy,
+from peierls.kernels import (_h_second, _tanh_ratio, electron_free_energy,
                              elliptic_side, entropy, h_theta)
 
 # h_theta(x, theta) as the band means take it, bit for bit, at fixed
@@ -51,15 +51,22 @@ class TestEntropy:
             entropy(np.array([0.5, 1.1]))
 
 
+def _h_prime(y):
+    # h'(y) = tanh(sqrt y)/sqrt y, 1 at y = 0: the derivative h'' must match
+    r = np.sqrt(y)
+    return np.divide(np.tanh(r), r, out=np.ones_like(r), where=r != 0)
+
+
 class TestHEval:
-    """h' and h'' of h(y) = 2 ln(2 cosh sqrt(y)), the private array kernels."""
+    """h'' of h(y) = 2 ln(2 cosh sqrt(y)) and h'(y) = tanh(sqrt y)/sqrt y, the
+    private array kernels, h' as the tanh ratio at x = 1."""
 
     def test_at_zero(self):
-        assert _h_prime(np.zeros(1))[0] == 1.0
+        assert _tanh_ratio(1.0, np.zeros(1))[0] == 1.0
         assert _h_second(np.zeros(1))[0] == pytest.approx(-1.0 / 3.0, abs=1e-14)
 
     def test_at_one(self):
-        assert _h_prime(np.ones(1))[0] == pytest.approx(math.tanh(1.0), abs=1e-14)
+        assert _tanh_ratio(1.0, np.ones(1))[0] == pytest.approx(math.tanh(1.0), abs=1e-14)
 
     def test_large_argument_stable(self):
         # h(y) = 2 h_theta(y, 1/2); direct cosh evaluation is still exact at
@@ -69,22 +76,10 @@ class TestHEval:
         assert 2 * h_theta(100.0, 0.5) == pytest.approx(20.0, abs=1e-7)
 
     def test_h_prime_positive_decreasing(self):
-        hps = _h_prime(np.logspace(-8, 4, 200))
+        hps = _tanh_ratio(1.0, np.sqrt(np.logspace(-8, 4, 200)))
         assert np.all(hps > 0)
         assert np.all(np.diff(hps) < 0)
         assert np.all(hps <= 1.0)
-
-    def test_h_prime_piecewise_bits(self):
-        # the series below the 1e-6 cutoff and tanh(r)/r from it up, bit for
-        # bit, at 0, on both sides of the cutoff and up to y = 1e150
-        ys = np.concatenate(([0.0, 1e-6], np.logspace(-12, 150, 163)))
-        small = ys < 1e-6
-        want = np.empty_like(ys)
-        y = ys[small]
-        want[small] = 1.0 - y / 3.0 + 2.0 * y * y / 15.0
-        r = np.sqrt(ys[~small])
-        want[~small] = np.tanh(r) / r
-        assert np.array_equal(_h_prime(ys), want)
 
     def test_h_second_matches_finite_differences(self):
         ys = np.logspace(-2, 2, 25)
@@ -95,25 +90,21 @@ class TestHEval:
         assert np.all(np.abs(hpp - fd) <= 1e-6 * np.abs(hpp))
 
     def test_series_crossover_continuous(self):
-        # straddle each series/direct switch by a negligible argument gap:
-        # y = 1e-6 for h', y = 1 for h''
-        y = np.array([1 - 1e-10, 1 + 1e-10])
-        below, above = _h_prime(1e-6 * y)
-        assert below == pytest.approx(above, abs=1e-12)
-        below, above = _h_second(y)
+        # straddle the series/direct switch of h'' at y = 1 by a negligible gap
+        below, above = _h_second(np.array([1 - 1e-10, 1 + 1e-10]))
         assert below == pytest.approx(above, abs=1e-9)
 
     def test_derivatives_match_mpmath(self):
         # 40-digit closed forms h'(y) = tanh(r)/r and h''(y) = sech^2(r)/2y -
-        # tanh(r)/2y^(3/2), r = sqrt(y), on y = 1e-9 to 1e4 and across both
-        # switches. Below y = 1 h'' sums the series of (sinh s - s)/s^3, so
-        # it never takes the difference of the two ~1/2y terms: the worst
-        # error measured is 2.3e-15 relative, at y ~ 300
+        # tanh(r)/2y^(3/2), r = sqrt(y), on y = 1e-9 to 1e4 and across the
+        # switch of h'' at y = 1. Below it h'' sums the series of
+        # (sinh s - s)/s^3, so it never takes the difference of the two ~1/2y
+        # terms: the worst error measured is 2.3e-15 relative, at y ~ 300
         ys = np.concatenate(([0.0], np.logspace(-9, 4, 131),
                              [1e-6 * (1 - 1e-10), 1e-6 * (1 + 1e-10), 2e-6,
                               1 - 1e-10, 1 + 1e-10, 296.8246743463243]))
         with mpmath.workdps(40):
-            for y, hp, hpp in zip(ys, _h_prime(ys), _h_second(ys)):
+            for y, hp, hpp in zip(ys, _tanh_ratio(1.0, np.sqrt(ys)), _h_second(ys)):
                 if y == 0.0:
                     want_p, want_s = 1.0, -1.0 / 3.0
                 else:
@@ -123,6 +114,40 @@ class TestHEval:
                     want_s = float(mpmath.sech(r) ** 2 / (2 * Y) - mpmath.tanh(r) / (2 * Y * r))
                 assert abs(hp - want_p) <= 1e-14 * abs(want_p)
                 assert abs(hpp - want_s) <= 4e-15 * abs(want_s)
+
+
+class TestTanhRatio:
+    """x h'(x^2 s^2) = tanh(x s)/s, the one form of every band row's tanh kernel."""
+
+    def test_limit_at_zero(self):
+        # x at s = 0 and at s = -0.0, also among nonzero s
+        for x in (1e-3, 1.0, 7.5, 1e300):
+            got = _tanh_ratio(x, np.array([0.0, -0.0, 0.5]))
+            assert got[0] == x and got[1] == x
+            assert got[2] == np.tanh(0.5 * x) / 0.5
+
+    def test_even_in_s(self):
+        s = np.concatenate(([0.0, 1e-300], np.logspace(-20, 0, 41), np.linspace(0.01, 1, 50)))
+        for x in (1e-3, 1.0, 40.0, 1e8, 1e200):
+            assert np.array_equal(_tanh_ratio(x, -s), _tanh_ratio(x, s))
+
+    def test_within_two_ulp_of_tanh_r_over_r(self):
+        # x tanh(r)/r at r = x s from 1e-300 to 1e300 and s from 3.3e-8 to 1,
+        # against 30-digit mpmath: x s rounds once, then tanh and the division
+        with mpmath.workdps(30):
+            for s in (1.0, 0.7, 1e-3, 3.3e-8):
+                for x in np.logspace(-300, 300, 241) / s:
+                    got = _tanh_ratio(float(x), np.array([s]))[0]
+                    want = float(mpmath.tanh(mpmath.mpf(float(x)) * s) / s)
+                    assert abs(got - want) <= 2 * np.spacing(want)
+
+    def test_no_overflow_at_large_argument(self):
+        # x s = 1e300 raises no floating-point error: tanh is 1 there, so the
+        # ratio is 1/s to rounding
+        with np.errstate(all="raise"):
+            assert _tanh_ratio(1e300, np.array([1.0]))[0] == 1.0
+            assert _tanh_ratio(1e308, np.array([1e-8, -1e-8])).tolist() == [1e8, 1e8]
+            assert _tanh_ratio(1e300, np.array([0.0, -0.0])).tolist() == [1e300, 1e300]
 
 
 class TestHTheta:

@@ -207,14 +207,17 @@ class TestThetaCritical:
         # mu W* = 2 <x h'(x^2 sin^2 t) cos^2 t>, with the means taken here,
         # at root-solve points and at closed-form points (mu = 12, 50);
         # measured at most 2.2e-15 (mu = 50), bound 1e-13
-        from peierls.kernels import _h_prime
         from peierls.thermodynamic import _ABS_TOL, _tanh_eta
         for mu in (1.0, 2.0, 6.0, 12.0, 50.0):
             cp = theta_critical_thermo(mu)
             x = cp.x
 
             def mean(trig):
-                f = lambda sn, cs: x * _h_prime((x * sn) ** 2) * trig(sn, cs) ** 2
+                # x h'(x^2 sin^2 t) as x tanh(r)/r, r = x |sin t|, 1 at r = 0
+                def f(sn, cs):
+                    r = np.abs(x * sn)
+                    hp = np.divide(np.tanh(r), r, out=np.ones_like(r), where=r != 0)
+                    return x * hp * trig(sn, cs) ** 2
                 return numerics.mode_mean(f, _tanh_eta(x), _ABS_TOL)
             r1 = mu * (cp.W_star - 1) - 2.0 * mean(lambda sn, cs: sn)
             r2 = mu * cp.W_star - 2.0 * mean(lambda sn, cs: cs)
@@ -223,7 +226,7 @@ class TestThetaCritical:
 
     def test_j_call_budget(self, monkeypatch):
         # J is evaluated once per Newton iterate, as a row of one band mean,
-        # never by J_thermo: 2 means measured at mu = 11.1, the largest root
+        # never by J_thermo: 1 mean measured at mu = 11.1, the largest root
         # solve, just below the closed form's seam at 11.1055; none past it
         calls = []
         mean = thermodynamic._band_mean
@@ -231,7 +234,7 @@ class TestThetaCritical:
                             lambda f, eta: calls.append(eta) or mean(f, eta))
         monkeypatch.setattr(thermodynamic, "J_thermo", None)
         theta_critical_thermo(11.1)
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         theta_critical_thermo(11.2)
         theta_critical_thermo(200.0)
@@ -481,6 +484,19 @@ class TestMinimizeDimerThermo:
         ratio = state.delta / dimer_optimum_zero(18.0).delta_opt
         assert ratio == pytest.approx(bcs, rel=0.02)
 
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 4.0, 8.0])
+    def test_cold_limit_is_the_zero_temperature_optimum(self, mu):
+        # the mode mean of h_theta at theta = 0.05 theta_c against the AGM's
+        # closed forms, which share no code with it: the thermal correction
+        # ~ e^(-gap/theta) ~ e^(-35) is below rounding. value measured within
+        # 4.4e-16; delta within 4.5e-6 relative (mu = 8), the simplex's
+        # resolution, which a Newton solve in (W, delta) would tighten
+        theta = 0.05 * theta_critical_thermo(mu).theta_c
+        state, value = minimize_dimer_thermo(ModelParams(mu=mu, theta=theta))
+        zero = dimer_optimum_zero(mu)
+        assert abs(value - zero.f0) <= 1e-15
+        assert abs(state.delta - zero.delta_opt) <= 1e-5 * zero.delta_opt
+
     def test_unresolved_delta_raises(self, tmp_path):
         # at mu = 20, theta = 0.5 theta_c, delta ~ 8e-8 is below what the
         # simplex resolves: an error, and an error row in a sweep, where a
@@ -678,14 +694,14 @@ class TestIntegrandsOnSinCos:
         # slope's sech^2(x |sin t|) cos 2t within 8 ulps of its 1/cosh^2 form
         # (measured 5; theta_critical_thermo hands _band_mean these rows, see
         # TestThetaCritical.test_one_band_mean_per_solve)
-        from peierls.kernels import _h_prime
+        from peierls.kernels import _tanh_ratio
         x = theta_critical_thermo(2.0).x
         for t in self._nodes():
             sn, cs = np.sin(t), np.cos(t)
             rows = thermodynamic._critical_rows(x, sn, cs)
-            xhp = x * _h_prime((x * sn) ** 2)
-            assert np.array_equal(rows[0], x * _h_prime((x * sn) ** 2) * ((cs - sn) * (cs + sn)))
-            assert np.array_equal(rows[2:], np.stack((xhp * sn ** 2, xhp * cs ** 2)))
+            ratio = _tanh_ratio(x, sn)
+            assert np.array_equal(rows[0], ratio * ((cs - sn) * (cs + sn)))
+            assert np.array_equal(rows[2:], np.stack((ratio * sn ** 2, ratio * cs ** 2)))
             slope = (cs - sn) * (cs + sn) / np.cosh(x * sn) ** 2
             assert np.all(np.abs(rows[1] - slope) <= 8 * np.spacing(np.abs(slope)))
 
