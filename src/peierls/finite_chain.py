@@ -172,23 +172,31 @@ def build_hopping_matrix(cfg: HoppingConfig) -> np.ndarray:
     return T + T.T
 
 
+def _ring_levels(t: np.ndarray) -> np.ndarray:
+    """Singular values sigma of an even ring's block B[k, k] = t[2k], B[k+1, k] = t[2k+1] and
+    B[0, -1] = t[-1]: with its even sites first, T = [[0, B], [B^T, 0]] has the levels +-sigma."""
+    n = _check_even_length(t.size) // 2
+    B = np.zeros((n, n))
+    B.flat[::n + 1], B.flat[n::n + 1], B[0, -1] = t[::2], t[1:-1:2], t[-1]
+    return np.linalg.svd(B, compute_uv=False)
+
+
 def chain_free_energy(cfg: HoppingConfig, p: ModelParams) -> float:
-    """(mu/2) sum (t_i - 1)^2 - sum_i h_theta(eps_i^2) over the T spectrum."""
+    """(mu/2) sum (t_i - 1)^2 - 2 sum h_theta(sigma^2) over the levels +-sigma of T."""
     if p.theta <= 0:
         raise ValueError("use chain_energy_zero for theta = 0")
     if p.L not in (None, cfg.t.size):
         raise ValueError(f"L = {p.L} but the ring has {cfg.t.size} hoppings")
-    eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
+    sigma = _ring_levels(cfg.t)
     distortion = 0.5 * p.mu * float(np.sum((cfg.t - 1.0) ** 2))
-    return distortion - float(np.sum(h_theta(eps * eps, p.theta)))
+    return distortion - 2.0 * float(np.sum(h_theta(sigma * sigma, p.theta)))
 
 
 def chain_energy_zero(cfg: HoppingConfig, mu: float) -> float:
-    """Zero-temperature energy: (mu/2) sum (t_i - 1)^2 - sum |eps_i|."""
+    """Zero-temperature energy: (mu/2) sum (t_i - 1)^2 - 2 sum sigma."""
     if not 0 < mu < math.inf:
         raise ValueError(f"stiffness must be positive and finite, got {mu}")
-    eps = np.linalg.eigvalsh(build_hopping_matrix(cfg))
-    return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - float(np.sum(np.abs(eps)))
+    return 0.5 * mu * float(np.sum((cfg.t - 1.0) ** 2)) - 2.0 * float(np.sum(_ring_levels(cfg.t)))
 
 
 def _dimer_band(W: float, delta: float, theta: float):

@@ -7,8 +7,8 @@ the integrand's strip of analyticity. Then one root solver for increasing
 residuals, bracketed Newton's method in a log variable, and
 minimization (a projected derivative-free simplex on the orthant x >= 0,
 and damped Newton descent on a box where the Hessian is known). Ring
-spectra need no primitive here: the model calls numpy's eigvalsh on
-matrices it builds symmetric. Everything here is a pure function of its
+spectra need no primitive here: an even ring's levels are +- numpy's
+svd of its even-to-odd block. Everything here is a pure function of its
 inputs and safe to call from many workers at once; the mode mean's mapped
 nodes, as sin t, cos t and dt/du, are cached read-only per (p, N) level,
 at most 12 MB. The mode mean takes the one accuracy its callers vary,

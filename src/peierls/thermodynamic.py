@@ -67,8 +67,8 @@ def g_thermo(s: DimerState, p: ModelParams) -> float:
 def minimize_dimer_thermo(p: ModelParams):
     """Minimize g_thermo over W, delta >= 0: (DimerState, value), 1e-8 <= mu <= 200.
 
-    The domain is theta_critical_thermo's, but below theta_c it raises
-    ConvergenceError for mu < 1e-7.
+    It raises ConvergenceError below theta_c for mu < 1e-7, and below theta ~ 1e-150,
+    where the 1-periodic root's mode mean needs more than its 16384-node cap.
     """
     if p.theta <= 0 or p.L is not None:
         raise ValueError("minimize_dimer_thermo needs theta > 0 and no L "

@@ -17,7 +17,7 @@ from peierls.finite_chain import (CriticalPoint, DimerState, HoppingConfig,
                                   minimize_dimer_finite, mu_critical,
                                   theta_critical_finite)
 from peierls import finite_chain, numerics, thermodynamic, zero_temperature
-from peierls.finite_chain import T_BOX, _ring_derivatives
+from peierls.finite_chain import T_BOX, _ring_derivatives, _ring_levels
 from peierls.kernels import _h_second, h_theta
 from peierls.numerics import ConvergenceError
 
@@ -141,11 +141,37 @@ class TestHoppingMatrix:
             assert np.allclose(eigs, -eigs[::-1], atol=1e-8)
 
 
+class TestRingLevels:
+    def test_levels_match_eigvalsh(self):
+        # +-sigma of the even-to-odd block against the spectrum of the whole
+        # ring matrix, both residues of L mod 4, hoppings across T_BOX: the
+        # largest error measured is 6.5e-15 of the largest level
+        for L in range(4, 257, 2):
+            t = np.random.default_rng(L).uniform(*T_BOX, L)
+            sigma = _ring_levels(t)
+            assert sigma.size == L // 2
+            levels = np.sort(np.concatenate((-sigma, sigma)))
+            want = np.linalg.eigvalsh(build_hopping_matrix(HoppingConfig(t)))
+            assert np.max(np.abs(levels - want)) <= 2e-14 * np.max(np.abs(want)), L
+
+    def test_uniform_ring_zero_levels(self):
+        # the uniform ring's levels 2 cos(2 pi k / L) include two zeros
+        # (k = L/4, 3L/4) for L = 0 mod 4 and none for L = 2 mod 4, where the
+        # least is 2 sin(pi / L); the zero singular value measures <= 1.4e-16
+        for L in (4, 8, 12, 16, 64, 256, 1020, 1024, 6, 10, 14, 1022):
+            sigma = _ring_levels(np.ones(L))
+            levels = np.concatenate((-sigma, sigma))
+            zeros = np.sum(np.abs(levels) <= 1e-15)
+            assert zeros == (2 if L % 4 == 0 else 0), L
+            want = np.sort(np.abs(2 * np.cos(2 * np.pi * np.arange(L) / L)))
+            assert np.sort(np.abs(levels)) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 class TestChainEnergies:
     def test_uniform_ring_band_energy(self):
         # the uniform ring's levels are 2 cos(2 pi k / L): its band energy
         # is their absolute sum, and the distortion term vanishes
-        for L in (4, 64, 128):
+        for L in (4, 6, 10, 64, 128, 1022, 1024):
             want = np.sum(np.abs(2 * np.cos(2 * np.pi * np.arange(L) / L)))
             val = chain_energy_zero(HoppingConfig(np.ones(L)), 1.0)
             assert val == pytest.approx(-want, rel=1e-14, abs=1e-12)
@@ -214,6 +240,17 @@ class TestChainEnergies:
     def test_theta_zero_rejected(self):
         with pytest.raises(ValueError):
             chain_free_energy(ring(1, 1, 1, 1), ModelParams(mu=1.0, theta=0.0, L=4))
+
+    def test_odd_rings_refused(self):
+        # a ring of odd length is not bipartite: both energies refuse it, as
+        # every other ring routine does
+        for L in (5, 7):
+            cfg = ring(*[1.1, 0.9] * (L // 2), 1.0)
+            message = f"L must be an even integer >= 4, got {L}"
+            with pytest.raises(ValueError, match=message):
+                chain_free_energy(cfg, ModelParams(mu=2.0, theta=0.1))
+            with pytest.raises(ValueError, match=message):
+                chain_energy_zero(cfg, 2.0)
 
 
 class TestGFinite:
